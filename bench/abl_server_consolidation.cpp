@@ -18,9 +18,8 @@
 #include "ds/counter.hpp"
 #include "harness/report.hpp"
 #include "runtime/sim_executor.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
-#include "sync/mp_server.hpp"
-#include "sync/mp_server_hub.hpp"
 
 using namespace hmps;
 using rt::SimCtx;

@@ -17,8 +17,8 @@
 #include "harness/report.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sync/ccsynch.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
-#include "sync/mp_server.hpp"
 
 using namespace hmps;
 using rt::SimCtx;

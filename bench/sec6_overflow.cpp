@@ -26,7 +26,7 @@
 #include "harness/workload.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sim/fault.hpp"
-#include "sync/mp_server.hpp"
+#include "sync/delegation_server.hpp"
 
 using namespace hmps;
 using rt::SimCtx;

@@ -16,8 +16,8 @@
 #include "ds/queue.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
-#include "sync/mp_server.hpp"
 
 using namespace hmps;
 using rt::SimCtx;

@@ -118,7 +118,7 @@ AccessCost CoherenceModel::atomic(Tid c, std::uint64_t addr, Cycle now,
                                                        : p_.ctrl_op_cas;
   const Cycle to_ctrl = topo_.wire_to_ctrl(c, ctrl);
   const Cycle arrive = now + wait + recall + to_ctrl;
-  Cycle& busy = ctrl_busy_until_[ctrl % 8];
+  Cycle& busy = ctrl_busy_until_[ctrl];
   const Cycle start = busy > arrive ? busy : arrive;
   const Cycle ctrl_wait = start - arrive;
   busy = start + op_cost;

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "arch/combining.hpp"
@@ -41,8 +43,21 @@ struct AccessCost {
 
 class CoherenceModel {
  public:
+  /// Memory controllers with their own busy timeline. More would need a
+  /// wider table; machines are rejected instead of folding two controllers
+  /// onto one timeline.
+  static constexpr std::uint32_t kMaxCtrls = 8;
+
   CoherenceModel(const MachineParams& p, const MeshTopology& topo)
       : p_(p), topo_(topo), combining_(p, topo) {
+    if (p.n_mem_ctrls < 1 || p.n_mem_ctrls > kMaxCtrls) [[unlikely]] {
+      std::fprintf(stderr,
+                   "hmps fatal: CoherenceModel: n_mem_ctrls = %u is outside "
+                   "the supported range [1, %u]\n",
+                   static_cast<unsigned>(p.n_mem_ctrls),
+                   static_cast<unsigned>(kMaxCtrls));
+      std::abort();
+    }
     keys_.assign(kInitialCap, kEmptyKey);
     slots_.resize(kInitialCap);
     mask_ = kInitialCap - 1;
@@ -218,7 +233,7 @@ class CoherenceModel {
   std::uint64_t memo_key_ = kEmptyKey;  ///< last line looked up
   std::size_t memo_idx_ = 0;
   std::uint64_t next_line_id_ = 0;
-  Cycle ctrl_busy_until_[8] = {};
+  Cycle ctrl_busy_until_[kMaxCtrls] = {};
   CombiningFabric combining_;
   Counters counters_;
 };

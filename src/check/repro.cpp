@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "arch/coherence.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
@@ -115,6 +116,9 @@ bool machine_from_json(const JsonValue& j, arch::MachineParams* p,
   ok &= get_u32(j, "chips_y", &p->chips_y);
   ok &= get_u64(j, "chip_hop_extra", &p->chip_hop_extra);
   if (!ok) return fail("(type mismatch)");
+  if (p->n_mem_ctrls < 1 || p->n_mem_ctrls > arch::CoherenceModel::kMaxCtrls) {
+    return fail("n_mem_ctrls (outside [1, 8])");
+  }
   return true;
 }
 

@@ -11,13 +11,12 @@
 #include "runtime/sim_executor.hpp"
 #include "sim/perturb.hpp"
 #include "sync/ccsynch.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/dsm_synch.hpp"
 #include "sync/flat_combining.hpp"
 #include "sync/hsynch.hpp"
 #include "sync/hybcomb.hpp"
 #include "sync/locks.hpp"
-#include "sync/mp_server.hpp"
-#include "sync/mp_server_hub.hpp"
 #include "sync/oyama.hpp"
 #include "sync/sharded.hpp"
 #include "sync/shm_server.hpp"

@@ -20,8 +20,8 @@
 #include "runtime/sim_executor.hpp"
 #include "sync/async_batcher.hpp"
 #include "sync/ccsynch.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
-#include "sync/mp_server.hpp"
 #include "sync/sharded.hpp"
 #include "sync/shm_server.hpp"
 #include "sync/vlink_server.hpp"

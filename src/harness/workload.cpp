@@ -21,9 +21,9 @@
 #include "runtime/sim_executor.hpp"
 #include "sync/async_batcher.hpp"
 #include "sync/ccsynch.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
 #include "sync/locks.hpp"
-#include "sync/mp_server.hpp"
 #include "sync/shm_server.hpp"
 #include "sync/universal.hpp"
 #include "sync/vlink_server.hpp"

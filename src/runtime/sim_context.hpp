@@ -210,7 +210,7 @@ class SimCtx {
   }
 
   // ---- virtual-link channels (arch/vlink.hpp; sim-only transport) ----
-  // Accounting mirrors the UDN ops bucket for bucket (push backpressure is
+  // Accounting reuses the UDN ops' buckets (push backpressure is
   // kUdnSendBlock, pop waits are kUdnRecvWait / kUdnAsyncWait), so Fig. 4a
   // style breakdowns compare the transports without new schema buckets.
 

@@ -9,10 +9,11 @@
 // time — the same pipelining argument the paper makes for the server's
 // asynchronous response send (Section 4.1), applied to the client side.
 //
-// Works with any construction exposing the ticket API: MpServer / HybComb
-// (Op = CsFn<Ctx>), MpServerHub (Op = opcode), ShmServer. One batcher
-// serves one (thread, server) pair; a thread must not interleave trains on
-// two constructions (the reply stash is shared per context, MODEL.md §9).
+// Works with any construction exposing the ticket API: MpServer,
+// VlinkServer, HybComb, ShmServer (Op = CsFn<Ctx>) and MpServerHub (Op =
+// opcode). One batcher serves one (thread, server) pair; a thread must not
+// interleave trains on two constructions (the reply stash is shared per
+// context, MODEL.md §9).
 #pragma once
 
 #include <cstdint>

@@ -69,6 +69,19 @@ inline constexpr std::uint64_t reply_tag(std::uint64_t w0) {
   return w0 & kAsyncTagMask;
 }
 
+/// Answers request `id` (its first word) over hardware message passing:
+/// the 1-word {ret} for a sync request, the 2-word tagged pair for an async
+/// one.
+template <class Ctx>
+inline void reply_to(Ctx& ctx, std::uint64_t id, std::uint64_t ret) {
+  const std::uint64_t tag = request_tag(id);
+  if (tag != 0) {
+    ctx.send(request_tid(id), {kAsyncReplyMark | tag, ret});
+  } else {
+    ctx.send(request_tid(id), {ret});
+  }
+}
+
 /// Future for one asynchronous critical-section application. tag == 0 means
 /// the operation already completed inline (e.g. the HybComb caller became
 /// the combiner) and `value` holds the result; otherwise the ticket must be
@@ -130,6 +143,22 @@ struct SyncStats {
   }
 };
 
+/// One thread's SyncStats on its own cache line, so per-thread counters
+/// never false-share.
+struct alignas(rt::kCacheLine) PaddedStats {
+  SyncStats s;
+};
+
+/// One thread's async-ticket state in a tagged-reply construction, on its
+/// own cache line.
+struct alignas(rt::kCacheLine) AsyncTags {
+  std::uint64_t next_tag = 1;
+  std::uint32_t outstanding = 0;  ///< issued minus reaped
+
+  /// Advances the wrapping, never-zero 31-bit tag sequence.
+  void advance() { next_tag = next_tag == kAsyncTagMask ? 1 : next_tag + 1; }
+};
+
 /// Exploration yield point at a named sync-layer boundary (`where` must
 /// have static storage duration). Compiles to nothing for contexts without
 /// schedule exploration (NativeCtx); for SimCtx it is one predicted branch
@@ -147,15 +176,61 @@ inline void explore_point(Ctx& ctx, const char* where) {
 /// keeps (nodes, channels, stats). A run configured with more threads than
 /// kMaxThreads used to index silently past those arrays; now it dies with a
 /// diagnosis instead of corrupting memory.
-inline void check_tid(Tid tid, std::uint32_t capacity, const char* who) {
+inline void check_tid(Tid tid, std::uint32_t capacity, const char* cls,
+                      const char* method = "") {
   if (tid >= capacity) [[unlikely]] {
     std::fprintf(stderr,
-                 "hmps fatal: %s: thread id %u exceeds the construction's "
+                 "hmps fatal: %s%s%s: thread id %u exceeds the construction's "
                  "fixed capacity of %u threads (kMaxThreads)\n",
-                 who, static_cast<unsigned>(tid),
+                 cls, *method ? "::" : "", method, static_cast<unsigned>(tid),
                  static_cast<unsigned>(capacity));
     std::abort();
   }
+}
+
+/// Section 6 overflow guard (docs/ROBUSTNESS.md): `credits` counts the
+/// requests in flight against one hardware buffer. Spins through shared
+/// memory (no message-buffer pressure) until it is below `max`, then claims
+/// one with CAS. Each failed round counts a throttle wait and runs `idle`:
+/// cpu_relax() by default; async issue drains its own arrived replies there
+/// so unreaped tickets never hold every credit against their issuer
+/// (docs/MODEL.md §9).
+template <class Ctx, class Idle>
+inline void acquire_credit(Ctx& ctx, Word& credits, std::uint64_t max,
+                           SyncStats& st, Idle&& idle) {
+  for (;;) {
+    const std::uint64_t cur = ctx.load(&credits);
+    if (cur < max && ctx.cas(&credits, cur, cur + 1)) return;
+    ++st.throttle_waits;
+    idle();
+  }
+}
+template <class Ctx>
+inline void acquire_credit(Ctx& ctx, Word& credits, std::uint64_t max,
+                           SyncStats& st) {
+  acquire_credit(ctx, credits, max, st, [&ctx] { ctx.cpu_relax(); });
+}
+
+/// Returns one credit to the pool.
+template <class Ctx>
+inline void release_credit(Ctx& ctx, Word& credits) {
+  ctx.faa(&credits, ~std::uint64_t{0});  // +(-1)
+}
+
+/// Claims pending ticket `t`'s result (docs/MODEL.md §9): from the context
+/// stash if its reply already arrived, else by popping replies with `pop`
+/// (returns a reply's tag, its value in *val) and staging the others for
+/// their own wait(). Stamps t.completed.
+template <class Ctx, class Pop>
+inline std::uint64_t reap_ticket(Ctx& ctx, Ticket& t, Pop&& pop) {
+  std::uint64_t val;
+  if (!ctx.take_staged_reply(t.tag, &val)) {
+    for (std::uint64_t got; (got = pop(&val)) != t.tag;) {
+      ctx.stage_reply(got, val);
+    }
+  }
+  t.completed = ctx.now();
+  return val;
 }
 
 }  // namespace hmps::sync

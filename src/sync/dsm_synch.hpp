@@ -105,9 +105,6 @@ class DsmSynch {
   struct alignas(rt::kCacheLine) PerThread {
     std::uint32_t toggle = 0;
   };
-  struct alignas(rt::kCacheLine) PaddedStats {
-    SyncStats s;
-  };
 
   void* obj_;
   std::uint32_t max_ops_;

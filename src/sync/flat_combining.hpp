@@ -94,9 +94,6 @@ class FlatCombining {
   struct alignas(rt::kCacheLine) PaddedSeq {
     std::uint64_t v = 0;
   };
-  struct alignas(rt::kCacheLine) PaddedStats {
-    SyncStats s;
-  };
 
   void* obj_;
   std::uint32_t nrecs_;

@@ -109,9 +109,6 @@ class HSynch {
   struct alignas(rt::kCacheLine) PerThread {
     Node* node = nullptr;
   };
-  struct alignas(rt::kCacheLine) PaddedStats {
-    SyncStats s;
-  };
 
   void* obj_;
   std::uint32_t max_ops_;

@@ -141,24 +141,20 @@ class HybComb {
     const Tid tid = ctx.tid();
     check_tid(tid, kMaxThreads, "HybComb::apply_async");
     SyncStats& st = stats_[tid].s;
-    AsyncSt& a = async_[tid];
+    AsyncTags& a = async_[tid];
     explore_point(ctx, "hyb.async_issue");
     const std::uint64_t tag = a.next_tag;
     const Cycle issued = ctx.now();
     Node* reg = nullptr;
     if (try_register_send(ctx, fn, arg, tag, st, &reg)) {
-      a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
+      a.advance();
       ++st.async_issued;
       ++a.outstanding;
-      Ticket t{tag, 0, 0};
-      t.issued = issued;
-      return t;
+      return Ticket{tag, 0, 0, issued};
     }
     ++st.async_issued;
-    Ticket t{0, combine_section(ctx, fn, arg, st), 0};
-    t.issued = issued;
-    t.completed = ctx.now();
-    return t;
+    // Braced initializers run in order: completed is stamped after the CS.
+    return Ticket{0, combine_section(ctx, fn, arg, st), 0, issued, ctx.now()};
   }
 
   /// Reaps one ticket, returning its CS result. Must run on the issuing
@@ -168,29 +164,12 @@ class HybComb {
   std::uint64_t wait(Ctx& ctx, Ticket& t) {
     const Tid tid = ctx.tid();
     check_tid(tid, kMaxThreads, "HybComb::wait");
-    AsyncSt& a = async_[tid];
+    AsyncTags& a = async_[tid];
     if (t.tag == 0) return t.value;  // completed inline (combiner path)
     explore_point(ctx, "hyb.reap");
-    std::uint64_t val;
-    if (ctx.take_staged_reply(t.tag, &val)) {
-      --a.outstanding;
-      t.completed = ctx.now();
-      return val;
-    }
-    for (;;) {
-      std::uint64_t m[3];
-      ctx.receive_async(m, 3);
-      // Only replies can land here: requests go to registered combiners,
-      // and a thread inside wait() is never one.
-      assert(is_reply_frame(m[0]));
-      const std::uint64_t got = reply_tag(m[0]);
-      if (got == t.tag) {
-        --a.outstanding;
-        t.completed = ctx.now();
-        return m[1];
-      }
-      ctx.stage_reply(got, m[1]);
-    }
+    --a.outstanding;
+    return reap_ticket(ctx, t,
+                       [&](std::uint64_t* val) { return pop_reply(ctx, val); });
   }
 
   /// Reaps every outstanding ticket of the calling thread, discarding the
@@ -198,18 +177,11 @@ class HybComb {
   void wait_all(Ctx& ctx) {
     const Tid tid = ctx.tid();
     check_tid(tid, kMaxThreads, "HybComb::wait_all");
-    AsyncSt& a = async_[tid];
+    AsyncTags& a = async_[tid];
     explore_point(ctx, "hyb.reap");
     std::uint64_t tag, val;
-    while (a.outstanding > 0) {
-      if (ctx.take_any_staged_reply(&tag, &val)) {
-        --a.outstanding;
-        continue;
-      }
-      std::uint64_t m[3];
-      ctx.receive_async(m, 3);
-      assert(is_reply_frame(m[0]));
-      --a.outstanding;
+    for (; a.outstanding > 0; --a.outstanding) {
+      if (!ctx.take_any_staged_reply(&tag, &val)) pop_reply(ctx, &val);
     }
   }
 
@@ -240,9 +212,6 @@ class HybComb {
   struct alignas(rt::kCacheLine) PerThread {
     Node* node = nullptr;
   };
-  struct alignas(rt::kCacheLine) PaddedStats {
-    SyncStats s;
-  };
 
   /// Lines 19-20: wait for the predecessor combiner to depart, optionally
   /// detecting a stalled one (Options::stall_timeout).
@@ -265,26 +234,6 @@ class HybComb {
     }
   }
 
-  /// Spin (through shared memory) until one of `node`'s in-flight credits
-  /// is free. Liveness: the active combiner's registrants release credits
-  /// as they are served, so the combiner is never starved of requests.
-  void acquire_credit(Ctx& ctx, Node* node, SyncStats& st) {
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&node->inflight);
-      if (cur < opts_.max_inflight &&
-          ctx.cas(&node->inflight, cur, cur + 1)) {
-        return;
-      }
-      ++st.throttle_waits;
-      ctx.cpu_relax();
-    }
-  }
-
-  struct alignas(rt::kCacheLine) AsyncSt {
-    std::uint64_t next_tag = 1;
-    std::uint32_t outstanding = 0;  ///< issued minus reaped
-  };
-
   /// Registration phase (Algorithm 1 lines 8-21). Returns true when the
   /// request registered with a combiner and was sent (`*out_reg` is the
   /// node whose credit pool it drew from); false when the caller became the
@@ -302,9 +251,12 @@ class HybComb {
         obs::Span<Ctx> req(ctx, "hyb.request");
         const Tid comb =
             static_cast<Tid>(ctx.load(&last_reg->thread_id));
+        // Credits live in the combiner's node. Liveness: the active
+        // combiner's registrants release credits as they are served, so the
+        // combiner is never starved of requests.
         if (opts_.max_inflight) {
           if (tag == 0) {
-            acquire_credit(ctx, last_reg, st);
+            acquire_credit(ctx, last_reg->inflight, opts_.max_inflight, st);
           } else {
             acquire_credit_draining(ctx, last_reg, st, async_[tid]);
           }
@@ -409,9 +361,7 @@ class HybComb {
     // the serving thread's current node (registration with it closes before
     // the node is recycled, and its registered ops are all served before
     // depart), so the release node is simply my_[tid].node.
-    if (opts_.max_inflight) {
-      ctx.faa(&my_[ctx.tid()].node->inflight, ~std::uint64_t{0});
-    }
+    if (opts_.max_inflight) release_credit(ctx, my_[ctx.tid()].node->inflight);
     obs::Span<Ctx> cs(ctx, "hyb.cs");
     const Tid dst = static_cast<Tid>(request_tid(m[0]));
     const std::uint64_t tag = request_tag(m[0]);
@@ -431,6 +381,18 @@ class HybComb {
     return true;
   }
 
+  /// Pops one padded 3-word reply frame addressed to this thread; returns
+  /// its tag, the CS result in `*val`. Only replies can land here: requests
+  /// go to registered combiners, and a thread reaping or waiting for a
+  /// credit is never one.
+  std::uint64_t pop_reply(Ctx& ctx, std::uint64_t* val) {
+    std::uint64_t m[3];
+    ctx.receive_async(m, 3);
+    assert(is_reply_frame(m[0]));
+    *val = m[1];
+    return reply_tag(m[0]);
+  }
+
   /// Async replies are padded to 3 words so a combiner's queue keeps
   /// uniform framing (see serve_frame()).
   void reply(Ctx& ctx, Tid dst, std::uint64_t tag, std::uint64_t ret) {
@@ -448,23 +410,16 @@ class HybComb {
   /// queue fill up with undrained replies (which would eventually block the
   /// combiner's reply sends on small buffers).
   void acquire_credit_draining(Ctx& ctx, Node* node, SyncStats& st,
-                               AsyncSt& a) {
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&node->inflight);
-      if (cur < opts_.max_inflight &&
-          ctx.cas(&node->inflight, cur, cur + 1)) {
-        return;
-      }
-      ++st.throttle_waits;
+                               AsyncTags& a) {
+    acquire_credit(ctx, node->inflight, opts_.max_inflight, st, [&] {
       if (a.outstanding > 0 && !ctx.queue_empty()) {
-        std::uint64_t m[3];
-        ctx.receive_async(m, 3);
-        assert(is_reply_frame(m[0]));
-        ctx.stage_reply(reply_tag(m[0]), m[1]);
+        std::uint64_t val;
+        const std::uint64_t got = pop_reply(ctx, &val);
+        ctx.stage_reply(got, val);
       } else {
         ctx.cpu_relax();
       }
-    }
+    });
   }
 
   void* obj_;
@@ -476,7 +431,7 @@ class HybComb {
   alignas(rt::kCacheLine) Word departed_{0};   ///< departed_combiner
   PerThread my_[kMaxThreads];
   PaddedStats stats_[kMaxThreads];
-  AsyncSt async_[kMaxThreads];
+  AsyncTags async_[kMaxThreads];
   // Seeded-bug state (Options::bug_drop_every); only touched inside the
   // combiner section, i.e. in mutual exclusion.
   std::uint64_t bug_serves_ = 0;

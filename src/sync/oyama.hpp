@@ -94,9 +94,6 @@ class OyamaComb {
     Word done{0};
     Word next{0};  // Node*
   };
-  struct alignas(rt::kCacheLine) PaddedStats {
-    SyncStats s;
-  };
 
   void drain(Ctx& ctx, SyncStats& st) {
     for (;;) {

@@ -131,24 +131,10 @@ class ShardedServer {
   }
 
   /// Executes `fn(farm, pack_obj_arg(obj, arg))` on the object's home
-  /// shard and returns the result. Routed through the async path when this
-  /// client has tickets outstanding (a bare 1-word reply would misframe
-  /// behind pending tagged pairs, docs/MODEL.md §9).
+  /// shard and returns the result.
   std::uint64_t apply(Ctx& ctx, Fn fn, std::uint64_t obj, std::uint64_t arg) {
-    const std::uint32_t slot = client_slot(ctx, "ShardedServer::apply");
-    if (clients_[slot].total_outstanding > 0) {
-      Ticket t = apply_async(ctx, fn, obj, arg);
-      return wait(ctx, t);
-    }
-    obs::Span<Ctx> span(ctx, "shard.request");
-    const std::uint32_t s = route_resolve(ctx, obj);
-    SyncStats& st = client_stats_[slot].s;
-    if (max_inflight_ != 0) acquire_credit(ctx, st, s);
-    ctx.send(server_tid(s), {ctx.tid(), rt::to_word(fn), pack_obj_arg(obj, arg)});
-    const std::uint64_t ret = ctx.receive1();
-    if (max_inflight_ != 0) release_credit(ctx, s);
-    ++st.ops;
-    return ret;
+    return call(ctx, "ShardedServer::apply", obj, rt::to_word(fn),
+                pack_obj_arg(obj, arg));
   }
 
   /// Issues `fn` on the object's home shard without blocking; the ticket's
@@ -165,21 +151,8 @@ class ShardedServer {
   /// kTransferEmpty if `src` was empty. Linearization bracket:
   /// docs/MODEL.md §10.
   std::uint64_t queue_transfer(Ctx& ctx, std::uint64_t src, std::uint64_t dst) {
-    const std::uint32_t slot =
-        client_slot(ctx, "ShardedServer::queue_transfer");
-    if (clients_[slot].total_outstanding > 0) {
-      Ticket t = transfer_async(ctx, src, dst);
-      return wait(ctx, t);
-    }
-    obs::Span<Ctx> span(ctx, "shard.request");
-    const std::uint32_t s = route_resolve(ctx, src);
-    SyncStats& st = client_stats_[slot].s;
-    if (max_inflight_ != 0) acquire_credit(ctx, st, s);
-    ctx.send(server_tid(s), {ctx.tid(), kTransferWord, pack_obj_arg(src, dst)});
-    const std::uint64_t ret = ctx.receive1();
-    if (max_inflight_ != 0) release_credit(ctx, s);
-    ++st.ops;
-    return ret;
+    return call(ctx, "ShardedServer::queue_transfer", src, kTransferWord,
+                pack_obj_arg(src, dst));
   }
 
   /// Async queue_transfer; reap with wait().
@@ -198,24 +171,9 @@ class ShardedServer {
     ClientSt& c = clients_[slot];
     if (t.tag == 0) return t.value;  // completed inline
     explore_point(ctx, "shard.reap");
-    std::uint64_t val;
-    if (ctx.take_staged_reply(t.tag, &val)) {
-      complete(c, t.tag);
-      t.completed = ctx.now();
-      return val;
-    }
-    for (;;) {
-      std::uint64_t m[2];
-      ctx.receive_async(m, 2);
-      const std::uint64_t got = reply_tag(m[0]);
-      if (max_inflight_ != 0) release_credit(ctx, tag_shard(got));
-      if (got == t.tag) {
-        complete(c, got);
-        t.completed = ctx.now();
-        return m[1];
-      }
-      ctx.stage_reply(got, m[1]);
-    }
+    complete(c, t.tag);
+    return reap_ticket(ctx, t,
+                       [&](std::uint64_t* val) { return pop_reply(ctx, val); });
   }
 
   /// Reaps every outstanding ticket of the calling thread across all
@@ -226,15 +184,8 @@ class ShardedServer {
     explore_point(ctx, "shard.reap");
     std::uint64_t tag, val;
     while (c.total_outstanding > 0) {
-      if (ctx.take_any_staged_reply(&tag, &val)) {
-        complete(c, tag);
-        continue;
-      }
-      std::uint64_t m[2];
-      ctx.receive_async(m, 2);
-      const std::uint64_t got = reply_tag(m[0]);
-      if (max_inflight_ != 0) release_credit(ctx, tag_shard(got));
-      complete(c, got);
+      if (!ctx.take_any_staged_reply(&tag, &val)) tag = pop_reply(ctx, &val);
+      complete(c, tag);
     }
   }
 
@@ -317,9 +268,6 @@ class ShardedServer {
   static constexpr std::uint64_t kSrvMark = std::uint64_t{1} << 63;
   static constexpr std::uint64_t kSrvAck = std::uint64_t{1} << 62;
 
-  struct alignas(rt::kCacheLine) PaddedStats {
-    SyncStats s;
-  };
   struct alignas(rt::kCacheLine) PaddedWord {
     Word v{0};
   };
@@ -355,6 +303,30 @@ class ShardedServer {
     return shard_home(obj);
   }
 
+  /// Synchronous request to the home shard of object `home`. Routed
+  /// through the async path when this client has tickets outstanding (a
+  /// bare 1-word reply would misframe behind pending tagged pairs,
+  /// docs/MODEL.md §9).
+  std::uint64_t call(Ctx& ctx, const char* who, std::uint64_t home,
+                     std::uint64_t fn_word, std::uint64_t arg) {
+    const std::uint32_t slot = client_slot(ctx, who);
+    if (clients_[slot].total_outstanding > 0) {
+      Ticket t = issue_async(ctx, slot, route_resolve(ctx, home), fn_word, arg);
+      return wait(ctx, t);
+    }
+    obs::Span<Ctx> span(ctx, "shard.request");
+    const std::uint32_t s = route_resolve(ctx, home);
+    SyncStats& st = client_stats_[slot].s;
+    if (max_inflight_ != 0) {
+      acquire_credit(ctx, inflight_[s].v, max_inflight_, st);
+    }
+    ctx.send(server_tid(s), {ctx.tid(), fn_word, arg});
+    const std::uint64_t ret = ctx.receive1();
+    if (max_inflight_ != 0) release_credit(ctx, inflight_[s].v);
+    ++st.ops;
+    return ret;
+  }
+
   Ticket issue_async(Ctx& ctx, std::uint32_t slot, std::uint32_t s,
                      std::uint64_t fn_word, std::uint64_t arg) {
     ClientSt& c = clients_[slot];
@@ -387,24 +359,13 @@ class ShardedServer {
     ++st.ops;
     ++c.out[s];
     ++c.total_outstanding;
-    Ticket t{tag, 0, 0};
-    t.issued = ctx.now();
-    return t;
+    return Ticket{tag, 0, 0, ctx.now()};
   }
 
   void complete(ClientSt& c, std::uint64_t tag) {
     const std::uint32_t s = tag_shard(tag);
     --c.out[s];
     --c.total_outstanding;
-  }
-
-  void reply_to(Ctx& ctx, std::uint64_t id_word, std::uint64_t ret) {
-    const std::uint64_t tag = request_tag(id_word);
-    if (tag != 0) {
-      ctx.send(request_tid(id_word), {kAsyncReplyMark | tag, ret});
-    } else {
-      ctx.send(request_tid(id_word), {ret});
-    }
   }
 
   /// Transfer source half (shard A): dequeue locally; same-shard moves
@@ -476,43 +437,32 @@ class ShardedServer {
     return slot;
   }
 
-  void acquire_credit(Ctx& ctx, SyncStats& st, std::uint32_t s) {
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_[s].v);
-      if (cur < max_inflight_ && ctx.cas(&inflight_[s].v, cur, cur + 1)) {
-        return;
-      }
-      ++st.throttle_waits;
-      ctx.cpu_relax();
-    }
+  /// Pops one reply (any shard's) and returns its shard's credit; returns
+  /// the tag, the CS result in `*val`.
+  std::uint64_t pop_reply(Ctx& ctx, std::uint64_t* val) {
+    std::uint64_t m[2];
+    ctx.receive_async(m, 2);
+    const std::uint64_t got = reply_tag(m[0]);
+    if (max_inflight_ != 0) release_credit(ctx, inflight_[tag_shard(got)].v);
+    *val = m[1];
+    return got;
   }
 
-  /// Async-issue variant of acquire_credit: drains already-arrived replies
-  /// (any shard's) into the context stash while spinning, releasing their
+  /// Async-issue credit acquire: drains already-arrived replies (any
+  /// shard's) into the context stash while spinning, releasing their
   /// credits — without it a client whose unreaped tickets hold every credit
   /// of shard `s` would spin forever (docs/MODEL.md §9).
   void acquire_credit_draining(Ctx& ctx, SyncStats& st, ClientSt& c,
                                std::uint32_t s) {
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_[s].v);
-      if (cur < max_inflight_ && ctx.cas(&inflight_[s].v, cur, cur + 1)) {
-        return;
-      }
-      ++st.throttle_waits;
+    acquire_credit(ctx, inflight_[s].v, max_inflight_, st, [&] {
       if (c.total_outstanding > 0 && !ctx.queue_empty()) {
-        std::uint64_t m[2];
-        ctx.receive_async(m, 2);
-        const std::uint64_t got = reply_tag(m[0]);
-        ctx.stage_reply(got, m[1]);
-        release_credit(ctx, tag_shard(got));
+        std::uint64_t val;
+        const std::uint64_t got = pop_reply(ctx, &val);
+        ctx.stage_reply(got, val);
       } else {
         ctx.cpu_relax();
       }
-    }
-  }
-
-  void release_credit(Ctx& ctx, std::uint32_t s) {
-    ctx.faa(&inflight_[s].v, ~std::uint64_t{0});  // +(-1)
+    });
   }
 
   std::uint32_t shards_;

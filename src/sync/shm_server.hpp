@@ -87,10 +87,7 @@ class ShmServer {
       // async never occupies) and complete the ticket inline.
       ++st.async_issued;
       const Cycle issued = ctx.now();
-      Ticket t{0, apply(ctx, fn, arg), 0};
-      t.issued = issued;
-      t.completed = ctx.now();
-      return t;
+      return Ticket{0, apply(ctx, fn, arg), 0, issued, ctx.now()};
     }
     obs::Span<Ctx> span(ctx, "shm.request");
     Channel& ch = chans_[chan_index(tid, slot)];
@@ -101,9 +98,7 @@ class ShmServer {
     ctx.store(&ch.req_seq, seq);
     a.busy_mask |= 1u << slot;
     ++st.async_issued;
-    Ticket t{seq, 0, slot};
-    t.issued = ctx.now();
-    return t;
+    return Ticket{seq, 0, slot, ctx.now()};
   }
 
   /// Reaps one ticket: spins on its slot's resp_seq, then frees the slot.
@@ -209,9 +204,6 @@ class ShmServer {
 
   struct alignas(rt::kCacheLine) PaddedSeq {
     std::uint64_t v = 0;
-  };
-  struct alignas(rt::kCacheLine) PaddedStats {
-    SyncStats s;
   };
   struct alignas(rt::kCacheLine) AsyncSt {
     std::uint32_t busy_mask = 0;  ///< bit s set: slot s issued, not reaped

@@ -45,9 +45,6 @@ class LockUc {
   }
 
  private:
-  struct alignas(rt::kCacheLine) PaddedStats {
-    SyncStats s;
-  };
   void* obj_;
   Lock lock_;
   PaddedStats stats_[kMaxThreads];

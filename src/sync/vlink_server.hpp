@@ -1,39 +1,23 @@
-// VLINK-SERVER: delegation over a Virtual-Link MPMC channel
-// (arch/vlink.hpp, docs/MODEL.md §12).
-//
-// Same client/server shape as MP-SERVER (paper Section 4.1) with the
-// transport swapped: instead of addressing the server's per-core hardware
-// receive buffer, clients push 3-word requests into one shared MPMC channel
-// anchored at the server's tile, and each client pops 2-word replies from
-// its own single-consumer reply channel. Because the request channel is
-// many-to-many, a pool of servers can drain it concurrently (pass each one
-// to serve(); frame-atomic pops keep requests whole) — the UDN needs the
-// hub/sharded machinery to get the same effect.
-//
-// Wire format is the cs.hpp request format with 2-word replies throughout
-// (tag 0 = synchronous), so the per-channel frame size is homogeneous.
-// Section 6 overflow credits, async tickets, spans, and explore points all
-// mirror MpServer, bucket for bucket.
-//
-// Sim-only: the fabric is a simulator model, so this construction is not
-// instantiated over NativeCtx (like sync::ShardedServer).
+// VLINK-SERVER: the delegation server (sync/delegation_server.hpp) over a
+// Virtual-Link MPMC channel (arch/vlink.hpp, docs/MODEL.md §12). Clients push
+// 3-word requests into one shared MPMC channel anchored at the server's tile
+// and pop 2-word replies, {kAsyncReplyMark | tag, ret} with tag 0 for a sync
+// call, from their own reply channel. Because the request channel is
+// many-to-many, a pool of servers can drain it concurrently — the UDN needs
+// the hub/sharded machinery for that. Sim-only: the fabric is a simulator
+// model, so this is never instantiated over NativeCtx.
 #pragma once
 
 #include <cstdint>
 
 #include "arch/vlink.hpp"
-#include "obs/span.hpp"
-#include "runtime/context.hpp"
-#include "sync/cs.hpp"
+#include "sync/delegation_server.hpp"
 
 namespace hmps::sync {
 
 template <class Ctx>
-class VlinkServer {
+class VlinkWire {
  public:
-  using Fn = CsFn<Ctx>;
-
-  static constexpr std::uint32_t kMaxThreads = 64;
   static constexpr std::uint32_t kNoChannel = ~std::uint32_t{0};
   /// Request-channel capacity in words (42 in-flight 3-word frames at the
   /// default — matches the UDN buffer's order of magnitude so backpressure
@@ -43,208 +27,75 @@ class VlinkServer {
   /// of 2 words) with room to spare.
   static constexpr std::size_t kReplyWords = 64;
 
-  /// `server_core`: home tile of the shared request channel (the tile the
-  /// serving thread runs on; with a server pool, the first server's tile).
-  /// `max_inflight` > 0 enables the Section 6 overflow guard exactly as in
-  /// MpServer.
-  VlinkServer(arch::VlinkFabric& fab, rt::Tid server_core, void* obj,
-              std::uint64_t max_inflight = 0,
-              std::size_t req_words = kDefaultReqWords)
-      : fab_(fab), obj_(obj), max_inflight_(max_inflight) {
-    req_ch_ = fab_.create_channel(server_core, req_words);
+  VlinkWire(arch::VlinkFabric& fab, Tid server_core, std::size_t req_words)
+      : fab_(fab), req_ch_(fab.create_channel(server_core, req_words)) {
     for (auto& r : reply_ch_) r = kNoChannel;
   }
-
-  void* object() const { return obj_; }
   std::uint32_t request_channel() const { return req_ch_; }
 
-  /// Client side: executes `fn(obj, arg)` under the server and returns its
-  /// result. Routed through the async path while tickets are outstanding
-  /// (a plain pop would reap another ticket's reply first).
-  std::uint64_t apply(Ctx& ctx, Fn fn, std::uint64_t arg) {
-    const Tid tid = ctx.tid();
-    check_tid(tid, kMaxThreads, "VlinkServer::apply");
-    if (async_[tid].outstanding > 0) {
-      Ticket t = apply_async(ctx, fn, arg);
-      return wait(ctx, t);
-    }
-    ensure_reply_channel(ctx, tid);
-    obs::Span<Ctx> span(ctx, "vlink.request");
-    explore_point(ctx, "vlink.pre_send");
-    if (max_inflight_ != 0) acquire_credit(ctx, stats_[tid].s);
-    ctx.vlink_push(req_ch_, {tid, rt::to_word(fn), arg});
-    std::uint64_t m[2];
-    ctx.vlink_pop(reply_ch_[tid], m, 2);
-    if (max_inflight_ != 0) ctx.faa(&inflight_, ~std::uint64_t{0});
-    return m[1];
-  }
-
-  /// Issues `fn(obj, arg)` without blocking on the reply; reap with wait()
-  /// or wait_all(). A pending ticket holds its in-flight credit until the
-  /// reply reaches this client (docs/MODEL.md §9).
-  Ticket apply_async(Ctx& ctx, Fn fn, std::uint64_t arg) {
-    const Tid tid = ctx.tid();
-    check_tid(tid, kMaxThreads, "VlinkServer::apply_async");
-    ensure_reply_channel(ctx, tid);
-    SyncStats& st = stats_[tid].s;
-    AsyncSt& a = async_[tid];
-    obs::Span<Ctx> span(ctx, "vlink.request");
-    explore_point(ctx, "vlink.async_issue");
-    if (max_inflight_ != 0) acquire_credit_draining(ctx, st, a);
-    const std::uint64_t tag = a.next_tag;
-    a.next_tag = a.next_tag == kAsyncTagMask ? 1 : a.next_tag + 1;
-    ctx.vlink_push(req_ch_, {pack_request_id(tid, tag), rt::to_word(fn), arg});
-    ++st.async_issued;
-    ++a.outstanding;
-    Ticket t{tag, 0, 0};
-    t.issued = ctx.now();
-    return t;
-  }
-
-  /// Reaps one ticket on the issuing thread. Replies for other outstanding
-  /// tickets arriving first are staged in the context for their own wait()
-  /// (a server pool may complete requests out of issue order).
-  std::uint64_t wait(Ctx& ctx, Ticket& t) {
-    const Tid tid = ctx.tid();
-    check_tid(tid, kMaxThreads, "VlinkServer::wait");
-    AsyncSt& a = async_[tid];
-    if (t.tag == 0) return t.value;  // completed inline
-    explore_point(ctx, "vlink.reap");
-    std::uint64_t val;
-    if (ctx.take_staged_reply(t.tag, &val)) {
-      --a.outstanding;
-      t.completed = ctx.now();
-      return val;
-    }
-    for (;;) {
-      std::uint64_t m[2];
-      ctx.vlink_pop_async(reply_ch_[tid], m, 2);
-      if (max_inflight_ != 0) ctx.faa(&inflight_, ~std::uint64_t{0});
-      const std::uint64_t got = reply_tag(m[0]);
-      if (got == t.tag) {
-        --a.outstanding;
-        t.completed = ctx.now();
-        return m[1];
-      }
-      ctx.stage_reply(got, m[1]);
-    }
-  }
-
-  /// Reaps every outstanding ticket of the calling thread.
-  void wait_all(Ctx& ctx) {
-    const Tid tid = ctx.tid();
-    check_tid(tid, kMaxThreads, "VlinkServer::wait_all");
-    AsyncSt& a = async_[tid];
-    explore_point(ctx, "vlink.reap");
-    std::uint64_t tag, val;
-    while (a.outstanding > 0) {
-      if (ctx.take_any_staged_reply(&tag, &val)) {
-        --a.outstanding;
-        continue;
-      }
-      std::uint64_t m[2];
-      ctx.vlink_pop_async(reply_ch_[tid], m, 2);
-      if (max_inflight_ != 0) ctx.faa(&inflight_, ~std::uint64_t{0});
-      --a.outstanding;
-    }
-  }
-
-  /// Server side: drains the shared request channel until a stop frame
-  /// arrives. Any number of threads may serve concurrently (MPMC pops are
-  /// frame-atomic); send one request_stop() per serving thread.
-  ///
-  /// With a pool, CS bodies run CONCURRENTLY across the serving threads —
-  /// unlike single-server delegation, a pool does not serialize the object.
-  /// Pool CS bodies must therefore be thread-safe (atomic RMWs, disjoint
-  /// state, a lock of their own); a plain load/store body loses updates
-  /// exactly as it would under direct concurrent access.
-  void serve(Ctx& ctx) {
-    check_tid(ctx.tid(), kMaxThreads, "VlinkServer::serve");
-    SyncStats& st = stats_[ctx.tid()].s;
-    for (;;) {
-      explore_point(ctx, "vlink.serve");
-      std::uint64_t m[3];
-      ctx.vlink_pop(req_ch_, m, 3);
-      if (m[1] == kStopWord) return;
-      obs::Span<Ctx> cs(ctx, "vlink.cs");
-      Fn fn = rt::from_word<std::remove_pointer_t<Fn>>(m[1]);
-      const std::uint64_t ret = fn(ctx, obj_, m[2]);
-      const Tid tid = request_tid(m[0]);
-      ctx.vlink_push(reply_ch_[tid],
-                     {kAsyncReplyMark | request_tag(m[0]), ret});
-      ++st.served;
-    }
-  }
-
-  /// Asks one serving thread to exit (FIFO: queued requests drain first).
-  void request_stop(Ctx& ctx) { ctx.vlink_push(req_ch_, {0, kStopWord, 0}); }
-
-  SyncStats& stats(Tid t) {
-    check_tid(t, kMaxThreads, "VlinkServer::stats");
-    return stats_[t].s;
-  }
-
-  /// Requests currently holding an overflow-guard credit (0 when the guard
-  /// is off). Telemetry gauge — plain snapshot read, never synchronizing.
-  std::uint64_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(rt::kCacheLine) PaddedStats {
-    SyncStats s;
-  };
-  struct alignas(rt::kCacheLine) AsyncSt {
-    std::uint64_t next_tag = 1;
-    std::uint32_t outstanding = 0;
-  };
-
-  /// Lazily anchors this client's reply channel at its current core. First
+  /// Lazily anchors the client's reply channel at its current core. First
   /// touch is deterministic (the simulation itself is), so channel ids —
   /// and therefore timing — replay identically for a given seed.
-  void ensure_reply_channel(Ctx& ctx, Tid tid) {
+  void attach(Ctx& ctx, Tid tid) {
     if (reply_ch_[tid] == kNoChannel) {
       reply_ch_[tid] = fab_.create_channel(ctx.core(), kReplyWords);
     }
   }
-
-  void acquire_credit(Ctx& ctx, SyncStats& st) {
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_);
-      if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
-      ++st.throttle_waits;
-      ctx.cpu_relax();
-    }
+  void send(Ctx& ctx, std::uint64_t id, std::uint64_t fn, std::uint64_t arg) {
+    ctx.vlink_push(req_ch_, {id, fn, arg});
+  }
+  std::uint64_t receive_sync(Ctx& ctx, Tid tid) {
+    std::uint64_t m[2];
+    ctx.vlink_pop(reply_ch_[tid], m, 2);
+    return m[1];
+  }
+  void receive_tagged(Ctx& ctx, Tid tid, std::uint64_t m[2]) {
+    ctx.vlink_pop_async(reply_ch_[tid], m, 2);
+  }
+  bool reply_ready(Ctx& ctx, Tid tid) {
+    return !ctx.vlink_empty(reply_ch_[tid]);
   }
 
-  /// While spinning for a credit, drain replies already delivered for this
-  /// thread's own tickets (each releases its credit) — without the drain a
-  /// thread whose unreaped tickets hold every credit spins forever
-  /// (docs/MODEL.md §9).
-  void acquire_credit_draining(Ctx& ctx, SyncStats& st, AsyncSt& a) {
-    for (;;) {
-      const std::uint64_t cur = ctx.load(&inflight_);
-      if (cur < max_inflight_ && ctx.cas(&inflight_, cur, cur + 1)) return;
-      ++st.throttle_waits;
-      if (a.outstanding > 0 && !ctx.vlink_empty(reply_ch_[ctx.tid()])) {
-        std::uint64_t m[2];
-        ctx.vlink_pop_async(reply_ch_[ctx.tid()], m, 2);
-        ctx.stage_reply(reply_tag(m[0]), m[1]);
-        ctx.faa(&inflight_, ~std::uint64_t{0});
-      } else {
-        ctx.cpu_relax();
-      }
-    }
+  void receive_request(Ctx& ctx, std::uint64_t m[3]) {
+    ctx.vlink_pop(req_ch_, m, 3);
+  }
+  void reply(Ctx& ctx, std::uint64_t id, std::uint64_t ret) {
+    ctx.vlink_push(reply_ch_[request_tid(id)],
+                   {kAsyncReplyMark | request_tag(id), ret});
   }
 
+ private:
   arch::VlinkFabric& fab_;
-  void* obj_;
-  std::uint64_t max_inflight_;
-  std::uint32_t req_ch_ = 0;
-  alignas(rt::kCacheLine) Word inflight_{0};
-  std::uint32_t reply_ch_[kMaxThreads];
-  PaddedStats stats_[kMaxThreads];
-  AsyncSt async_[kMaxThreads];
+  std::uint32_t req_ch_;
+  std::uint32_t reply_ch_[kDelegationMaxThreads];
+};
+
+/// With a server pool, CS bodies run CONCURRENTLY across the serving
+/// threads — unlike single-server delegation, a pool does not serialize the
+/// object. Pool CS bodies must therefore be thread-safe (atomic RMWs,
+/// disjoint state, a lock of their own); a plain load/store body loses
+/// updates exactly as it would under direct concurrent access. Send one
+/// request_stop() per serving thread.
+template <class Ctx>
+class VlinkServer
+    : public DelegationServer<Ctx, VlinkWire<Ctx>, FnDispatch<Ctx>> {
+ public:
+  /// `server_core`: home tile of the shared request channel (the tile the
+  /// serving thread runs on; with a server pool, the first server's tile).
+  VlinkServer(arch::VlinkFabric& fab, Tid server_core, void* obj,
+              std::uint64_t max_inflight = 0,
+              std::size_t req_words = VlinkWire<Ctx>::kDefaultReqWords)
+      : VlinkServer::DelegationServer(
+            ServerLabels{"VlinkServer", "vlink.request", "vlink.pre_send",
+                         "vlink.async_issue", "vlink.reap", "vlink.serve",
+                         "vlink.cs"},
+            VlinkWire<Ctx>(fab, server_core, req_words), FnDispatch<Ctx>(obj),
+            max_inflight) {}
+
+  void* object() const { return this->dispatch().object(); }
+  std::uint32_t request_channel() const {
+    return this->wire().request_channel();
+  }
 };
 
 }  // namespace hmps::sync

@@ -55,6 +55,28 @@ TEST(Topology, CtrlAssignmentCoversAll) {
   EXPECT_GT(seen[1], 200);
 }
 
+// The coherence model keeps one busy timeline per memory controller in a
+// fixed table; a machine with more controllers than the table holds must
+// abort instead of folding two controllers onto one timeline.
+using CoherenceDeathTest = ::testing::Test;
+
+TEST(CoherenceDeathTest, ControllerCountOutsideTableAborts) {
+  for (std::uint32_t n : {1u, 4u, CoherenceModel::kMaxCtrls}) {
+    MachineParams p = MachineParams::tilegx36();
+    p.n_mem_ctrls = n;
+    MeshTopology topo(p);
+    CoherenceModel coh(p, topo);
+    EXPECT_EQ(topo.n_ctrls(), n);
+  }
+  for (std::uint32_t n : {0u, CoherenceModel::kMaxCtrls + 1, 64u}) {
+    MachineParams p = MachineParams::tilegx36();
+    p.n_mem_ctrls = n;
+    MeshTopology topo(p);
+    EXPECT_DEATH(CoherenceModel(p, topo),
+                 "n_mem_ctrls = [0-9]+ is outside the supported range");
+  }
+}
+
 class CoherenceTest : public ::testing::Test {
  protected:
   CoherenceTest() : p_(MachineParams::tilegx36()), topo_(p_), coh_(p_, topo_) {}

@@ -1,6 +1,7 @@
 // Async delegation tickets (docs/MODEL.md §9): apply_async / wait /
-// wait_all across MP-SERVER, MP-SERVER-HUB, SHM-SERVER and HYBCOMB, on the
-// deterministic simulator and under real threads via NativeCtx. Exercises
+// wait_all across MP-SERVER, MP-SERVER-HUB, SHM-SERVER, HYBCOMB and
+// VLINK-SERVER on the deterministic simulator, and all but the sim-only
+// VLINK-SERVER under real threads via NativeCtx. Exercises
 // the demux deliberately: trains are reaped in reverse (and arbitrary)
 // order so replies must flow through the context's staging path, and the
 // Section 6 credit guard is driven with more outstanding tickets than
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -20,10 +22,10 @@
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sync/async_batcher.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
-#include "sync/mp_server.hpp"
-#include "sync/mp_server_hub.hpp"
 #include "sync/shm_server.hpp"
+#include "sync/vlink_server.hpp"
 
 namespace hmps {
 namespace {
@@ -53,10 +55,21 @@ std::uint64_t probe_cs(Ctx& ctx, void* obj, std::uint64_t /*arg*/) {
   return v;
 }
 
-enum class AKind { kMpServer, kMpServerHub, kShmServer, kHybComb };
+enum class AKind {
+  kMpServer,
+  kMpServerHub,
+  kShmServer,
+  kHybComb,
+  kVlinkServer
+};
 
 constexpr AKind kAllAsync[] = {AKind::kMpServer, AKind::kMpServerHub,
-                               AKind::kShmServer, AKind::kHybComb};
+                               AKind::kShmServer, AKind::kHybComb,
+                               AKind::kVlinkServer};
+/// The Virtual-Link fabric is a simulator model, so the native suite skips
+/// VLINK-SERVER.
+constexpr AKind kNativeAsync[] = {AKind::kMpServer, AKind::kMpServerHub,
+                                  AKind::kShmServer, AKind::kHybComb};
 
 struct Result {
   std::uint64_t final_count = 0;
@@ -84,6 +97,10 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
   sync::HybComb<SimCtx>::Options hopts;
   hopts.max_inflight = max_inflight;
   sync::HybComb<SimCtx> hyb(&probe, /*max_ops=*/16, false, hopts);
+  std::optional<sync::VlinkServer<SimCtx>> vl;
+  if (kind == AKind::kVlinkServer) {
+    vl.emplace(ex.machine().vlink(), /*server_core=*/0, &probe, max_inflight);
+  }
 
   auto issue = [&](SimCtx& ctx) -> sync::Ticket {
     switch (kind) {
@@ -91,6 +108,8 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
       case AKind::kMpServerHub: return hub.apply_async(ctx, opcode, 0);
       case AKind::kShmServer: return shm.apply_async(ctx, probe_cs<SimCtx>, 0);
       case AKind::kHybComb: return hyb.apply_async(ctx, probe_cs<SimCtx>, 0);
+      case AKind::kVlinkServer:
+        return vl->apply_async(ctx, probe_cs<SimCtx>, 0);
     }
     return {};
   };
@@ -100,6 +119,7 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
       case AKind::kMpServerHub: return hub.wait(ctx, t);
       case AKind::kShmServer: return shm.wait(ctx, t);
       case AKind::kHybComb: return hyb.wait(ctx, t);
+      case AKind::kVlinkServer: return vl->wait(ctx, t);
     }
     return 0;
   };
@@ -109,6 +129,7 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
       case AKind::kMpServerHub: hub.wait_all(ctx); break;
       case AKind::kShmServer: shm.wait_all(ctx); break;
       case AKind::kHybComb: hyb.wait_all(ctx); break;
+      case AKind::kVlinkServer: vl->wait_all(ctx); break;
     }
   };
 
@@ -119,6 +140,7 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
       switch (kind) {
         case AKind::kMpServer: mp.serve(ctx); break;
         case AKind::kMpServerHub: hub.serve(ctx); break;
+        case AKind::kVlinkServer: vl->serve(ctx); break;
         default: shm.serve(ctx); break;
       }
     });
@@ -146,6 +168,7 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
         switch (kind) {
           case AKind::kMpServer: mp.request_stop(ctx); break;
           case AKind::kMpServerHub: hub.request_stop(ctx); break;
+          case AKind::kVlinkServer: vl->request_stop(ctx); break;
           default: shm.request_stop(ctx); break;
         }
       }
@@ -208,7 +231,7 @@ TEST_P(AsyncSim, CreditGuardWithUnreapedTicketsDoesNotDeadlock) {
 std::string AsyncSimName(
     const ::testing::TestParamInfo<std::tuple<AKind, std::uint32_t>>& info) {
   static const char* names[] = {"MpServer", "MpServerHub", "ShmServer",
-                                "HybComb"};
+                                "HybComb", "VlinkServer"};
   return std::string(names[static_cast<int>(std::get<0>(info.param))]) +
          "_t" + std::to_string(std::get<1>(info.param));
 }
@@ -358,6 +381,7 @@ std::uint64_t run_native_async(AKind kind, std::uint32_t nclients,
             return shm.apply_async(ctx, ds::counter_inc<NativeCtx>, 0);
           case AKind::kHybComb:
             return hyb.apply_async(ctx, ds::counter_inc<NativeCtx>, 0);
+          case AKind::kVlinkServer: break;  // sim-only
         }
         return {};
       };
@@ -367,6 +391,7 @@ std::uint64_t run_native_async(AKind kind, std::uint32_t nclients,
           case AKind::kMpServerHub: hub.wait(ctx, t); break;
           case AKind::kShmServer: shm.wait(ctx, t); break;
           case AKind::kHybComb: hyb.wait(ctx, t); break;
+          case AKind::kVlinkServer: break;  // sim-only
         }
       };
       std::uint64_t k = 0;
@@ -401,7 +426,7 @@ TEST_P(NativeAsync, ReverseReapCounterIsExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAsyncKinds, NativeAsync,
-                         ::testing::Combine(::testing::ValuesIn(kAllAsync),
+                         ::testing::Combine(::testing::ValuesIn(kNativeAsync),
                                             ::testing::Values(2u, 4u)),
                          AsyncSimName);
 

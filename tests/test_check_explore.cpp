@@ -264,6 +264,29 @@ TEST(Repro, RejectsMalformedInput) {
   EXPECT_NE(err.find("hmps-repro-v1"), std::string::npos) << err;
 }
 
+// A repro file is outside input: a machine with more memory controllers
+// than the coherence model's per-controller table holds is rejected with an
+// error instead of being simulated with two controllers sharing one busy
+// timeline.
+TEST(Repro, RejectsMemoryControllerCountOutsideModel) {
+  check::Scenario base = base_scenario();
+  for (std::uint32_t n : {0u, 9u, 1u, 8u}) {
+    base.cfg.params.n_mem_ctrls = n;
+    const std::string json = check::repro_to_json(base, check::Violation{});
+    check::Scenario s;
+    check::Violation expect;
+    std::string err;
+    const bool ok = check::repro_from_json(json, &s, &expect, &err);
+    if (n >= 1 && n <= 8) {
+      EXPECT_TRUE(ok) << n << ": " << err;
+      EXPECT_EQ(s.cfg.params.n_mem_ctrls, n);
+    } else {
+      EXPECT_FALSE(ok) << n;
+      EXPECT_NE(err.find("n_mem_ctrls"), std::string::npos) << err;
+    }
+  }
+}
+
 // ---- workload clamping (shared generator rules) ----
 
 TEST(ClampCfg, ServerKindsKeepServerCoreUniprogrammed) {

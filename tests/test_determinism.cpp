@@ -20,11 +20,17 @@
 #include <cstdlib>
 #include <new>
 
+#include "arch/machine.hpp"
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
+#include "ds/counter.hpp"
+#include "runtime/sim_context.hpp"
+#include "runtime/sim_executor.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "sync/delegation_server.hpp"
+#include "sync/vlink_server.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation-counting hook: global operator new/delete tally every heap
@@ -316,6 +322,132 @@ TEST(GoldenTrace, MultiChipSurchargeSlowsIdenticalTraffic) {
   EXPECT_EQ(mono.noc_hops, quad.noc_hops);
   EXPECT_LT(mono.end, quad.end);
   EXPECT_NE(mono.fp, quad.fp);  // completion order shifts under the extras
+}
+
+// Scenario: the three delegation servers (MP-SERVER, MP-SERVER-HUB,
+// VLINK-SERVER) end to end on the 6x6 TILE-Gx, in three client modes: sync
+// apply(), 4-deep async trains reaped in reverse, and 6-deep trains against
+// a 2-credit Section 6 guard (the drain-while-spinning path). Every returned
+// value, the final cycle, the UDN and vlink counters and the summed
+// SyncStats fold into one fingerprint, so any change to the order of a
+// client's or server's context operations shows up here.
+enum class Deleg { kMp, kHub, kVlink };
+
+struct DelegMode {
+  std::uint32_t train;  ///< 0 = synchronous apply()
+  std::uint64_t max_inflight;
+};
+
+struct DelegGold {
+  std::uint64_t fp;
+  Cycle end;
+};
+
+template <class Server, class Op>
+void drive_client(rt::SimCtx& ctx, Server& srv, Op op, DelegMode mode,
+                  std::uint64_t ops, Fp& fp) {
+  std::uint64_t k = 0;
+  while (k < ops) {
+    if (mode.train == 0) {
+      fp.mix(srv.apply(ctx, op, k++));
+    } else {
+      sync::Ticket t[8];
+      std::uint32_t n = 0;
+      for (; n < mode.train && k < ops; ++n, ++k) {
+        t[n] = srv.apply_async(ctx, op, k);
+      }
+      while (n-- > 0) fp.mix(srv.wait(ctx, t[n]));
+    }
+    ctx.compute(ctx.rand_below(20));
+  }
+}
+
+DelegGold run_delegation(Deleg kind, DelegMode mode) {
+  constexpr std::uint32_t kClients = 5;
+  constexpr std::uint64_t kOps = 24;
+  rt::SimExecutor ex(arch::MachineParams::tilegx36(), /*seed=*/11);
+  ds::SeqCounter counter;
+  sync::MpServer<rt::SimCtx> mp(0, &counter, mode.max_inflight);
+  sync::MpServerHub<rt::SimCtx> hub(0, mode.max_inflight);
+  const std::uint64_t opcode =
+      hub.add_op(ds::counter_inc<rt::SimCtx>, &counter);
+  sync::VlinkServer<rt::SimCtx> vl(ex.machine().vlink(), /*server_core=*/0,
+                                   &counter, mode.max_inflight);
+  Fp fp;
+  std::uint32_t done = 0;
+  ex.add_thread([&](rt::SimCtx& ctx) {
+    switch (kind) {
+      case Deleg::kMp: mp.serve(ctx); break;
+      case Deleg::kHub: hub.serve(ctx); break;
+      case Deleg::kVlink: vl.serve(ctx); break;
+    }
+  });
+  for (std::uint32_t i = 0; i < kClients; ++i) {
+    ex.add_thread([&](rt::SimCtx& ctx) {
+      const auto fn = ds::counter_inc<rt::SimCtx>;
+      switch (kind) {
+        case Deleg::kMp: drive_client(ctx, mp, fn, mode, kOps, fp); break;
+        case Deleg::kHub: drive_client(ctx, hub, opcode, mode, kOps, fp); break;
+        case Deleg::kVlink: drive_client(ctx, vl, fn, mode, kOps, fp); break;
+      }
+      if (++done < kClients) return;
+      switch (kind) {
+        case Deleg::kMp: mp.request_stop(ctx); break;
+        case Deleg::kHub: hub.request_stop(ctx); break;
+        case Deleg::kVlink: vl.request_stop(ctx); break;
+      }
+    });
+  }
+  ex.run_until(sim::kCycleMax);
+  const Cycle end = ex.sched().now();
+  fp.mix(end);
+  fp.mix(counter.value.load());
+  const auto& u = ex.machine().udn().counters();
+  fp.mix(u.messages);
+  fp.mix(u.words);
+  fp.mix(u.sender_blocks);
+  fp.mix(ex.machine().vlink().counters().frames);
+  sync::SyncStats sum;
+  for (Tid t = 0; t <= kClients; ++t) {
+    switch (kind) {
+      case Deleg::kMp: sum.add(mp.stats(t)); break;
+      case Deleg::kHub: sum.add(hub.stats(t)); break;
+      case Deleg::kVlink: sum.add(vl.stats(t)); break;
+    }
+  }
+  for (std::uint64_t v : {sum.ops, sum.served, sum.tenures, sum.cas_attempts,
+                          sum.cas_failures, sum.throttle_waits,
+                          sum.stall_timeouts, sum.async_issued,
+                          sum.async_batched, sum.shed_ops}) {
+    fp.mix(v);
+  }
+  return DelegGold{fp.h, end};
+}
+
+TEST(GoldenTrace, DelegationServers) {
+  const DelegMode modes[] = {{0, 0}, {4, 0}, {6, 2}};
+  const Deleg kinds[] = {Deleg::kMp, Deleg::kHub, Deleg::kVlink};
+  // Captured before the three servers shared one implementation.
+  // The hub's opcode dispatch costs the same as a function-pointer word, so
+  // its rows equal MP-SERVER's.
+  const DelegGold want[3][3] = {
+      {{1095110174791489449ull, 1556},
+       {10063303110184695849ull, 1626},
+       {11736511866052694915ull, 14670}},
+      {{1095110174791489449ull, 1556},
+       {10063303110184695849ull, 1626},
+       {11736511866052694915ull, 14670}},
+      {{5577288771900219386ull, 2488},
+       {13566339914958610853ull, 2479},
+       {12826561513551345387ull, 16714}},
+  };
+  for (int k = 0; k < 3; ++k) {
+    for (int m = 0; m < 3; ++m) {
+      const DelegGold got = run_delegation(kinds[k], modes[m]);
+      EXPECT_EQ(got.fp, want[k][m].fp) << "server " << k << " mode " << m;
+      EXPECT_EQ(got.end, want[k][m].end) << "server " << k << " mode " << m;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

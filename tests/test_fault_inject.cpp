@@ -17,9 +17,8 @@
 #include "runtime/sim_executor.hpp"
 #include "sim/fault.hpp"
 #include "sync/ccsynch.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
-#include "sync/mp_server.hpp"
-#include "sync/mp_server_hub.hpp"
 
 namespace hmps {
 namespace {

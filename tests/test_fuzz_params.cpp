@@ -16,8 +16,8 @@
 #include "runtime/sim_executor.hpp"
 #include "sim/rng.hpp"
 #include "sync/ccsynch.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
-#include "sync/mp_server.hpp"
 #include "sync/shm_server.hpp"
 
 namespace hmps {

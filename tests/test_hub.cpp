@@ -10,7 +10,7 @@
 #include "ds/queue.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
-#include "sync/mp_server_hub.hpp"
+#include "sync/delegation_server.hpp"
 
 namespace hmps {
 namespace {
@@ -79,6 +79,40 @@ TEST(MpServerHub, OpcodeBoundsAssertedInDebug) {
   const auto op = hub.add_op(&ds::counter_inc<SimCtx>, &c);
   EXPECT_EQ(op, 1u);
   EXPECT_EQ(hub.op_count(), 1u);
+}
+
+// The opcode check must survive NDEBUG builds: an opcode past op_count()
+// would index past the table in serve(), and opcode 0 (the stop word) would
+// silently shut the server down.
+using MpServerHubDeathTest = ::testing::Test;
+
+void apply_opcode(std::uint64_t opcode, bool async) {
+  SimExecutor ex(arch::MachineParams::tilegx36(), 7);
+  ds::SeqCounter c;
+  sync::MpServerHub<SimCtx> hub(0);
+  hub.add_op(&ds::counter_inc<SimCtx>, &c);
+  ex.add_thread([&](SimCtx& ctx) { hub.serve(ctx); });
+  ex.add_thread([&](SimCtx& ctx) {
+    if (async) {
+      sync::Ticket t = hub.apply_async(ctx, opcode, 0);
+      hub.wait(ctx, t);
+    } else {
+      hub.apply(ctx, opcode, 0);
+    }
+    hub.request_stop(ctx);
+  });
+  ex.run_until(sim::kCycleMax);
+}
+
+TEST(MpServerHubDeathTest, UnregisteredOpcodeAborts) {
+  apply_opcode(1, false);  // the registered opcode runs normally
+  apply_opcode(1, true);
+  EXPECT_DEATH(apply_opcode(2, false),
+               "MpServerHub::apply: opcode 2 is not registered");
+  EXPECT_DEATH(apply_opcode(0, false),
+               "MpServerHub::apply: opcode 0 is not registered");
+  EXPECT_DEATH(apply_opcode(9, true),
+               "MpServerHub::apply_async: opcode 9 is not registered");
 }
 
 }  // namespace

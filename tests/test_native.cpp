@@ -20,9 +20,9 @@
 #include "runtime/mpsc_channel.hpp"
 #include "runtime/native_context.hpp"
 #include "sync/ccsynch.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
 #include "sync/locks.hpp"
-#include "sync/mp_server.hpp"
 #include "sync/shm_server.hpp"
 #include "sync/universal.hpp"
 

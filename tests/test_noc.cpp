@@ -9,7 +9,7 @@
 #include "ds/counter.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
-#include "sync/mp_server.hpp"
+#include "sync/delegation_server.hpp"
 
 namespace hmps::arch {
 namespace {

@@ -10,8 +10,8 @@
 #include "ds/counter.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
-#include "sync/mp_server.hpp"
 
 namespace hmps {
 namespace {

@@ -12,8 +12,8 @@
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sync/ccsynch.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
-#include "sync/mp_server.hpp"
 
 namespace hmps {
 namespace {

@@ -13,9 +13,9 @@
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sync/ccsynch.hpp"
+#include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
 #include "sync/locks.hpp"
-#include "sync/mp_server.hpp"
 #include "sync/shm_server.hpp"
 #include "sync/universal.hpp"
 

@@ -11,7 +11,7 @@
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sim/trace.hpp"
-#include "sync/mp_server.hpp"
+#include "sync/delegation_server.hpp"
 
 namespace hmps {
 namespace {
