@@ -1,11 +1,18 @@
 // Engine micro-benchmark: raw throughput of the simulation engine itself
-// (no synchronization algorithms on top). Four workloads:
+// (no synchronization algorithms on top). Five workloads:
 //
 //   event_churn   — events executed/sec through the event queue, using
 //                   callbacks with UDN-delivery-sized captures (24 bytes)
 //   fiber_churn   — fiber resume/yield round trips/sec through the scheduler
 //   udn_pingpong  — two-core message round trips/sec (send+receive both ways)
 //   udn_flood     — many-to-one messages/sec with link contention modelled
+//   spin_park     — local-spin polls/sec: 63 threads spin_until on private
+//                   lines while one writer flips one line every 500 cycles,
+//                   so nearly every poll is a cache hit run by a parked
+//                   spin's poller (docs/ENGINE.md "Parked spins")
+//   spin_plain    — the same run with a perturber that delays nothing, which
+//                   makes spin_until run its plain fiber loop: the poller's
+//                   reference
 //
 // Usage: engine_micro [--smoke] [--json FILE]
 //   --smoke  run 1% of the default iteration counts (CI smoke test)
@@ -28,6 +35,8 @@
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
+#include "runtime/sim_context.hpp"
+#include "runtime/sim_executor.hpp"
 #include "sim/scheduler.hpp"
 
 using namespace hmps;
@@ -153,6 +162,51 @@ Result udn_flood(std::uint64_t messages) {
   return {"udn_flood", "msgs/s", per * (C - 1), dt};
 }
 
+// ---- spin_park / spin_plain -------------------------------------------------
+class ZeroPerturber final : public sim::Perturber {
+ public:
+  Cycle resume_delay(std::uint32_t, Cycle) override { return 0; }
+  Cycle point_delay(std::uint32_t, std::uint32_t, const char*,
+                    Cycle) override {
+    return 0;
+  }
+};
+
+// Every poll of a spinning thread is one load; `*polled` (if given) receives
+// the resume entries that parked spins' pollers consumed without a switch.
+Result spin_park(std::uint64_t flips, bool plain, std::uint64_t* polled) {
+  constexpr std::uint32_t kSpinners = 63;
+  constexpr Cycle kFlipEvery = 500;
+  rt::SimExecutor ex(arch::MachineParams::tilegx_small(8, 8), 1);
+  ZeroPerturber zero;
+  if (plain) ex.sched().set_perturber(&zero);
+  struct alignas(rt::kCacheLine) Line {
+    rt::Word w{0};
+  };
+  std::vector<Line> lines(kSpinners);
+  for (std::uint32_t i = 0; i < kSpinners; ++i) {
+    ex.add_thread([&lines, i](rt::SimCtx& ctx) {
+      for (std::uint64_t seen = 0;;) {
+        seen = ctx.spin_until(&lines[i].w,
+                              [seen](std::uint64_t v) { return v != seen; });
+      }
+    });
+  }
+  ex.add_thread([&lines](rt::SimCtx& ctx) {
+    for (std::uint64_t k = 0;; ++k) {
+      ctx.compute(kFlipEvery);
+      ctx.store(&lines[k % kSpinners].w, k / kSpinners + 1);
+    }
+  });
+  const double t0 = now_sec();
+  ex.run_until(flips * kFlipEvery);
+  const double dt = now_sec() - t0;
+  std::uint64_t polls = 0;
+  for (Tid c = 0; c < kSpinners; ++c) polls += ex.machine().core(c).mem_ops;
+  if (polled != nullptr) *polled = ex.sched().engine_counters().polled;
+  return {plain ? "spin_plain" : "spin_park", "polls/s", polls, dt};
+}
+
 // ---- engine self-counters --------------------------------------------------
 // Re-runs a short mixed workload on a fresh scheduler purely to report the
 // allocation-escape counters (the seed engine has none — stubbed under
@@ -225,10 +279,19 @@ int main(int argc, char** argv) {
   results.push_back(fiber_churn(2'000'000 / scale));
   results.push_back(udn_pingpong(400'000 / scale));
   results.push_back(udn_flood(700'000 / scale));
+  std::uint64_t polled = 0;
+  results.push_back(spin_park(200 / scale, false, &polled));
+  results.push_back(spin_park(200 / scale, true, nullptr));
 
   for (const Result& r : results) {
     std::printf("%-14s %12llu ops  %8.3f s  %14.0f %s\n", r.name,
                 (unsigned long long)r.ops, r.seconds, r.rate(), r.unit);
+  }
+
+  std::printf("spin_park: polled=%llu\n", (unsigned long long)polled);
+  if (polled == 0) {
+    std::fprintf(stderr, "FAIL: no spin was parked behind a poller\n");
+    return 1;
   }
 
   const SelfCounters c = probe_counters();

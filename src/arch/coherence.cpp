@@ -17,14 +17,20 @@ Cycle CoherenceModel::inval_cost(std::uint64_t sharers, Tid except) {
   return p_.inval_base + p_.inval_per_sharer * static_cast<Cycle>(charged);
 }
 
-AccessCost CoherenceModel::read(Tid c, std::uint64_t addr, Cycle now) {
-  Line& l = line_at(addr);
+bool CoherenceModel::read_hit(Tid c, std::uint64_t addr) {
+  const Line& l = line_at(addr);
   if ((l.state == State::kModified && l.owner == c) ||
       (l.state == State::kShared && (l.sharers & bit(c)))) {
     ++counters_.hits;
     if (prof_) prof_->on_hit(line_of(addr));
-    return {p_.l_hit, false};
+    return true;
   }
+  return false;
+}
+
+AccessCost CoherenceModel::read(Tid c, std::uint64_t addr, Cycle now) {
+  if (read_hit(c, addr)) return {p_.l_hit, false};
+  Line& l = line_at(addr);
   ++counters_.rmr_reads;
   const Cycle wait = acquire_line(l, now);
   const std::uint64_t ln = line_of(addr);

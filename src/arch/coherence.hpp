@@ -66,6 +66,11 @@ class CoherenceModel {
   /// Core `c` reads the line at address `addr` at time `now`.
   AccessCost read(Tid c, std::uint64_t addr, Cycle now);
 
+  /// The hit half of read(): if core `c` holds the line readable (M or S),
+  /// counts a hit, as read() would, and returns true. Otherwise changes
+  /// nothing and returns false. Costs l_hit when it hits.
+  bool read_hit(Tid c, std::uint64_t addr);
+
   /// Core `c` writes the line (acquires read-write ownership).
   AccessCost write(Tid c, std::uint64_t addr, Cycle now);
 
@@ -126,16 +131,6 @@ class CoherenceModel {
   }
   CoherenceProfiler* profiler() { return prof_; }
 
-  /// Drops all line state (fresh caches). Mostly for tests. First-touch
-  /// home assignment restarts too, so a reset model replays identically.
-  void reset_lines() {
-    keys_.assign(keys_.size(), kEmptyKey);
-    count_ = 0;
-    memo_key_ = kEmptyKey;
-    next_line_id_ = 0;
-    for (auto& c : ctrl_busy_until_) c = 0;
-  }
-
  private:
   enum class State : std::uint8_t { kHome, kShared, kModified };
 
@@ -161,8 +156,8 @@ class CoherenceModel {
   /// flat key array, values in a parallel array) with a one-entry memo for
   /// back-to-back accesses to the same line — this lookup runs once per
   /// simulated memory operation, and the std::unordered_map it replaced was
-  /// one of the hottest functions of a full sweep. Lines are never erased
-  /// (only reset wholesale), so probing needs no tombstones, and returned
+  /// one of the hottest functions of a full sweep. Lines are never erased,
+  /// so probing needs no tombstones, and returned
   /// Line& references never outlive one access, so growth is safe.
   Line& line_at(std::uint64_t addr) {
     const std::uint64_t key = line_of(addr);

@@ -103,6 +103,7 @@ JsonValue MetricsRegistry::machine_json(arch::Machine& m) {
   eng["heap_grows"] = JsonValue(ec.heap_grows);
   eng["peak_depth"] = JsonValue(ec.peak_depth);
   eng["fast_forwards"] = JsonValue(ec.fast_forwards);
+  eng["polled"] = JsonValue(ec.polled);
   j["engine"] = std::move(eng);
 
   const auto& cc = m.coherence().counters();

@@ -21,6 +21,11 @@
 //   compute(c)               c cycles of local work (the empty-loop think
 //                            time of Section 5.2, CS bodies, etc.)
 //   prefetch(p)              non-binding prefetch of the line holding p
+//   cpu_relax()              one backoff/poll iteration of a spin loop
+//   spin_until(p, done)      the local-spin wait: load p until done(value)
+//                            holds, cpu_relax() between loads; returns the
+//                            value (SimCtx runs its cache-hit polls without
+//                            fiber switches, docs/ENGINE.md "Parked spins")
 #pragma once
 
 #include <atomic>
@@ -39,7 +44,8 @@ concept ExecutionContext = requires(C c, std::atomic<std::uint64_t>* a,
                                     const std::atomic<std::uint64_t>* ca,
                                     std::uint64_t v, Tid t,
                                     const std::uint64_t* words,
-                                    std::uint64_t* out, std::size_t n) {
+                                    std::uint64_t* out, std::size_t n,
+                                    bool (*done)(std::uint64_t)) {
   { c.tid() } -> std::convertible_to<Tid>;
   { c.nthreads() } -> std::convertible_to<std::uint32_t>;
   { c.load(ca) } -> std::convertible_to<std::uint64_t>;
@@ -53,6 +59,7 @@ concept ExecutionContext = requires(C c, std::atomic<std::uint64_t>* a,
   { c.queue_empty() } -> std::convertible_to<bool>;
   { c.compute(Cycle{1}) };
   { c.cpu_relax() };
+  { c.spin_until(ca, done) } -> std::convertible_to<std::uint64_t>;
   { c.prefetch(static_cast<const void*>(a)) };
   { c.now() } -> std::convertible_to<Cycle>;
   { c.rand_below(v) } -> std::convertible_to<std::uint64_t>;

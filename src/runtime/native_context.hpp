@@ -161,6 +161,16 @@ class NativeCtx {
   /// lock handoff).
   void cpu_relax() { backoff(&relax_spins_); }
 
+  /// Spins on `*p` until `done(value)` holds and returns that value.
+  template <class T, class Done>
+  T spin_until(const std::atomic<T>* p, Done done) {
+    for (;;) {
+      const T v = load(p);
+      if (done(v)) return v;
+      cpu_relax();
+    }
+  }
+
   Cycle now() const {
 #if defined(__x86_64__)
     // rdtscp waits for all preceding instructions to retire, and the

@@ -261,6 +261,30 @@ class SimCtx {
   /// Backoff/poll iteration: same timing as compute(1), accounted as spin.
   void cpu_relax() { busy_wait(1, Bucket::kSpin, "spin"); }
 
+  /// Spins on `*p` until `done(value)` holds and returns that value: exactly
+  /// `for (;;) { v = load(p); if (done(v)) return v; cpu_relax(); }`, event
+  /// for event. `done` must depend on the loaded value only. After a load
+  /// returns a not-done value the fiber parks behind a poller that replays
+  /// the loop's relax and cache-hit load steps from inside the scheduler,
+  /// with no context switch, for as long as such a load would return the
+  /// same value; the fiber itself does every other load (docs/ENGINE.md,
+  /// "Parked spins"). With a perturber or a fault plan the plain loop runs.
+  template <class T, class Done>
+  T spin_until(const std::atomic<T>* p, Done done) {
+    for (;;) {
+      const T v = load(p);
+      if (done(v)) return v;
+      if (m_.sched().perturber() != nullptr || m_.faults().active()) {
+        cpu_relax();
+        continue;
+      }
+      SpinPoll<T> s{this, p, v,
+                    m_.coherence().line_of(reinterpret_cast<std::uint64_t>(p)),
+                    false};
+      m_.sched().park_polling(&SimCtx::spin_poll<T>, &s);
+    }
+  }
+
   /// Exploration yield point (sync-layer span boundaries, see
   /// sim/perturb.hpp): with a perturber installed the thread may be stalled
   /// here as if descheduled, accounted like an injected preemption. A
@@ -360,10 +384,56 @@ class SimCtx {
   void busy_wait(Cycle cycles, Bucket bucket, const char* name) {
     if (cycles == 0) return;
     fault_stall();
+    m_.sched().wait_for(charge_busy(cycles, bucket, name));
+  }
+
+  /// busy_wait()'s bookkeeping, without the wait. Returns `cycles`.
+  Cycle charge_busy(Cycle cycles, Bucket bucket, const char* name) {
     m_.tracer().event(core_, name, now(), cycles);
     m_.core(core_).busy += cycles;
     charge(bucket, now(), now() + cycles);
-    m_.sched().wait_for(cycles);
+    return cycles;
+  }
+
+  /// A spin_until() parked behind its poller: the state lives on the
+  /// spinning fiber's stack.
+  template <class T>
+  struct SpinPoll {
+    SimCtx* ctx;
+    const std::atomic<T>* p;
+    T last;              ///< value of the last real load (not done)
+    std::uint64_t line;  ///< line holding *p
+    bool poll_next;      ///< next step: the load (true) or the relax
+  };
+
+  /// The poller (Scheduler::PollFn). Alternates the loop's two steps, each
+  /// with its exact bookkeeping and wait, while the clock can move straight
+  /// on; returns false once a wait had to schedule the fiber's resume.
+  /// Hands back to the fiber (true) when the next load might differ from a
+  /// plain cache hit returning `last`: the word changed, the line is no
+  /// longer readable here, or a prefetch of it is outstanding.
+  template <class T>
+  static bool spin_poll(void* arg) {
+    SpinPoll<T>& s = *static_cast<SpinPoll<T>*>(arg);
+    SimCtx& x = *s.ctx;
+    const std::uint64_t addr = reinterpret_cast<std::uint64_t>(s.p);
+    for (;;) {
+      Cycle d;
+      if (s.poll_next) {
+        auto& c = x.m_.core(x.core_);
+        if (s.p->load(std::memory_order_relaxed) != s.last ||
+            c.prefetch_line == s.line ||
+            !x.m_.coherence().read_hit(x.core_, addr)) {
+          return true;
+        }
+        ++c.mem_ops;
+        d = x.charge_load(x.m_.params().l_hit, false);
+      } else {
+        d = x.charge_busy(1, Bucket::kSpin, "spin");
+      }
+      s.poll_next = !s.poll_next;
+      if (!x.m_.sched().poll_wait(x.now() + d)) return false;
+    }
   }
 
   /// Fault-injection hook at every operation boundary: while this core sits
@@ -395,7 +465,6 @@ class SimCtx {
   void account_load(std::uint64_t addr) {
     auto& c = m_.core(core_);
     ++c.mem_ops;
-    const auto& p = m_.params();
     Cycle extra_wait = 0;
     const std::uint64_t line = m_.coherence().line_of(addr);
     if (c.prefetch_line == line) {
@@ -407,8 +476,15 @@ class SimCtx {
     }
     const auto ac = m_.coherence().read(core_, addr, now() + extra_wait);
     if (ac.remote) ++c.rmr_loads;
-    const Cycle lat = extra_wait + ac.latency;
-    m_.tracer().event(core_, ac.remote ? "load-miss" : "load-hit", now(),
+    m_.sched().wait_for(charge_load(extra_wait + ac.latency, ac.remote));
+  }
+
+  /// account_load()'s bookkeeping for a load whose value is usable `lat`
+  /// cycles after issue, without the wait. Returns the cycles it occupies.
+  Cycle charge_load(Cycle lat, bool remote) {
+    auto& c = m_.core(core_);
+    const auto& p = m_.params();
+    m_.tracer().event(core_, remote ? "load-miss" : "load-hit", now(),
                       p.issue_cost + lat);
     const Cycle busy_part = lat < p.l_hit ? lat : p.l_hit;
     c.busy += p.issue_cost + busy_part;
@@ -418,7 +494,7 @@ class SimCtx {
     charge(Bucket::kCompute, t, t + p.issue_cost + busy_part);
     charge(Bucket::kCoherenceRead, t + p.issue_cost + busy_part,
            t + p.issue_cost + lat);
-    m_.sched().wait_for(p.issue_cost + lat);
+    return p.issue_cost + lat;
   }
 
   void account_store(std::uint64_t addr) {

@@ -321,6 +321,10 @@ class EventQueue {
   const EngineCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
 
+  /// Counts a popped resume entry that a poller consumed in place of its
+  /// fiber (Scheduler::park_polling).
+  void note_polled() { ++counters_.polled; }
+
  private:
   /// Wheel buckets per revolution. Covers every delta a cycle-level model
   /// produces (wire latencies, think times); longer timers take the

@@ -5,7 +5,7 @@ namespace hmps::sim {
 Scheduler::FiberId Scheduler::spawn(std::function<void()> fn, Cycle start,
                                     std::size_t stack_bytes) {
   const FiberId id = static_cast<FiberId>(fibers_.size());
-  fibers_.push_back(std::make_unique<Fiber>(std::move(fn), stack_bytes));
+  fibers_.push_back({std::make_unique<Fiber>(std::move(fn), stack_bytes)});
   schedule_resume(id, start);
   return id;
 }
@@ -21,6 +21,16 @@ void Scheduler::schedule_resume_at(FiberId id, Cycle t) {
   queue_.schedule_resume(t, id);
 }
 
+bool Scheduler::dispatch_resume(Slot& s) {
+  if (s.poll == nullptr) return true;
+  if (!s.poll(s.poll_arg)) {
+    queue_.note_polled();
+    return false;
+  }
+  s.poll = nullptr;
+  return true;
+}
+
 Cycle Scheduler::run(Cycle horizon) {
   stop_requested_ = false;
   horizon_ = horizon;
@@ -33,11 +43,11 @@ Cycle Scheduler::run(Cycle horizon) {
     }
     now_ = t;
     if (EventQueue::is_resume(e)) {
-      Fiber& f = *fibers_[EventQueue::resume_fiber(e)];
-      if (f.finished()) continue;  // resume raced the fiber's exit
+      Slot& s = fibers_[EventQueue::resume_fiber(e)];
+      if (s.fiber->finished()) continue;  // resume raced the fiber's exit
       const FiberId prev = current_;
       current_ = EventQueue::resume_fiber(e);
-      f.resume();
+      if (dispatch_resume(s)) s.fiber->resume();
       current_ = prev;
     } else {
       EventQueue::Callback cb = queue_.claim(e);
@@ -64,32 +74,55 @@ void Scheduler::wait_until(Cycle t) {
     now_ = t;
     return;
   }
-  Fiber& f = *fibers_[id];
   schedule_resume_at(id, t);  // perturber already applied above
-  park_and_dispatch(f);
+  park_and_dispatch(id);
 }
 
-void Scheduler::park_and_dispatch(Fiber& f) {
+bool Scheduler::poll_wait(Cycle t) {
+  if (fast_forward_enabled_ && !stop_requested_ && t <= horizon_ &&
+      queue_.fast_forward(t)) {
+    now_ = t;
+    return true;
+  }
+  schedule_resume_at(current_, t);
+  return false;
+}
+
+void Scheduler::park_polling(PollFn poll, void* arg) {
+  assert(in_fiber());
+  if (poll(arg)) return;
+  Slot& s = fibers_[current_];
+  s.poll = poll;
+  s.poll_arg = arg;
+  park_and_dispatch(current_);
+}
+
+void Scheduler::park_and_dispatch(FiberId self) {
+  Fiber& f = *fibers_[self].fiber;
   f.set_state(Fiber::State::kBlocked);
-  if (!stop_requested_) {
-    while (!queue_.empty()) {
-      Cycle t;
-      const std::uint32_t e = queue_.pop_resume(horizon_, &t);
-      if (e == EventQueue::kNoEvent) break;  // callback next, or past horizon
-      now_ = t;
-      Fiber& nf = *fibers_[EventQueue::resume_fiber(e)];
-      if (nf.finished()) continue;  // stale resume, same skip as the run loop
-      current_ = EventQueue::resume_fiber(e);
-      f.switch_to(nf);
+  while (!stop_requested_ && !queue_.empty()) {
+    Cycle t;
+    const std::uint32_t e = queue_.pop_resume(horizon_, &t);
+    if (e == EventQueue::kNoEvent) break;  // callback next, or past horizon
+    now_ = t;
+    const FiberId id = EventQueue::resume_fiber(e);
+    Slot& s = fibers_[id];
+    if (s.fiber->finished()) continue;  // stale resume, same skip as run()
+    current_ = id;
+    if (!dispatch_resume(s)) continue;  // its poller ran in place of it
+    if (id == self) {  // nothing ran in between but pollers: no switch
+      f.set_state(Fiber::State::kRunning);
       return;
     }
+    f.switch_to(*s.fiber);
+    return;
   }
   f.yield();
 }
 
 void Scheduler::suspend() {
   assert(in_fiber());
-  park_and_dispatch(*fibers_[current_]);
+  park_and_dispatch(current_);
 }
 
 void Scheduler::wake(FiberId id, Cycle t) {

@@ -85,6 +85,26 @@ class Scheduler {
   /// Blocks the current fiber indefinitely; resume via wake().
   void suspend();
 
+  /// A parked fiber's stand-in (see park_polling). Returns true when the
+  /// fiber itself must run now, false after it scheduled the fiber's next
+  /// resume through poll_wait().
+  using PollFn = bool (*)(void* arg);
+
+  /// Parks the current fiber behind a poller. `poll(arg)` runs at once on
+  /// the fiber; while it returns false, each of the fiber's resume entries
+  /// runs it again in place of a context switch — from run() or from
+  /// another fiber's park. The fiber continues, at the queue position of
+  /// the entry that ran it, once it returns true. `arg` must stay valid
+  /// until then (the fiber's own stack is).
+  void park_polling(PollFn poll, void* arg);
+
+  /// wait_until() for a poller: same fast-forward rules (stop(), the run()
+  /// horizon, set_fast_forward_enabled()), without a perturber and without
+  /// switching stacks. Returns true when the clock moved straight to `t`
+  /// (the poller goes on), false when the polling fiber's resume was
+  /// scheduled at `t` instead (the poller must return false).
+  bool poll_wait(Cycle t);
+
   /// Schedules fiber `id` to resume at time t (>= now). Only valid for
   /// fibers blocked via suspend().
   void wake(FiberId id, Cycle t);
@@ -97,7 +117,9 @@ class Scheduler {
   }
   bool in_fiber() const { return current_ != kNoFiber; }
 
-  bool fiber_finished(FiberId id) const { return fibers_[id]->finished(); }
+  bool fiber_finished(FiberId id) const {
+    return fibers_[id].fiber->finished();
+  }
   std::size_t fiber_count() const { return fibers_.size(); }
 
   static constexpr FiberId kNoFiber = ~FiberId{0};
@@ -106,14 +128,27 @@ class Scheduler {
   void schedule_resume(FiberId id, Cycle t);     // applies the perturber
   void schedule_resume_at(FiberId id, Cycle t);  // exact time, no perturb
 
-  /// Parks fiber `f` (the one currently running). If the next event due is
-  /// another fiber's resume, switches straight into it — one context switch
-  /// instead of the yield-to-scheduler + resume pair — repeating the run
-  /// loop's skip of finished fibers; otherwise yields to the run loop.
-  void park_and_dispatch(Fiber& f);
+  /// A fiber and its poller slot (set while it is parked behind one).
+  struct Slot {
+    std::unique_ptr<Fiber> fiber;
+    PollFn poll = nullptr;
+    void* poll_arg = nullptr;
+  };
+
+  /// Handles a popped resume of `s`, whose fiber is current_: runs its
+  /// poller, if any. Returns true when the fiber itself must now run.
+  bool dispatch_resume(Slot& s);
+
+  /// Parks fiber `self` (the one currently running). If the next event due
+  /// is a resume, dispatches it: a poller runs inline and the loop goes
+  /// on; `self`'s own resume returns straight into it; another fiber's is
+  /// switched into directly — one context switch instead of the
+  /// yield-to-scheduler + resume pair — repeating the run loop's skip of
+  /// finished fibers. Otherwise yields to the run loop.
+  void park_and_dispatch(FiberId self);
 
   EventQueue queue_;
-  std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::vector<Slot> fibers_;
   Cycle now_ = 0;
   Cycle horizon_ = kCycleMax;  ///< run() window; bounds the wait fast path
   FiberId current_ = kNoFiber;

@@ -21,6 +21,7 @@ struct EngineCounters {
   std::uint64_t heap_grows = 0;     ///< reallocations of the heap array
   std::uint64_t peak_depth = 0;     ///< max simultaneous pending events
   std::uint64_t fast_forwards = 0;  ///< waits satisfied without an event
+  std::uint64_t polled = 0;  ///< resumes a poller consumed without a switch
 };
 
 /// Streaming min/max/mean/variance accumulator (Welford's algorithm).

@@ -60,7 +60,7 @@ class CcSynch {
     ctx.store(&cur->next, rt::to_word(next_node));
     my_[tid].node = cur;  // node recycling: take over the predecessor node
 
-    while (ctx.load(&cur->wait)) ctx.cpu_relax();
+    ctx.spin_until(&cur->wait, [](std::uint64_t v) { return v == 0; });
     acquire.finish();
     ++st.ops;
     if (ctx.load(&cur->completed)) {

@@ -46,7 +46,8 @@ class DsmSynch {
     Node* pred = rt::from_word<Node>(ctx.exchange(&tail_, rt::to_word(node)));
     if (pred != nullptr) {
       ctx.store(&pred->next, rt::to_word(node));
-      while (ctx.load(&node->wait)) ctx.cpu_relax();  // spin on OWN node
+      // Spin on OWN node.
+      ctx.spin_until(&node->wait, [](std::uint64_t v) { return v == 0; });
       ++st.ops;
       if (ctx.load(&node->completed)) return ctx.load(&node->ret);
     } else {
@@ -81,7 +82,7 @@ class DsmSynch {
       }
       ++st.cas_failures;
       // A successor is linking itself in; wait for the pointer.
-      while (ctx.load(&tmp->next) == 0) ctx.cpu_relax();
+      ctx.spin_until(&tmp->next, [](std::uint64_t v) { return v != 0; });
     }
     Node* next = rt::from_word<Node>(ctx.load(&tmp->next));
     ctx.store(&next->wait, std::uint64_t{0});  // hand off (completed == 0)

@@ -62,7 +62,7 @@ class HSynch {
     ctx.store(&cur->next, rt::to_word(next_node));
     my_[tid].node = cur;
 
-    while (ctx.load(&cur->wait)) ctx.cpu_relax();
+    ctx.spin_until(&cur->wait, [](std::uint64_t v) { return v == 0; });
     ++st.ops;
     if (ctx.load(&cur->completed)) return ctx.load(&cur->ret);
 

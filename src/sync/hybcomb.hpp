@@ -217,7 +217,8 @@ class HybComb {
   /// detecting a stalled one (Options::stall_timeout).
   void spin_combining_done(Ctx& ctx, Node* pred, SyncStats& st) {
     if (opts_.stall_timeout == 0) {
-      while (!ctx.load(&pred->combining_done)) ctx.cpu_relax();
+      ctx.spin_until(&pred->combining_done,
+                     [](std::uint64_t v) { return v != 0; });
       return;
     }
     Cycle t0 = ctx.now();

@@ -34,7 +34,7 @@ class TtasLock {
  public:
   void lock(Ctx& ctx) {
     for (;;) {
-      while (ctx.load(&flag_) != 0) ctx.cpu_relax();
+      ctx.spin_until(&flag_, [](std::uint64_t v) { return v == 0; });
       if (ctx.exchange(&flag_, std::uint64_t{1}) == 0) return;
     }
   }
@@ -49,11 +49,13 @@ template <class Ctx>
 class TicketLock {
  public:
   void lock(Ctx& ctx) {
+    check_tid(ctx.tid(), kMaxLockThreads, "TicketLock::lock");
     const std::uint64_t t = ctx.faa(&next_, 1);
     tickets_[ctx.tid()].v = t;
-    while (ctx.load(&serving_) != t) ctx.cpu_relax();
+    ctx.spin_until(&serving_, [t](std::uint64_t v) { return v == t; });
   }
   void unlock(Ctx& ctx) {
+    check_tid(ctx.tid(), kMaxLockThreads, "TicketLock::unlock");
     ctx.store(&serving_, tickets_[ctx.tid()].v + 1);
   }
 
@@ -71,21 +73,23 @@ template <class Ctx>
 class McsLock {
  public:
   void lock(Ctx& ctx) {
+    check_tid(ctx.tid(), kMaxLockThreads, "McsLock::lock");
     QNode* my = &nodes_[ctx.tid()];
     ctx.store(&my->next, std::uint64_t{0});
     QNode* pred = rt::from_word<QNode>(ctx.exchange(&tail_, rt::to_word(my)));
     if (pred != nullptr) {
       ctx.store(&my->locked, std::uint64_t{1});
       ctx.store(&pred->next, rt::to_word(my));
-      while (ctx.load(&my->locked)) ctx.cpu_relax();
+      ctx.spin_until(&my->locked, [](std::uint64_t v) { return v == 0; });
     }
   }
 
   void unlock(Ctx& ctx) {
+    check_tid(ctx.tid(), kMaxLockThreads, "McsLock::unlock");
     QNode* my = &nodes_[ctx.tid()];
     if (ctx.load(&my->next) == 0) {
       if (ctx.cas(&tail_, rt::to_word(my), std::uint64_t{0})) return;
-      while (ctx.load(&my->next) == 0) ctx.cpu_relax();
+      ctx.spin_until(&my->next, [](std::uint64_t v) { return v != 0; });
     }
     QNode* next = rt::from_word<QNode>(ctx.load(&my->next));
     ctx.store(&next->locked, std::uint64_t{0});
@@ -118,15 +122,17 @@ class ClhLock {
 
   void lock(Ctx& ctx) {
     const Tid tid = ctx.tid();
+    check_tid(tid, kMaxLockThreads, "ClhLock::lock");
     QNode* my = mine_[tid].node;
     ctx.store(&my->locked, std::uint64_t{1});
     QNode* pred = rt::from_word<QNode>(ctx.exchange(&tail_, rt::to_word(my)));
     mine_[tid].pred = pred;
-    while (ctx.load(&pred->locked)) ctx.cpu_relax();
+    ctx.spin_until(&pred->locked, [](std::uint64_t v) { return v == 0; });
   }
 
   void unlock(Ctx& ctx) {
     const Tid tid = ctx.tid();
+    check_tid(tid, kMaxLockThreads, "ClhLock::unlock");
     ctx.store(&mine_[tid].node->locked, std::uint64_t{0});
     mine_[tid].node = mine_[tid].pred;  // recycle the predecessor's node
   }

@@ -61,7 +61,7 @@ class ShmServer {
     ctx.store(&ch.fn, rt::to_word(fn));
     explore_point(ctx, "shm.publish");
     ctx.store(&ch.req_seq, seq);
-    while (ctx.load(&ch.resp_seq) != seq) ctx.cpu_relax();
+    ctx.spin_until(&ch.resp_seq, [seq](std::uint64_t v) { return v == seq; });
     return ctx.load(&ch.ret);
   }
 
@@ -110,7 +110,8 @@ class ShmServer {
     if (t.tag == 0) return t.value;  // completed inline
     explore_point(ctx, "shm.reap");
     Channel& ch = chans_[chan_index(tid, t.aux)];
-    while (ctx.load(&ch.resp_seq) != t.tag) ctx.cpu_relax();
+    ctx.spin_until(&ch.resp_seq,
+                   [tag = t.tag](std::uint64_t v) { return v == tag; });
     async_[tid].busy_mask &= ~(1u << t.aux);
     t.completed = ctx.now();
     return ctx.load(&ch.ret);
@@ -127,7 +128,8 @@ class ShmServer {
       if ((a.busy_mask & (1u << s)) == 0) continue;
       Channel& ch = chans_[chan_index(tid, s)];
       const std::uint64_t seq = ctx.load(&ch.req_seq);
-      while (ctx.load(&ch.resp_seq) != seq) ctx.cpu_relax();
+      ctx.spin_until(&ch.resp_seq,
+                     [seq](std::uint64_t v) { return v == seq; });
       a.busy_mask &= ~(1u << s);
     }
   }
@@ -183,7 +185,7 @@ class ShmServer {
     const std::uint64_t seq = ++my_seq_[ctx.tid()].v;
     ctx.store(&ch.fn, kStopWord);
     ctx.store(&ch.req_seq, seq);
-    while (ctx.load(&ch.resp_seq) != seq) ctx.cpu_relax();
+    ctx.spin_until(&ch.resp_seq, [seq](std::uint64_t v) { return v == seq; });
   }
 
   SyncStats& stats(Tid t) {

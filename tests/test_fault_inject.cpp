@@ -12,6 +12,7 @@
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "ds/counter.hpp"
+#include "harness/record.hpp"
 #include "harness/workload.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
@@ -408,6 +409,18 @@ TEST(FaultInjectDeathTest, TooManyThreadsAborts) {
         ex.run_until(sim::kCycleMax);
       },
       "exceeds the construction's fixed capacity");
+}
+
+TEST(FaultInjectDeathTest, McsLockBeyondCapacityAborts) {
+  // record_history drives McsLock directly, with no capacity check in
+  // front of it; a 65th client (tid 64) must die in the lock itself
+  // instead of writing past its 64-node pool.
+  harness::RecordCfg cfg;
+  cfg.construction = harness::Construction::kMcsLock;
+  cfg.threads = 65;
+  cfg.ops_each = 1;
+  EXPECT_DEATH(harness::record_history(cfg),
+               "hmps fatal: McsLock::lock: thread id 64 exceeds");
 }
 
 TEST(FaultInjectDeathTest, UnhandledQueueImplAborts) {

@@ -352,5 +352,69 @@ TEST(Scheduler, ArrivalsInsideWaitWindowsMatchFastForwardOff) {
   EXPECT_EQ(ffwd_off, 0u);
 }
 
+// ---- parked pollers (Scheduler::park_polling) ----
+//
+// Fiber 0 takes 40 one-cycle steps, either as a plain wait_for loop or as a
+// poller that takes the same steps from inside the scheduler; fiber 1 hops
+// three cycles at a time. With the poller, fiber 1's park runs fiber 0's
+// resumes inline until fiber 1's own resume is the next entry: the
+// scheduler must return straight into fiber 1 (it cannot switch_to
+// itself). With the fast path off the plain loop reaches the same edge
+// without any poller. Either way the interleaving must not change.
+
+struct PollSteps {
+  Scheduler* s;
+  TraceFp* fp;
+  int left;
+};
+
+bool poll_steps(void* arg) {
+  PollSteps& x = *static_cast<PollSteps*>(arg);
+  for (;;) {
+    x.fp->mix(0x5000 + x.s->now());
+    if (--x.left == 0) return true;
+    if (!x.s->poll_wait(x.s->now() + 1)) return false;
+  }
+}
+
+std::uint64_t poller_edge_fp(bool poller, bool fast_forward,
+                             std::uint64_t* polled) {
+  Scheduler s;
+  s.set_fast_forward_enabled(fast_forward);
+  TraceFp fp;
+  PollSteps steps{&s, &fp, 40};
+  s.spawn([&] {
+    if (poller) {
+      s.park_polling(&poll_steps, &steps);
+    } else {
+      for (;;) {
+        fp.mix(0x5000 + s.now());
+        if (--steps.left == 0) break;
+        s.wait_for(1);
+      }
+    }
+    fp.mix(0xD000 + s.now());
+  });
+  s.spawn([&] {
+    for (int i = 0; i < 10; ++i) {
+      fp.mix(0x7000 + s.now());
+      s.wait_for(3);
+    }
+  });
+  s.run();
+  *polled = s.engine_counters().polled;
+  return fp.h;
+}
+
+TEST(Scheduler, ParkedPollerMatchesPlainFiberLoop) {
+  for (const bool ff : {true, false}) {
+    std::uint64_t polled_plain = 0, polled = 0;
+    const std::uint64_t ref = poller_edge_fp(false, ff, &polled_plain);
+    EXPECT_EQ(poller_edge_fp(true, ff, &polled), ref) << "fast path " << ff;
+    EXPECT_EQ(polled_plain, 0u);
+    EXPECT_GT(polled, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace hmps::sim
