@@ -17,14 +17,22 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "arch/machine.hpp"
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
 #include "ds/counter.hpp"
+#include "harness/record.hpp"
+#include "harness/service.hpp"
+#include "harness/workload.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sim/rng.hpp"
@@ -448,6 +456,460 @@ TEST(GoldenTrace, DelegationServers) {
       EXPECT_EQ(got.end, want[k][m].end) << "server " << k << " mode " << m;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// GoldenHarness: every harness driver pinned end to end. Each closed-loop
+// and service run is fingerprinted by an FNV-1a hash of its full
+// hmps-metrics-v2 run entry (config, results, sync_stats, machine,
+// cycle_accounts, telemetry), each recorded run by a hash of its history.
+// The constants were captured before the drivers shared one construction
+// registry; any refactor of src/harness/ must reproduce them bit for bit.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv_bytes(const std::string& s) {
+  Fp f;
+  for (const unsigned char c : s) f.mix(c);
+  return f.h;
+}
+
+// Runs `run` with a metrics sink and hashes the one run entry it adds.
+// `scrub`, when given, may edit the entry first (to exclude a field).
+std::uint64_t artifact_hash(
+    const std::function<void(const harness::RunObs&)>& run,
+    const std::function<void(obs::JsonValue&)>& scrub = {}) {
+  obs::MetricsRegistry reg;
+  harness::RunObs o;
+  o.metrics = &reg;
+  o.label = "golden";
+  run(o);
+  obs::JsonValue& entry = reg.root()["runs"].items().at(0);
+  if (scrub) scrub(entry);
+  return fnv_bytes(entry.dump(-1));
+}
+
+// Prints the captured hashes in initializer form when a row mismatches,
+// so an intended change can be re-pinned from the test log.
+void expect_hashes(const char* what, const std::vector<std::uint64_t>& got,
+                   const std::vector<std::uint64_t>& want) {
+  bool same = got.size() == want.size();
+  for (std::size_t i = 0; same && i < got.size(); ++i) {
+    same = got[i] == want[i];
+  }
+  EXPECT_TRUE(same) << what << " fingerprints moved";
+  if (same) return;
+  std::printf("%s:\n", what);
+  for (const std::uint64_t h : got) {
+    std::printf("      0x%016llxull,\n", static_cast<unsigned long long>(h));
+  }
+}
+
+harness::RunCfg golden_run_cfg() {
+  harness::RunCfg cfg;
+  cfg.app_threads = 4;
+  cfg.warmup = 4'000;
+  cfg.window = 20'000;
+  cfg.reps = 2;
+  cfg.seed = 5;
+  return cfg;
+}
+
+TEST(GoldenHarness, RunCounter) {
+  using harness::Approach;
+  const Approach all[] = {
+      Approach::kMpServer,  Approach::kHybComb,   Approach::kShmServer,
+      Approach::kCcSynch,   Approach::kMcsLock,   Approach::kClhLock,
+      Approach::kTicketLock, Approach::kTasLock,  Approach::kTtasLock,
+      Approach::kVlinkServer};
+  std::vector<std::uint64_t> got;
+  auto add = [&](harness::RunCfg cfg, Approach a) {
+    got.push_back(artifact_hash([&](const harness::RunObs& o) {
+      cfg.obs = o;
+      harness::run_counter(cfg, a);
+    }));
+  };
+  for (const Approach a : all) {
+    harness::RunCfg cfg = golden_run_cfg();
+    cfg.telemetry_window = 3'000;  // covers each construction's gauges
+    add(cfg, a);
+  }
+  for (const Approach a : all) {
+    harness::RunCfg cfg = golden_run_cfg();
+    cfg.async_batch = 4;  // inert for the constructions without tickets
+    add(cfg, a);
+  }
+  // Section 6 guards, the Fig. 4a fixed combiner and the Fig. 4c array CS.
+  harness::RunCfg guarded = golden_run_cfg();
+  guarded.max_inflight = 2;
+  guarded.async_batch = 4;
+  add(guarded, Approach::kMpServer);
+  add(guarded, Approach::kHybComb);
+  add(guarded, Approach::kVlinkServer);
+  harness::RunCfg fixed = golden_run_cfg();
+  fixed.fixed_combiner = true;
+  fixed.cs_iters = 6;
+  add(fixed, Approach::kHybComb);
+  add(fixed, Approach::kCcSynch);
+  add(fixed, Approach::kMpServer);
+  expect_hashes("RunCounter", got, {
+      0xf77bd4da80f1e470ull,
+      0xc75451549049565dull,
+      0xd5cf9c0995ab4efaull,
+      0x52edfd0290d6b4c0ull,
+      0xab5b15912696a9c9ull,
+      0x8d80f5934f90d1d3ull,
+      0x7c8b5e6dd743ae08ull,
+      0x7eba345fcb0c8343ull,
+      0x2655d263e15f39ecull,
+      0x8406e46919f6f59eull,
+      0x8962752a14933396ull,
+      0x61e2caf8c17aa706ull,
+      0x461aa19e75c2a050ull,
+      0x82890332b8f0462dull,
+      0x146f6a3fdca1d84dull,
+      0x06d6e8eff6e5fdf8ull,
+      0x2d3d199234eba58bull,
+      0x4fdd09b596738819ull,
+      0xa4fb4e9eee874262ull,
+      0xaba608111e67cd40ull,
+      0xec080c5acfa85482ull,
+      0xb8d80b9f8335c288ull,
+      0x9098b830ed88a59full,
+      0xd3a5afa359824d3bull,
+      0x99a2b2d329362a61ull,
+      0xad40130118c14082ull,
+  });
+}
+
+TEST(GoldenHarness, RunQueueAndStack) {
+  using harness::QueueImpl;
+  using harness::StackImpl;
+  const QueueImpl queues[] = {QueueImpl::kMp1, QueueImpl::kHyb1,
+                              QueueImpl::kShm1, QueueImpl::kCc1,
+                              QueueImpl::kMp2, QueueImpl::kLcrq,
+                              QueueImpl::kVl1};
+  const StackImpl stacks[] = {StackImpl::kMp,  StackImpl::kHyb,
+                              StackImpl::kShm, StackImpl::kCc,
+                              StackImpl::kTreiber, StackImpl::kVl};
+  std::vector<std::uint64_t> got;
+  for (const std::uint32_t batch : {0u, 4u}) {
+    for (const QueueImpl q : queues) {
+      got.push_back(artifact_hash([&](const harness::RunObs& o) {
+        harness::RunCfg cfg = golden_run_cfg();
+        cfg.async_batch = batch;  // only the one-lock MP queue batches
+        cfg.telemetry_window = batch ? 0 : 3'000;
+        cfg.obs = o;
+        harness::run_queue(cfg, q);
+      }));
+    }
+    for (const StackImpl s : stacks) {
+      got.push_back(artifact_hash([&](const harness::RunObs& o) {
+        harness::RunCfg cfg = golden_run_cfg();
+        cfg.async_batch = batch;  // stacks never batch
+        cfg.telemetry_window = batch ? 0 : 3'000;
+        cfg.obs = o;
+        harness::run_stack(cfg, s);
+      }));
+    }
+  }
+  expect_hashes("RunQueueAndStack", got, {
+      0x34e4c20b423c0f21ull,
+      0x181e1127d8fa7a95ull,
+      0x286bd14efe586252ull,
+      0x6414e219fcc10792ull,
+      0x39f456b763217514ull,
+      0x0f61d2553ca3ef57ull,
+      0x366ab339a3da76a5ull,
+      0x0fa879d9355c1d2cull,
+      0x447b2a3ab12e3b81ull,
+      0x0aa54e868c849650ull,
+      0x5798b034aa003347ull,
+      0xb1696663e79a45b6ull,
+      0x84e925c2241f0dedull,
+      0x501a209ba0471410ull,
+      0x27b692f13b8b6895ull,
+      0x486549f23d537a3dull,
+      0x4e74f2b98c05ffc0ull,
+      0xb1c577bdc09f43b8ull,
+      0x64b311ab836b07e1ull,
+      0x8240bc5ba4a30310ull,
+      0x9b0a09e7608f4e44ull,
+      0x63113ce89611c099ull,
+      0x724850e5266f10d7ull,
+      0x4abad911fb390145ull,
+      0xf580b9b75d916690ull,
+      0x0aedf93ce6abb98aull,
+  });
+}
+
+harness::ServiceCfg golden_service_cfg() {
+  harness::ServiceCfg cfg;
+  cfg.base.warmup = 4'000;
+  cfg.base.window = 30'000;
+  cfg.base.reps = 1;
+  cfg.base.seed = 3;
+  cfg.base.telemetry_window = 4'000;
+  cfg.sessions = 4;
+  cfg.objects = 4;
+  cfg.offered_mops = 60;  // past most knees: sheds and full trains
+  cfg.queue_cap = 6;
+  return cfg;
+}
+
+TEST(GoldenHarness, RunService) {
+  using harness::Approach;
+  const Approach all[] = {Approach::kMpServer, Approach::kHybComb,
+                          Approach::kShmServer, Approach::kCcSynch,
+                          Approach::kVlinkServer};
+  std::vector<std::uint64_t> got;
+  auto add = [&](harness::ServiceCfg cfg, Approach a) {
+    got.push_back(artifact_hash([&](const harness::RunObs& o) {
+      cfg.base.obs = o;
+      harness::run_service(cfg, a);
+    }));
+  };
+  for (const bool queue : {false, true}) {
+    for (const std::uint32_t batch : {0u, 4u}) {
+      for (const Approach a : all) {
+        harness::ServiceCfg cfg = golden_service_cfg();
+        cfg.queue_object = queue;
+        cfg.base.async_batch = batch;
+        add(cfg, a);
+      }
+    }
+  }
+  // Bursty arrivals, drop-oldest shedding and the overflow guard.
+  harness::ServiceCfg bursty = golden_service_cfg();
+  bursty.arrival = harness::ArrivalModel::kMmpp;
+  bursty.shed = harness::ShedPolicy::kDropOldest;
+  bursty.base.max_inflight = 3;
+  bursty.base.async_batch = 4;
+  add(bursty, Approach::kMpServer);
+  add(bursty, Approach::kHybComb);
+  expect_hashes("RunService", got, {
+      0x720a6cb3c9d6e054ull,
+      0x2f99b0d3e4e27ea6ull,
+      0x0e2367f34934d991ull,
+      0x353e5e092f3df22aull,
+      0xce616698cebe7955ull,
+      0xbf172cf73f0ed0d6ull,
+      0xf411256fc5e21389ull,
+      0xe7d5d5a62c41979eull,
+      0x0bdea43f7ef0e176ull,
+      0x87d3bec10819204cull,
+      0xa63cffd4750b937eull,
+      0xd053c330962c86eaull,
+      0x0781942159b54635ull,
+      0x678b34bea6aef508ull,
+      0x1e70524d020730d9ull,
+      0xf4a2c551f4ae8c0bull,
+      0x07de4570c05b125aull,
+      0xe00e753e19bbae55ull,
+      0xaf90401677ffd6c4ull,
+      0xc6483b732ad16d0bull,
+      0x29ba732e547e2950ull,
+      0xe3ff193b921976b1ull,
+  });
+}
+
+TEST(GoldenHarness, RunServiceSharded) {
+  std::vector<std::uint64_t> got;
+  std::vector<std::uint64_t> batched;
+  for (const bool queue : {false, true}) {
+    for (const std::uint32_t shards : {1u, 4u}) {
+      for (const std::uint32_t batch : {0u, 4u}) {
+        harness::ServiceCfg cfg = golden_service_cfg();
+        cfg.queue_object = queue;
+        cfg.shards = shards;
+        cfg.objects = 16;
+        cfg.base.async_batch = batch;
+        cfg.base.max_inflight = queue ? 3 : 0;
+        got.push_back(artifact_hash(
+            [&](const harness::RunObs& o) {
+              cfg.base.obs = o;
+              harness::run_service_sharded(cfg);
+            },
+            [&](obs::JsonValue& run) {
+              // The async rows' train count is pinned separately below.
+              obs::JsonValue& f = run["sync_stats"]["async_batched"];
+              if (batch) batched.push_back(f.as_uint());
+              f = obs::JsonValue(std::uint64_t{0});
+            }));
+      }
+    }
+  }
+  expect_hashes("RunServiceSharded", got, {
+      0xb8afe11fca257383ull,
+      0x9c4e9ab816a18578ull,
+      0x2637ff53768395a0ull,
+      0xf18e475aba27ac2aull,
+      0x6a94f86e80912fffull,
+      0x56966b7dc3be0e6bull,
+      0x969327993a9b9710ull,
+      0x604333a484dd7a31ull,
+  });
+  // Trains the async rows completed (sync_stats.async_batched): the
+  // sharded driver reaps its own ticket trains and counts none of them.
+  EXPECT_EQ(batched, (std::vector<std::uint64_t>{0, 0, 0, 0}));
+}
+
+std::uint64_t history_hash(const harness::RecordResult& r) {
+  Fp f;
+  f.mix(r.completed);
+  f.mix(r.end_time);
+  f.mix(r.finished_threads);
+  f.mix(r.total_client_threads);
+  for (const harness::OpRecord& op : r.history) {
+    f.mix(op.thread);
+    f.mix(op.obj);
+    f.mix(static_cast<std::uint64_t>(op.kind));
+    f.mix(op.arg);
+    f.mix(op.ret);
+    f.mix(op.invoke);
+    f.mix(op.response);
+  }
+  return f.h;
+}
+
+TEST(GoldenHarness, RecordHistory) {
+  std::vector<std::uint64_t> got;
+  for (const std::uint32_t depth : {0u, 4u}) {
+    for (std::uint32_t c = 0; c < harness::kNumConstructions; ++c) {
+      for (std::uint32_t o = 0; o < harness::kNumObjects; ++o) {
+        harness::RecordCfg cfg;
+        cfg.seed = 9 + c;
+        cfg.construction = static_cast<harness::Construction>(c);
+        cfg.object = static_cast<harness::Object>(o);
+        cfg.threads = 3;
+        cfg.ops_each = 6;
+        cfg.async_depth = depth;
+        cfg.shards = 2;
+        got.push_back(history_hash(harness::record_history(cfg)));
+      }
+    }
+  }
+  expect_hashes("RecordHistory", got, {
+      0x492ed46d167ff5b9ull,
+      0x0ca9f1a4fd7f32a2ull,
+      0x0df48f4c60a2f58full,
+      0x2a10a4771d5fe305ull,
+      0x083d0a35548c1fcaull,
+      0xdbc3cf5e24f582b0ull,
+      0x5d5f04a9c1be35c6ull,
+      0xbc601d0d323c4141ull,
+      0x7a9a3126867477c9ull,
+      0x588f3a8aa19dbff1ull,
+      0xfb6b20d79fe6ad56ull,
+      0x4c3f1ff9a466ea41ull,
+      0xc48a7a5a8a9257dbull,
+      0x38705d8f248eb931ull,
+      0xc8e7335b1b0f20e1ull,
+      0xb94bbc2e434213ceull,
+      0x991f874f50599c98ull,
+      0x162d2acd75f52934ull,
+      0x8a0e8017de939ec5ull,
+      0xe75be2f4f401b10eull,
+      0xe1a6196f549e8460ull,
+      0x775db23c753cf523ull,
+      0xb0b6cddbe1ae0b6full,
+      0xefc25e0a998a4cb8ull,
+      0x9a63f80d8625648bull,
+      0x90e56e9794ccd0e4ull,
+      0xce6d5d583f67bca2ull,
+      0xdaab103873bc4bdeull,
+      0x8dfa4b0924bf0ffdull,
+      0x2d27f60ea0c774d9ull,
+      0x88cc75a7dac76f8full,
+      0x4f80e53b2b87520eull,
+      0x93d262a8c9a2b2f9ull,
+      0x53aa3818b6808241ull,
+      0x2276a1044b1e80a1ull,
+      0x9315fa0ebee01ffdull,
+      0xd4169210e1e200feull,
+      0xd98e0c89b2907be1ull,
+      0xa9198e2a473c8ab5ull,
+      0x27317ab174fef0f1ull,
+      0xdf4e32c81cabc58aull,
+      0x8289d0b7daef954full,
+      0x7ac0dd241569deabull,
+      0x26791bc7658be21dull,
+      0xe5c98ee0a1b512a4ull,
+      0x8c55ba16d95a9540ull,
+      0x0245b74dd52a34fcull,
+      0x32311bd2a15056acull,
+      0x61303222d217b774ull,
+      0x6d623f758d1b568dull,
+      0x3ec92858fe0b6767ull,
+      0x1f0b89d151e180ddull,
+      0xf1c45f9d84a34868ull,
+      0x3ec92858fe0b6767ull,
+      0x3ec92858fe0b6767ull,
+      0x663a60632a371d17ull,
+      0x98aa2e854902f49cull,
+      0xb8d9e83dbeb627aeull,
+      0x4f27f1f7bc724909ull,
+      0x09479aadc730ed98ull,
+      0x42bc65b7f1b3cb9aull,
+      0x9f89f1011d5618faull,
+      0x5b2791f68b833a8dull,
+      0x2a10a4771d5fe305ull,
+      0x083d0a35548c1fcaull,
+      0x9d809135e04bc50aull,
+      0x2e85c4ac8eae39c4ull,
+      0x17e3a906b552c905ull,
+      0x7a9a3126867477c9ull,
+      0x588f3a8aa19dbff1ull,
+      0xeddc53ae88547bb5ull,
+      0x8414e80253f25f9bull,
+      0xddfc5d3c684016e9ull,
+      0x38705d8f248eb931ull,
+      0xc8e7335b1b0f20e1ull,
+      0xb94bbc2e434213ceull,
+      0x991f874f50599c98ull,
+      0x162d2acd75f52934ull,
+      0x8a0e8017de939ec5ull,
+      0xe75be2f4f401b10eull,
+      0xe1a6196f549e8460ull,
+      0x775db23c753cf523ull,
+      0xb0b6cddbe1ae0b6full,
+      0xefc25e0a998a4cb8ull,
+      0x9a63f80d8625648bull,
+      0x90e56e9794ccd0e4ull,
+      0xce6d5d583f67bca2ull,
+      0xdaab103873bc4bdeull,
+      0x8dfa4b0924bf0ffdull,
+      0x2d27f60ea0c774d9ull,
+      0x88cc75a7dac76f8full,
+      0x4f80e53b2b87520eull,
+      0x93d262a8c9a2b2f9ull,
+      0x53aa3818b6808241ull,
+      0x2276a1044b1e80a1ull,
+      0x9315fa0ebee01ffdull,
+      0xd4169210e1e200feull,
+      0xd98e0c89b2907be1ull,
+      0xa9198e2a473c8ab5ull,
+      0x27317ab174fef0f1ull,
+      0xdf4e32c81cabc58aull,
+      0x8289d0b7daef954full,
+      0x7ac0dd241569deabull,
+      0x26791bc7658be21dull,
+      0xe5c98ee0a1b512a4ull,
+      0x372e8f6bd07b815cull,
+      0xabc115e06ae4365cull,
+      0xbf3e20c48b4b2a80ull,
+      0x61303222d217b774ull,
+      0x6d623f758d1b568dull,
+      0x55bd9789f69c4bd9ull,
+      0x2331ab30ec79057full,
+      0xf41197ec1f5332aaull,
+      0x55bd9789f69c4bd9ull,
+      0x55bd9789f69c4bd9ull,
+      0x752b582443d5391dull,
+      0x57ffc8e6562475ccull,
+      0x46d012a140d5a4f4ull,
+      0x4f27f1f7bc724909ull,
+      0x09479aadc730ed98ull,
+  });
 }
 
 // ---------------------------------------------------------------------------
