@@ -169,12 +169,11 @@ class ArrivalGen {
 /// entry additionally carries a "service" block (docs/SERVICE.md).
 RunResult run_service(const ServiceCfg& cfg, Approach a);
 
-/// Runs the open-loop service workload against a sync::ShardedServer fleet
-/// of cfg.shards MP-SERVER instances: session fibers resolve each arrival's
-/// object to its home shard client-side and issue through the fleet's
-/// ticket API, so one session keeps ops in flight against several shards at
-/// once. Reports the same RunResult / "service" metrics block as
-/// run_service() plus the shard count (docs/SHARDING.md).
+/// run_service() over a sync::ShardedServer fleet of cfg.shards MP-SERVER
+/// instances: each op is routed to its object's home shard client-side, and
+/// an async train issues each op as it arrives, so one session keeps ops in
+/// flight against several shards at once. Same RunResult and "service"
+/// metrics block, plus the shard count (docs/SHARDING.md).
 RunResult run_service_sharded(const ServiceCfg& cfg);
 
 }  // namespace hmps::harness

@@ -84,8 +84,8 @@ struct RunCfg {
   sim::Cycle stall_timeout = 0;       ///< HYBCOMB combiner-stall knob
   std::uint32_t async_batch = 0;      ///< >= 2: clients issue trains of this
                                       ///< many apply_async() requests via
-                                      ///< sync::AsyncBatcher (MP-SERVER,
-                                      ///< HYBCOMB, SHM-SERVER counter runs
+                                      ///< sync::AsyncBatcher (counter runs
+                                      ///< of the constructions with tickets
                                       ///< and the MP1 queue). 0/1 = classic
                                       ///< synchronous apply().
   sim::Cycle telemetry_window = 0;    ///< >0: obs::Telemetry sampling cadence

@@ -14,6 +14,11 @@
 // opcode). One batcher serves one (thread, server) pair; a thread must not
 // interleave trains on two constructions (the reply stash is shared per
 // context, MODEL.md §9).
+//
+// By default a train is issued when it fills. With `issue_on_add` each op
+// is issued as it is added and the train is only reaped when full, which
+// lets a sharded fleet's train overlap ops on several shards at once
+// (docs/SHARDING.md).
 #pragma once
 
 #include <cstdint>
@@ -30,9 +35,10 @@ class AsyncBatcher {
   /// can never wedge an unguarded server on its own.
   static constexpr std::uint32_t kMaxDepth = 16;
 
-  AsyncBatcher(Server& srv, std::uint32_t depth)
+  AsyncBatcher(Server& srv, std::uint32_t depth, bool issue_on_add = false)
       : srv_(srv),
-        depth_(depth < 1 ? 1 : (depth > kMaxDepth ? kMaxDepth : depth)) {}
+        depth_(depth < 1 ? 1 : (depth > kMaxDepth ? kMaxDepth : depth)),
+        issue_on_add_(issue_on_add) {}
 
   std::uint32_t depth() const { return depth_; }
   std::uint32_t buffered() const { return n_; }
@@ -42,8 +48,12 @@ class AsyncBatcher {
   /// completed by this call: 0 while buffering, the train length when a
   /// train completes. Depth 1 degenerates to wait(apply_async(...)).
   std::uint64_t add(Ctx& ctx, Op op, std::uint64_t arg) {
-    ops_[n_] = op;
-    args_[n_] = arg;
+    if (issue_on_add_) {
+      t_[n_] = srv_.apply_async(ctx, op, arg);
+    } else {
+      ops_[n_] = op;
+      args_[n_] = arg;
+    }
     ++n_;
     if (n_ < depth_) return 0;
     return round(ctx, /*flush=*/false);
@@ -76,23 +86,26 @@ class AsyncBatcher {
     const std::uint32_t n = n_;
     if (n == 0) return 0;
     n_ = 0;
-    Ticket t[kMaxDepth];
-    for (std::uint32_t i = 0; i < n; ++i) {
-      t[i] = srv_.apply_async(ctx, ops_[i], args_[i]);
+    if (!issue_on_add_) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        t_[i] = srv_.apply_async(ctx, ops_[i], args_[i]);
+      }
     }
     if (flush || n >= 2) srv_.stats(ctx.tid()).async_batched += n;
     for (std::uint32_t i = 0; i < n; ++i) {
-      last_ = srv_.wait(ctx, t[i]);
+      last_ = srv_.wait(ctx, t_[i]);
     }
-    last_completed_ = t[n - 1].completed;
+    last_completed_ = t_[n - 1].completed;
     return n;
   }
 
   Server& srv_;
   std::uint32_t depth_;
+  bool issue_on_add_;
   std::uint32_t n_ = 0;
   Op ops_[kMaxDepth] = {};
   std::uint64_t args_[kMaxDepth] = {};
+  Ticket t_[kMaxDepth];
   std::uint64_t last_ = 0;
   Cycle last_completed_ = 0;
 };

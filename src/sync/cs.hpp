@@ -136,6 +136,22 @@ struct SyncStats {
     shed_ops += o.shed_ops;
   }
 
+  /// Field-wise `*this - prev`: the counts accrued since snapshot `prev`.
+  SyncStats since(const SyncStats& prev) const {
+    SyncStats d;
+    d.ops = ops - prev.ops;
+    d.served = served - prev.served;
+    d.tenures = tenures - prev.tenures;
+    d.cas_attempts = cas_attempts - prev.cas_attempts;
+    d.cas_failures = cas_failures - prev.cas_failures;
+    d.throttle_waits = throttle_waits - prev.throttle_waits;
+    d.stall_timeouts = stall_timeouts - prev.stall_timeouts;
+    d.async_issued = async_issued - prev.async_issued;
+    d.async_batched = async_batched - prev.async_batched;
+    d.shed_ops = shed_ops - prev.shed_ops;
+    return d;
+  }
+
   /// Average requests executed per combining round (Fig. 4b).
   double combining_rate() const {
     return tenures ? static_cast<double>(served) / static_cast<double>(tenures)

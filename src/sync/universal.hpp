@@ -30,12 +30,13 @@ class LockUc {
 
   explicit LockUc(void* obj) : obj_(obj) {}
 
+  /// A thread id past the per-thread pools dies in the lock's own check
+  /// (MCS, CLH, ticket) or, for the pool-free TAS/TTAS, in stats().
   std::uint64_t apply(Ctx& ctx, Fn fn, std::uint64_t arg) {
-    check_tid(ctx.tid(), kMaxThreads, "LockUc::apply");
     lock_.lock(ctx);
     const std::uint64_t ret = fn(ctx, obj_, arg);
     lock_.unlock(ctx);
-    ++stats_[ctx.tid()].s.ops;
+    ++stats(ctx.tid()).ops;
     return ret;
   }
 

@@ -748,9 +748,10 @@ TEST(GoldenHarness, RunServiceSharded) {
       0x969327993a9b9710ull,
       0x604333a484dd7a31ull,
   });
-  // Trains the async rows completed (sync_stats.async_batched): the
-  // sharded driver reaps its own ticket trains and counts none of them.
-  EXPECT_EQ(batched, (std::vector<std::uint64_t>{0, 0, 0, 0}));
+  // Ops the async rows completed in trains (sync_stats.async_batched).
+  // Before the fleet shared run_service's sync::AsyncBatcher path it reaped
+  // its own trains and reported 0 here; every other field is unchanged.
+  EXPECT_EQ(batched, (std::vector<std::uint64_t>{1601, 1601, 308, 468}));
 }
 
 std::uint64_t history_hash(const harness::RecordResult& r) {

@@ -13,6 +13,7 @@
 #include "arch/topology.hpp"
 #include "ds/counter.hpp"
 #include "harness/record.hpp"
+#include "harness/service.hpp"
 #include "harness/workload.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
@@ -421,6 +422,27 @@ TEST(FaultInjectDeathTest, McsLockBeyondCapacityAborts) {
   cfg.ops_each = 1;
   EXPECT_DEATH(harness::record_history(cfg),
                "hmps fatal: McsLock::lock: thread id 64 exceeds");
+}
+
+TEST(FaultInjectDeathTest, AsyncTrainsPastCapacityAbortInTheServer) {
+  // Async trains keep one sync::AsyncBatcher per thread id. A client with
+  // tid 64 must fill its own batcher and then die in the server's capacity
+  // check, never write past a 64-entry batcher vector (which ASan reports
+  // as a heap overflow).
+  harness::RunCfg cfg;
+  cfg.app_threads = 65;  // tids 1..65 behind the server on tid 0
+  cfg.async_batch = 2;
+  cfg.warmup = 20'000;
+  cfg.window = 20'000;
+  cfg.reps = 1;
+  EXPECT_DEATH(harness::run_counter(cfg, harness::Approach::kMpServer),
+               "hmps fatal: MpServer::apply_async");
+  harness::ServiceCfg svc;
+  svc.base = cfg;
+  svc.sessions = 65;
+  svc.offered_mops = 200;
+  EXPECT_DEATH(harness::run_service(svc, harness::Approach::kMpServer),
+               "hmps fatal: MpServer::apply_async");
 }
 
 TEST(FaultInjectDeathTest, UnhandledQueueImplAborts) {
