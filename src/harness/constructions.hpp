@@ -393,6 +393,8 @@ decltype(auto) with_construction(Kind k, const Params& p, SimExecutor& ex,
 
 // ---- what a construction offers, from its type ----
 
+template <class U, class... Ts>
+concept OneOf = (std::same_as<U, Ts> || ...);
 template <class U>
 concept MultiServer = requires(const U& u) { u.servers(); };
 template <class U>

@@ -1,7 +1,6 @@
 #include "harness/record.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "harness/constructions.hpp"
 #include "sim/perturb.hpp"
@@ -135,15 +134,10 @@ void finish(HistoryRecorder& rec, Drawn d, Cycle invoke, Cycle response,
   OpRecord& r = d.rec;
   r.invoke = invoke;
   r.response = response;
-  switch (r.kind) {
-    case OpKind::kEnq:
-    case OpKind::kPush: r.ret = 0; break;
-    case OpKind::kDeq:  // ds::kQEmpty == sync::kTransferEmpty
-    case OpKind::kPop:  // ds::kStackEmpty
-      r.ret = ret == ds::kQEmpty ? kNothing : ret;
-      break;
-    default: r.ret = ret; break;
-  }
+  // Producers return nothing; an empty consumer returns kNothing.
+  const bool produce = r.kind == OpKind::kEnq || r.kind == OpKind::kPush;
+  const bool consume = r.kind == OpKind::kDeq || r.kind == OpKind::kPop;
+  r.ret = produce ? 0 : (consume && ret == ds::kQEmpty ? kNothing : ret);
   rec.record(r);
   if (d.fn != &reg::farm_transfer || ret == sync::kTransferEmpty) return;
   r.obj = static_cast<std::uint32_t>(d.arg & 0xFFFFFFFFu);

@@ -1,12 +1,10 @@
 #include "harness/service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "harness/constructions.hpp"
@@ -20,19 +18,15 @@ using sim::Cycle;
 using sync::SyncStats;
 
 const char* arrival_model_name(ArrivalModel m) {
-  switch (m) {
-    case ArrivalModel::kPoisson: return "poisson";
-    case ArrivalModel::kMmpp: return "mmpp";
-  }
-  return "?";
+  constexpr const char* kNames[] = {"poisson", "mmpp"};  // enum order
+  const auto i = static_cast<std::size_t>(m);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 const char* shed_policy_name(ShedPolicy p) {
-  switch (p) {
-    case ShedPolicy::kDropNewest: return "drop-newest";
-    case ShedPolicy::kDropOldest: return "drop-oldest";
-  }
-  return "?";
+  constexpr const char* kNames[] = {"drop-newest", "drop-oldest"};
+  const auto i = static_cast<std::size_t>(p);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 namespace {
@@ -339,8 +333,8 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
 }
 
 /// Builds construction `kind` over a counter or queue farm and runs the
-/// open loop against it.
-RunResult run_farm(const ServiceCfg& cfg, Kind kind) {
+/// open loop against it; `name` names it in diagnostics.
+RunResult run_farm(const ServiceCfg& cfg, Kind kind, const char* name) {
   const RunCfg& base = cfg.base;
   const bool fleet = kind == Kind::kSharded;
   const std::uint32_t max_sessions =
@@ -364,29 +358,30 @@ RunResult run_farm(const ServiceCfg& cfg, Kind kind) {
   p.shards = cfg.shards;
   p.objects = nobj;
   p.transfers = cfg.queue_object;
-  return reg::with_construction(kind, p, ex, [&](auto& uc) {
-    return open_loop(cfg, ex, uc, nsess, nobj);
+  return reg::with_construction(kind, p, ex, [&](auto& uc) -> RunResult {
+    using U = std::remove_reference_t<decltype(uc)>;
+    // The constructions with a service driver (compiled only for them).
+    if constexpr (reg::OneOf<U, sync::MpServer<SimCtx>, sync::HybComb<SimCtx>,
+                             sync::ShmServer<SimCtx>, sync::CcSynch<SimCtx>,
+                             sync::VlinkServer<SimCtx>, reg::Fleet>) {
+      return open_loop(cfg, ex, uc, nsess, nobj);
+    }
+    std::fprintf(stderr,
+                 "hmps fatal: run_service: approach %s has no service "
+                 "driver\n",
+                 name);
+    std::abort();
   });
 }
 
 }  // namespace
 
 RunResult run_service(const ServiceCfg& cfg, Approach a) {
-  const Kind kind = reg::kind_of(a);
-  if (kind != Kind::kMpServer && kind != Kind::kHybComb &&
-      kind != Kind::kShmServer && kind != Kind::kCcSynch &&
-      kind != Kind::kVlink) {
-    std::fprintf(stderr,
-                 "hmps fatal: run_service: approach %s has no service "
-                 "driver\n",
-                 approach_name(a));
-    std::abort();
-  }
-  return run_farm(cfg, kind);
+  return run_farm(cfg, reg::kind_of(a), approach_name(a));
 }
 
 RunResult run_service_sharded(const ServiceCfg& cfg) {
-  return run_farm(cfg, Kind::kSharded);
+  return run_farm(cfg, Kind::kSharded, "sharded");
 }
 
 }  // namespace hmps::harness

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "harness/constructions.hpp"
@@ -81,6 +82,21 @@ struct Snapshot {
   std::vector<obs::CycleAccount> accounts;
 };
 
+/// What the closed loop's clients tally for the measurement windows.
+struct Tally {
+  explicit Tally(std::uint32_t threads) : ops(threads, 0), latsum(threads, 0) {}
+  std::vector<std::uint64_t> ops;
+  std::vector<double> latsum;
+  bool measuring = false;  // set once warmup completes
+  sim::Histogram lat_hist{/*bucket_width=*/8, /*nbuckets=*/4096};
+};
+
+/// Warmup, measurement windows and the run entry: the part of the closed
+/// loop that does not depend on the construction (compiled once).
+RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
+                  Tally& tally, obs::Telemetry& tel,
+                  const std::function<SyncStats()>& sum_stats);
+
 /// The Section 5.2 closed loop over construction `uc`: app thread i issues
 /// next_op(k) for k = 0, 1, ... with think time between ops, through
 /// per-thread trains of `batch` async tickets when uc has them (batch >= 2).
@@ -92,12 +108,7 @@ RunResult closed_loop(const RunCfg& cfg, SimExecutor& ex, U& uc,
   const std::uint32_t ns = reg::add_servers(ex, uc);
   const std::uint32_t na = cfg.app_threads;
   reg::Trains<U> trains(uc, batch, ns + na);
-
-  std::vector<std::uint64_t> ops(na, 0);
-  std::vector<double> latsum(na, 0.0);
-  bool measuring = false;  // set once warmup completes
-  sim::Histogram lat_hist(/*bucket_width=*/8, /*nbuckets=*/4096);
-
+  Tally tally(na);
   for (std::uint32_t i = 0; i < na; ++i) {
     ex.add_thread([&, i](SimCtx& ctx) {
       std::uint64_t k = 0;
@@ -116,21 +127,29 @@ RunResult closed_loop(const RunCfg& cfg, SimExecutor& ex, U& uc,
         // latsum accumulates all time spent inside the op (including calls
         // that only buffered), so lat_mean stays time-per-completed-op
         // under batching; the histogram records the train's mean.
-        ops[i] += done;
-        latsum[i] += static_cast<double>(lat);
-        if (measuring && done > 0) lat_hist.add(lat / done);
+        tally.ops[i] += done;
+        tally.latsum[i] += static_cast<double>(lat);
+        if (tally.measuring && done > 0) tally.lat_hist.add(lat / done);
         // Section 5.2: up to think_iters_max empty loop iterations.
         ctx.compute(cfg.think_iter_cost *
                     ctx.rand_below(cfg.think_iters_max + 1));
       }
     });
   }
+  obs::Telemetry tel(ex.machine(), {cfg.telemetry_window});
+  if (tel.enabled() && gauges) reg::add_backlog_gauge(tel, uc);
+  return measure(cfg, ex, ns, tally, tel, [&uc] { return reg::sum_stats(uc); });
+}
 
+RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
+                  Tally& tally, obs::Telemetry& tel,
+                  const std::function<SyncStats()>& sum_stats) {
+  const std::uint32_t na = cfg.app_threads;
   auto snap = [&]() {
     Snapshot s;
-    s.ops = ops;
-    s.latsum = latsum;
-    s.stats = reg::sum_stats(uc);
+    s.ops = tally.ops;
+    s.latsum = tally.latsum;
+    s.stats = sum_stats();
     s.core0_busy = ex.machine().core(0).busy;
     s.core0_stall = ex.machine().core(0).stall;
     s.msgs = ex.machine().udn().counters().messages;
@@ -143,11 +162,8 @@ RunResult closed_loop(const RunCfg& cfg, SimExecutor& ex, U& uc,
     return s;
   };
 
-  obs::Telemetry tel(ex.machine(), {cfg.telemetry_window});
-  if (tel.enabled() && gauges) reg::add_backlog_gauge(tel, uc);
-
   ex.run_until(cfg.warmup);
-  measuring = true;
+  tally.measuring = true;
   const Snapshot first = snap();
   Snapshot prev = first;
   // Baseline right after the run-level snapshot (snap() settled the
@@ -213,8 +229,8 @@ RunResult closed_loop(const RunCfg& cfg, SimExecutor& ex, U& uc,
   r.mops = mean;
   r.mops_std = std::sqrt(var);
   r.lat_mean = lat_n > 0 ? lat_sum / lat_n : 0;
-  r.lat_p50 = static_cast<double>(lat_hist.quantile(0.50));
-  r.lat_p99 = static_cast<double>(lat_hist.quantile(0.99));
+  r.lat_p50 = static_cast<double>(tally.lat_hist.quantile(0.50));
+  r.lat_p99 = static_cast<double>(tally.lat_hist.quantile(0.99));
   r.serv_total_per_op = serv_ops > 0 ? (serv_busy + serv_stall) / serv_ops : 0;
   r.serv_stall_per_op = serv_ops > 0 ? serv_stall / serv_ops : 0;
   r.combining_rate = stat_delta.combining_rate();
