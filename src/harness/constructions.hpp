@@ -194,7 +194,9 @@ class MpServerPair {
       : enq_(0, queue, max_inflight), deq_(1, queue, max_inflight) {}
 
   std::uint32_t servers() const { return 2; }
-  void serve(SimCtx& ctx, std::uint32_t s) { (s == 0 ? enq_ : deq_).serve(ctx); }
+  void serve(SimCtx& ctx, std::uint32_t s) {
+    (s == 0 ? enq_ : deq_).serve(ctx);
+  }
   void request_stop(SimCtx& ctx) {
     enq_.request_stop(ctx);
     deq_.request_stop(ctx);
@@ -219,8 +221,6 @@ class MpServerPair {
 /// and each call maps its body to the opcode.
 class HubUc : public sync::MpServerHub<SimCtx> {
  public:
-  using Fn = reg::Fn;
-
   HubUc(void* obj, std::uint64_t max_inflight)
       : MpServerHub(0, max_inflight) {
     for (const Fn fn : kOps) add_op(fn, obj);
@@ -250,7 +250,6 @@ class HubUc : public sync::MpServerHub<SimCtx> {
 /// one driver loop serves one server or a fleet.
 class Fleet : public sync::ShardedServer<SimCtx> {
  public:
-  using Fn = reg::Fn;
   using Sharded = sync::ShardedServer<SimCtx>;
   /// Async trains issue each op as it is added, so one train keeps ops in
   /// flight against several shards at once (sync::AsyncBatcher).
@@ -271,7 +270,7 @@ class Fleet : public sync::ShardedServer<SimCtx> {
     return fn == &farm_transfer ? transfer_async(ctx, a >> 32, a & 0xFFFFFFFFu)
                                 : Sharded::apply_async(ctx, fn, a >> 32, a);
   }
-  /// Server tids map to their shard's counters, later tids to client slots.
+  /// Stats slots: each shard's server counters, then every client slot.
   std::uint32_t stat_slots() const { return shards() + kMaxClients; }
   std::uint64_t fleet_inflight() const { return inflight_total(); }
 };

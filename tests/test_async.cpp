@@ -311,34 +311,43 @@ TEST(AsyncBatcher, TrainsCompleteAndCount) {
 // flush() is called (the open-loop idle-flush path), and — unlike drain()'s
 // legacy accounting — the short train still counts as batched work. Without
 // the flush the three ops would sit in the buffer until a fourth arrival
-// tops the train up, which in an open-loop lull may never come.
+// tops the train up, which in an open-loop lull may never come. With
+// issue_on_add (the sharded fleet's mode) the three ops are already sent
+// when flush() reaps them.
 TEST(AsyncBatcher, FlushReapsPartialTrain) {
-  SimExecutor ex(arch::MachineParams::tilegx36(), 5);
-  MutexProbe probe;
-  sync::MpServer<SimCtx> mp(0, &probe);
-  std::uint64_t buffered_completed = 0;
-  std::uint64_t flush_completed = 0;
-  sim::Cycle completed_stamp = 0;
-  ex.add_thread([&](SimCtx& ctx) { mp.serve(ctx); });
-  ex.add_thread([&](SimCtx& ctx) {
-    sync::AsyncBatcher<SimCtx, sync::MpServer<SimCtx>> batch(mp, 4);
-    for (int k = 0; k < 3; ++k) {
-      buffered_completed += batch.add(ctx, probe_cs<SimCtx>, 0);
-    }
-    EXPECT_EQ(batch.buffered(), 3u);
-    flush_completed = batch.flush(ctx);
-    completed_stamp = batch.last_completed();
-    EXPECT_EQ(batch.buffered(), 0u);
-    EXPECT_EQ(batch.flush(ctx), 0u);  // empty flush is a no-op
-    mp.request_stop(ctx);
-  });
-  ex.run_until(sim::kCycleMax);
-  EXPECT_EQ(buffered_completed, 0u);  // depth never reached by add() alone
-  EXPECT_EQ(flush_completed, 3u);
-  EXPECT_EQ(probe.counter.value.load(), 3u);
-  EXPECT_EQ(mp.stats(1).async_issued, 3u);
-  EXPECT_EQ(mp.stats(1).async_batched, 3u);  // the short train is counted
-  EXPECT_GT(completed_stamp, 0u);  // tickets carry completion stamps
+  for (const bool issue_on_add : {false, true}) {
+    SCOPED_TRACE(issue_on_add ? "issue_on_add" : "buffered");
+    SimExecutor ex(arch::MachineParams::tilegx36(), 5);
+    MutexProbe probe;
+    sync::MpServer<SimCtx> mp(0, &probe);
+    std::uint64_t buffered_completed = 0;
+    std::uint64_t flush_completed = 0;
+    std::uint64_t issued_before_flush = 0;
+    sim::Cycle completed_stamp = 0;
+    ex.add_thread([&](SimCtx& ctx) { mp.serve(ctx); });
+    ex.add_thread([&](SimCtx& ctx) {
+      sync::AsyncBatcher<SimCtx, sync::MpServer<SimCtx>> batch(mp, 4,
+                                                              issue_on_add);
+      for (int k = 0; k < 3; ++k) {
+        buffered_completed += batch.add(ctx, probe_cs<SimCtx>, 0);
+      }
+      EXPECT_EQ(batch.buffered(), 3u);
+      issued_before_flush = mp.stats(1).async_issued;
+      flush_completed = batch.flush(ctx);
+      completed_stamp = batch.last_completed();
+      EXPECT_EQ(batch.buffered(), 0u);
+      EXPECT_EQ(batch.flush(ctx), 0u);  // empty flush is a no-op
+      mp.request_stop(ctx);
+    });
+    ex.run_until(sim::kCycleMax);
+    EXPECT_EQ(buffered_completed, 0u);  // depth never reached by add() alone
+    EXPECT_EQ(issued_before_flush, issue_on_add ? 3u : 0u);
+    EXPECT_EQ(flush_completed, 3u);
+    EXPECT_EQ(probe.counter.value.load(), 3u);
+    EXPECT_EQ(mp.stats(1).async_issued, 3u);
+    EXPECT_EQ(mp.stats(1).async_batched, 3u);  // the short train is counted
+    EXPECT_GT(completed_stamp, 0u);  // tickets carry completion stamps
+  }
 }
 
 // ---- native backend: real threads, real races ----

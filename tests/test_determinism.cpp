@@ -748,9 +748,9 @@ TEST(GoldenHarness, RunServiceSharded) {
       0x969327993a9b9710ull,
       0x604333a484dd7a31ull,
   });
-  // Ops the async rows completed in trains (sync_stats.async_batched).
-  // Before the fleet shared run_service's sync::AsyncBatcher path it reaped
-  // its own trains and reported 0 here; every other field is unchanged.
+  // Ops the async rows completed in trains (sync_stats.async_batched),
+  // pinned apart from the hashes: the one field that moved when the fleet
+  // started counting its trains through sync::AsyncBatcher.
   EXPECT_EQ(batched, (std::vector<std::uint64_t>{1601, 1601, 308, 468}));
 }
 
