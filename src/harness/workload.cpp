@@ -70,6 +70,21 @@ struct CsCall {
   std::uint64_t arg;
 };
 
+/// A client's op mix. With `consume` set (queues, stacks) ops alternate
+/// produce(1 + k mod 2^16) and consume(0); otherwise every op is
+/// produce(arg).
+struct Mix {
+  reg::Fn produce;
+  reg::Fn consume = nullptr;
+  std::uint64_t arg = 0;
+
+  CsCall at(std::uint64_t k) const {
+    if (consume == nullptr) return {produce, arg};
+    return (k & 1) == 0 ? CsCall{produce, 1 + (k & 0xFFFF)}
+                        : CsCall{consume, 0};
+  }
+};
+
 // Everything the closed loop snapshots at window boundaries.
 struct Snapshot {
   std::vector<std::uint64_t> ops;
@@ -98,13 +113,12 @@ RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
                   const std::function<SyncStats()>& sum_stats);
 
 /// The Section 5.2 closed loop over construction `uc`: app thread i issues
-/// next_op(k) for k = 0, 1, ... with think time between ops, through
+/// mix.at(k) for k = 0, 1, ... with think time between ops, through
 /// per-thread trains of `batch` async tickets when uc has them (batch >= 2).
 /// `gauges` registers uc's backlog gauge with telemetry.
-template <class U, class NextOp>
+template <class U>
 RunResult closed_loop(const RunCfg& cfg, SimExecutor& ex, U& uc,
-                      const NextOp& next_op, std::uint32_t batch,
-                      bool gauges) {
+                      const Mix& mix, std::uint32_t batch, bool gauges) {
   const std::uint32_t ns = reg::add_servers(ex, uc);
   const std::uint32_t na = cfg.app_threads;
   reg::Trains<U> trains(uc, batch, ns + na);
@@ -114,7 +128,7 @@ RunResult closed_loop(const RunCfg& cfg, SimExecutor& ex, U& uc,
       std::uint64_t k = 0;
       for (;;) {
         const Cycle t0 = ctx.now();
-        const CsCall op = next_op(k++);
+        const CsCall op = mix.at(k++);
         // Ops completed by this call: 1 for a synchronous apply, 0 while a
         // train fills, the train length when one is issued and reaped.
         std::uint64_t done = 1;
@@ -301,11 +315,9 @@ RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
   return r;
 }
 
-/// Builds construction `kind` on `obj` and runs the closed loop over it.
-template <class NextOp>
+/// Builds construction `kind` on `p.obj` and runs the closed loop over it.
 RunResult run_closed_loop(const RunCfg& cfg, Kind kind, reg::Params p,
-                          const NextOp& next_op, std::uint32_t batch,
-                          bool gauges) {
+                          const Mix& mix, std::uint32_t batch, bool gauges) {
   SimExecutor ex(cfg.machine, cfg.seed);
   reg::open_run(ex, cfg);
   p.max_ops = cfg.max_ops;
@@ -313,17 +325,8 @@ RunResult run_closed_loop(const RunCfg& cfg, Kind kind, reg::Params p,
   p.stall_timeout = cfg.stall_timeout;
   p.shm_depth = batch;
   return reg::with_construction(kind, p, ex, [&](auto& uc) {
-    return closed_loop(cfg, ex, uc, next_op, batch, gauges);
+    return closed_loop(cfg, ex, uc, mix, batch, gauges);
   });
-}
-
-/// Queue/stack op mix: even ops produce value 1 + (k mod 2^16), odd ops
-/// consume.
-auto alternate(reg::Fn produce, reg::Fn consume) {
-  return [produce, consume](std::uint64_t k) {
-    return (k & 1) == 0 ? CsCall{produce, 1 + (k & 0xFFFF)}
-                        : CsCall{consume, 0};
-  };
 }
 
 }  // namespace
@@ -336,12 +339,11 @@ RunResult run_counter(const RunCfg& cfg, Approach a) {
   p.obj = cfg.cs_iters > 0 ? static_cast<void*>(&array)
                            : static_cast<void*>(&counter);
   p.fixed_combiner = cfg.fixed_combiner;
-  const CsCall op{cfg.cs_iters > 0 ? &ds::array_inc_loop<SimCtx>
-                                   : &ds::counter_inc<SimCtx>,
-                  cfg.cs_iters};
-  return run_closed_loop(
-      cfg, kind, p, [op](std::uint64_t) { return op; }, cfg.async_batch,
-      /*gauges=*/true);
+  const Mix mix{cfg.cs_iters > 0 ? &ds::array_inc_loop<SimCtx>
+                                 : &ds::counter_inc<SimCtx>,
+                nullptr, cfg.cs_iters};
+  return run_closed_loop(cfg, kind, p, mix, cfg.async_batch,
+                         /*gauges=*/true);
 }
 
 double ideal_cs_cycles(const RunCfg& cfg) {
@@ -370,10 +372,9 @@ RunResult run_queue(const RunCfg& cfg, QueueImpl q) {
   p.obj = &queue;
   // Only the one-lock MP-SERVER queue pipelines its clients' requests.
   const std::uint32_t batch = kind == Kind::kMpServer ? cfg.async_batch : 0;
-  return run_closed_loop(
-      cfg, kind, p,
-      alternate(&ds::q_enqueue<SimCtx>, &ds::q_dequeue<SimCtx>), batch,
-      /*gauges=*/false);
+  return run_closed_loop(cfg, kind, p,
+                         {&ds::q_enqueue<SimCtx>, &ds::q_dequeue<SimCtx>},
+                         batch, /*gauges=*/false);
 }
 
 RunResult run_stack(const RunCfg& cfg, StackImpl s) {
@@ -382,7 +383,7 @@ RunResult run_stack(const RunCfg& cfg, StackImpl s) {
   reg::Params p;
   p.obj = &stack;
   return run_closed_loop(cfg, kind, p,
-                         alternate(&ds::s_push<SimCtx>, &ds::s_pop<SimCtx>),
+                         {&ds::s_push<SimCtx>, &ds::s_pop<SimCtx>},
                          /*batch=*/0, /*gauges=*/false);
 }
 
