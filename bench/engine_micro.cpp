@@ -12,7 +12,8 @@
 //                   spin's poller (docs/ENGINE.md "Parked spins")
 //   spin_plain    — the same run with a perturber that delays nothing, which
 //                   makes spin_until run its plain fiber loop: the poller's
-//                   reference
+//                   reference (the two poll counts must match, or the run
+//                   exits 1)
 //
 // Usage: engine_micro [--smoke] [--json FILE]
 //   --smoke  run 1% of the default iteration counts (CI smoke test)
@@ -291,6 +292,17 @@ int main(int argc, char** argv) {
   std::printf("spin_park: polled=%llu\n", (unsigned long long)polled);
   if (polled == 0) {
     std::fprintf(stderr, "FAIL: no spin was parked behind a poller\n");
+    return 1;
+  }
+  // Exactness: the parked run must take every load of its plain-loop
+  // reference, no more and no fewer.
+  const Result& park = results[results.size() - 2];
+  const Result& plain = results.back();
+  if (park.ops != plain.ops) {
+    std::fprintf(stderr,
+                 "FAIL: spin_park took %llu polls, its plain-loop reference "
+                 "spin_plain %llu\n",
+                 (unsigned long long)park.ops, (unsigned long long)plain.ops);
     return 1;
   }
 

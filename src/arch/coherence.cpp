@@ -4,10 +4,6 @@
 
 namespace hmps::arch {
 
-namespace {
-constexpr std::uint64_t bit(Tid c) { return std::uint64_t{1} << (c % 64); }
-}  // namespace
-
 Cycle CoherenceModel::inval_cost(std::uint64_t sharers, Tid except) {
   const int n = std::popcount(sharers & ~bit(except));
   if (n == 0) return 0;
@@ -17,23 +13,12 @@ Cycle CoherenceModel::inval_cost(std::uint64_t sharers, Tid except) {
   return p_.inval_base + p_.inval_per_sharer * static_cast<Cycle>(charged);
 }
 
-bool CoherenceModel::read_hit(Tid c, std::uint64_t addr) {
-  const Line& l = line_at(addr);
-  if ((l.state == State::kModified && l.owner == c) ||
-      (l.state == State::kShared && (l.sharers & bit(c)))) {
-    ++counters_.hits;
-    if (prof_) prof_->on_hit(line_of(addr));
-    return true;
-  }
-  return false;
-}
-
 AccessCost CoherenceModel::read(Tid c, std::uint64_t addr, Cycle now) {
-  if (read_hit(c, addr)) return {p_.l_hit, false};
-  Line& l = line_at(addr);
+  const std::uint64_t ln = line_of(addr);
+  Line& l = slots_[slot_of(ln)];
+  if (hit(c, l, ln)) return {p_.l_hit, false};
   ++counters_.rmr_reads;
   const Cycle wait = acquire_line(l, now);
-  const std::uint64_t ln = line_of(addr);
   const Tid home = l.home;
   Cycle lat = topo_.wire(c, home) + p_.dir_lookup;
   if (l.state == State::kModified) {
@@ -54,15 +39,15 @@ AccessCost CoherenceModel::read(Tid c, std::uint64_t addr, Cycle now) {
 }
 
 AccessCost CoherenceModel::write(Tid c, std::uint64_t addr, Cycle now) {
-  Line& l = line_at(addr);
+  const std::uint64_t ln = line_of(addr);
+  Line& l = slots_[slot_of(ln)];
   if (l.state == State::kModified && l.owner == c) {
     ++counters_.hits;
-    if (prof_) prof_->on_hit(line_of(addr));
+    if (prof_) prof_->on_hit(ln);
     return {p_.l_hit, false};
   }
   ++counters_.rmr_writes;
   const Cycle wait = acquire_line(l, now);
-  const std::uint64_t ln = line_of(addr);
   const Tid home = l.home;
   Cycle lat = topo_.wire(c, home) + p_.dir_lookup;
   if (l.state == State::kModified) {

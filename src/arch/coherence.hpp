@@ -12,6 +12,8 @@
 // what bounds the throughput of ping-ponging flags and contended CAS words.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +50,20 @@ class CoherenceModel {
   /// onto one timeline.
   static constexpr std::uint32_t kMaxCtrls = 8;
 
+  /// Supported line sizes: powers of two in [kMinLineBytes, kMaxLineBytes].
+  /// A power of two makes line_of() a shift. The upper bound is the host
+  /// alignment of simulated arenas (rt::kCacheLine): a larger line would
+  /// pack words into lines by the host allocation base, which ASLR moves.
+  static constexpr std::uint32_t kMinLineBytes = 8;
+  static constexpr std::uint32_t kMaxLineBytes = 64;
+  static constexpr bool valid_line_bytes(std::uint32_t b) {
+    return std::has_single_bit(b) && b >= kMinLineBytes && b <= kMaxLineBytes;
+  }
+
+  /// Entries of the direct-mapped lookup memo in front of the line table
+  /// (line number modulo kMemoLines picks the entry).
+  static constexpr std::size_t kMemoLines = 64;
+
   CoherenceModel(const MachineParams& p, const MeshTopology& topo)
       : p_(p), topo_(topo), combining_(p, topo) {
     if (p.n_mem_ctrls < 1 || p.n_mem_ctrls > kMaxCtrls) [[unlikely]] {
@@ -58,9 +74,36 @@ class CoherenceModel {
                    static_cast<unsigned>(kMaxCtrls));
       std::abort();
     }
+    if (!valid_line_bytes(p.line_bytes)) [[unlikely]] {
+      std::fprintf(stderr,
+                   "hmps fatal: CoherenceModel: line_bytes = %u is not a "
+                   "power of two in [%u, %u]\n",
+                   static_cast<unsigned>(p.line_bytes),
+                   static_cast<unsigned>(kMinLineBytes),
+                   static_cast<unsigned>(kMaxLineBytes));
+      std::abort();
+    }
+    line_shift_ = static_cast<std::uint32_t>(std::countr_zero(p.line_bytes));
     keys_.assign(kInitialCap, kEmptyKey);
     slots_.resize(kInitialCap);
     mask_ = kInitialCap - 1;
+  }
+
+  /// A line's cached position in the line table, for a caller that tests
+  /// the same line over and over (a parked spin's poller). It stays valid
+  /// until the table grows; read_hit() checks that through `gen` and
+  /// refreshes a stale hint in place.
+  struct LineHint {
+    std::uint64_t line = 0;  ///< line_of() of the address
+    std::uint32_t slot = 0;  ///< table index of the line
+    std::uint32_t gen = 0;   ///< table generation `slot` belongs to
+  };
+
+  /// A hint for the line covering `addr` (creating the line if untouched).
+  LineHint hint(std::uint64_t addr) {
+    const std::uint64_t ln = line_of(addr);
+    const std::size_t i = slot_of(ln);
+    return {ln, static_cast<std::uint32_t>(i), gen_};
   }
 
   /// Core `c` reads the line at address `addr` at time `now`.
@@ -69,7 +112,21 @@ class CoherenceModel {
   /// The hit half of read(): if core `c` holds the line readable (M or S),
   /// counts a hit, as read() would, and returns true. Otherwise changes
   /// nothing and returns false. Costs l_hit when it hits.
-  bool read_hit(Tid c, std::uint64_t addr);
+  bool read_hit(Tid c, std::uint64_t addr) {
+    const std::uint64_t ln = line_of(addr);
+    return hit(c, slots_[slot_of(ln)], ln);
+  }
+
+  /// read_hit() for the line of hint `h`, reached through its cached slot
+  /// instead of a lookup; a hint from before the last table growth is
+  /// refreshed first.
+  bool read_hit(Tid c, LineHint& h) {
+    if (h.gen != gen_) [[unlikely]] {
+      h.slot = static_cast<std::uint32_t>(slot_of(h.line));
+      h.gen = gen_;
+    }
+    return hit(c, slots_[h.slot], h.line);
+  }
 
   /// Core `c` writes the line (acquires read-write ownership).
   AccessCost write(Tid c, std::uint64_t addr, Cycle now);
@@ -102,7 +159,7 @@ class CoherenceModel {
   }
 
   std::uint64_t line_of(std::uint64_t addr) const {
-    return addr / p_.line_bytes;
+    return addr >> line_shift_;
   }
 
   // --- event counters (global; reset per measurement window) ---
@@ -151,33 +208,36 @@ class CoherenceModel {
   /// (deterministic) simulation itself, so this keeps the TILE-Gx
   /// hash-for-home spread while making coherence timing reproducible across
   /// processes.
-  ///
-  /// Storage is an insert-only open-addressing table (linear probing over a
-  /// flat key array, values in a parallel array) with a one-entry memo for
-  /// back-to-back accesses to the same line — this lookup runs once per
-  /// simulated memory operation, and the std::unordered_map it replaced was
-  /// one of the hottest functions of a full sweep. Lines are never erased,
-  /// so probing needs no tombstones, and returned
-  /// Line& references never outlive one access, so growth is safe.
-  Line& line_at(std::uint64_t addr) {
-    const std::uint64_t key = line_of(addr);
-    if (key == memo_key_) return slots_[memo_idx_];
-    std::size_t i = probe(key);
-    if (keys_[i] != key) {  // first touch
+  Line& line_at(std::uint64_t addr) { return slots_[slot_of(line_of(addr))]; }
+
+  /// Table index of line `ln`, inserting it on first touch. Storage is an
+  /// insert-only open-addressing table (linear probing over a flat key
+  /// array, values in a parallel array) behind a direct-mapped memo of
+  /// recent lookups — this runs once per simulated memory operation, and
+  /// the std::unordered_map it replaced was one of the hottest functions
+  /// of a full sweep. The memo holds one line per entry, so a scan over up
+  /// to kMemoLines consecutive lines (a server polling its clients'
+  /// channels) hits it on every access. Lines are never erased, so probing
+  /// needs no tombstones; slot indices change only in grow(), which clears
+  /// the memo and bumps the generation that LineHint checks.
+  std::size_t slot_of(std::uint64_t ln) {
+    Memo& m = memo_[ln & (kMemoLines - 1)];
+    if (m.line == ln) return m.slot;
+    std::size_t i = probe(ln);
+    if (keys_[i] != ln) {  // first touch
       if ((count_ + 1) * 2 > keys_.size()) {
         grow();
-        i = probe(key);
+        i = probe(ln);
       }
-      keys_[i] = key;
+      keys_[i] = ln;
       slots_[i] = Line{};
       slots_[i].home = topo_.home_tile(next_line_id_);
       slots_[i].ctrl = topo_.home_ctrl(next_line_id_);
       ++next_line_id_;
       ++count_;
     }
-    memo_key_ = key;
-    memo_idx_ = i;
-    return slots_[i];
+    m = {ln, i};
+    return i;
   }
 
   /// First slot holding `key`, or the empty slot where it would insert.
@@ -195,13 +255,30 @@ class CoherenceModel {
     keys_.assign(cap, kEmptyKey);
     slots_.assign(cap, Line{});
     mask_ = cap - 1;
-    memo_key_ = kEmptyKey;
+    memo_.fill(Memo{});
+    ++gen_;
     for (std::size_t j = 0; j < old_keys.size(); ++j) {
       if (old_keys[j] == kEmptyKey) continue;
       const std::size_t i = probe(old_keys[j]);
       keys_[i] = old_keys[j];
       slots_[i] = old_slots[j];
     }
+  }
+
+  /// The read-hit predicate, shared by both read_hit() forms: `l` is line
+  /// `ln`'s state.
+  bool hit(Tid c, const Line& l, std::uint64_t ln) {
+    if ((l.state == State::kModified && l.owner == c) ||
+        (l.state == State::kShared && (l.sharers & bit(c)))) {
+      ++counters_.hits;
+      if (prof_) prof_->on_hit(ln);
+      return true;
+    }
+    return false;
+  }
+
+  static constexpr std::uint64_t bit(Tid c) {
+    return std::uint64_t{1} << (c % 64);
   }
 
   /// Serializes on the line and returns the queueing delay.
@@ -218,6 +295,11 @@ class CoherenceModel {
   /// real line number collides with the empty-slot sentinel.
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
+  struct Memo {
+    std::uint64_t line = kEmptyKey;  ///< kEmptyKey when unused
+    std::size_t slot = 0;
+  };
+
   const MachineParams& p_;
   const MeshTopology& topo_;
   CoherenceProfiler* prof_ = nullptr;
@@ -225,8 +307,9 @@ class CoherenceModel {
   std::vector<Line> slots_;          ///< values, parallel to keys_
   std::size_t mask_ = 0;
   std::size_t count_ = 0;
-  std::uint64_t memo_key_ = kEmptyKey;  ///< last line looked up
-  std::size_t memo_idx_ = 0;
+  std::array<Memo, kMemoLines> memo_;
+  std::uint32_t gen_ = 1;  ///< bumped by grow(); a LineHint's 0 is never current
+  std::uint32_t line_shift_ = 0;  ///< log2(line_bytes)
   std::uint64_t next_line_id_ = 0;
   Cycle ctrl_busy_until_[kMaxCtrls] = {};
   CombiningFabric combining_;

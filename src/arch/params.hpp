@@ -30,6 +30,9 @@ struct MachineParams {
   std::uint32_t mesh_w = 6;
   std::uint32_t mesh_h = 6;
   std::uint32_t n_mem_ctrls = 2;
+  /// Coherence line size: a power of two in [8, 64] (line lookup is a
+  /// shift, and simulated arenas are aligned to 64 host bytes only);
+  /// CoherenceModel aborts on anything else.
   std::uint32_t line_bytes = 64;
 
   // --- core ---

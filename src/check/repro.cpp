@@ -119,6 +119,9 @@ bool machine_from_json(const JsonValue& j, arch::MachineParams* p,
   if (p->n_mem_ctrls < 1 || p->n_mem_ctrls > arch::CoherenceModel::kMaxCtrls) {
     return fail("n_mem_ctrls (outside [1, 8])");
   }
+  if (!arch::CoherenceModel::valid_line_bytes(p->line_bytes)) {
+    return fail("line_bytes (not a power of two in [8, 64])");
+  }
   return true;
 }
 

@@ -12,6 +12,7 @@
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
+#include <new>
 #include <type_traits>
 #include <vector>
 
@@ -278,10 +279,12 @@ class SimCtx {
         cpu_relax();
         continue;
       }
-      SpinPoll<T> s{this, p, v,
-                    m_.coherence().line_of(reinterpret_cast<std::uint64_t>(p)),
-                    false};
-      m_.sched().park_polling(&SimCtx::spin_poll<T>, &s);
+      const auto& par = m_.params();
+      m_.sched().park_polling(
+          &SimCtx::spin_poll<T>,
+          SpinPoll<T>{&m_, &m_.core(core_), p, v,
+                      m_.coherence().hint(reinterpret_cast<std::uint64_t>(p)),
+                      par.issue_cost + par.l_hit, core_, false});
     }
   }
 
@@ -389,21 +392,42 @@ class SimCtx {
 
   /// busy_wait()'s bookkeeping, without the wait. Returns `cycles`.
   Cycle charge_busy(Cycle cycles, Bucket bucket, const char* name) {
-    m_.tracer().event(core_, name, now(), cycles);
-    m_.core(core_).busy += cycles;
-    charge(bucket, now(), now() + cycles);
-    return cycles;
+    return charge_step(m_.tracer(), core_, m_.core(core_), name, now(), bucket,
+                       cycles);
   }
 
-  /// A spin_until() parked behind its poller: the state lives on the
-  /// spinning fiber's stack.
+  /// The bookkeeping of one operation that core `core` (state `c`) starts
+  /// at `t`: `busy` cycles charged to `b`, then `stall` stalled cycles
+  /// charged to `stall_b`, and a tracer event over both. Returns busy +
+  /// stall. Shared by charge_busy(), charge_load() and the poller.
+  static Cycle charge_step(sim::Tracer& tr, Tid core, arch::CoreState& c,
+                           const char* name, Cycle t, Bucket b, Cycle busy,
+                           Bucket stall_b = Bucket::kCompute,
+                           Cycle stall = 0) {
+    tr.event(core, name, t, busy + stall);
+    c.busy += busy;
+    c.account.charge(b, t, t + busy);
+    if (stall != 0) {
+      c.stall += stall;
+      c.account.charge(stall_b, t + busy, t + busy + stall);
+    }
+    return busy + stall;
+  }
+
+  /// A spin_until() parked behind its poller. The scheduler keeps it in
+  /// the fiber's slot (Scheduler::kPollRecordBytes), so a poll step reads
+  /// this record, the core's state and the line's table slot, and nothing
+  /// of the SimCtx.
   template <class T>
   struct SpinPoll {
-    SimCtx* ctx;
+    arch::Machine* m;
+    arch::CoreState* c;   ///< state of `core`
     const std::atomic<T>* p;
-    T last;              ///< value of the last real load (not done)
-    std::uint64_t line;  ///< line holding *p
-    bool poll_next;      ///< next step: the load (true) or the relax
+    T last;               ///< value of the last real load (not done)
+    arch::CoherenceModel::LineHint hint;  ///< the line holding *p
+    Cycle load_cycles;    ///< a cache-hit load's occupancy: issue + l_hit
+    Tid core;
+    bool poll_next;       ///< next step: the load (true) or the relax
   };
 
   /// The poller (Scheduler::PollFn). Alternates the loop's two steps, each
@@ -413,26 +437,28 @@ class SimCtx {
   /// plain cache hit returning `last`: the word changed, the line is no
   /// longer readable here, or a prefetch of it is outstanding.
   template <class T>
-  static bool spin_poll(void* arg) {
-    SpinPoll<T>& s = *static_cast<SpinPoll<T>*>(arg);
-    SimCtx& x = *s.ctx;
-    const std::uint64_t addr = reinterpret_cast<std::uint64_t>(s.p);
+  static bool spin_poll(void* rec) {
+    SpinPoll<T>& s = *std::launder(static_cast<SpinPoll<T>*>(rec));
+    arch::Machine& m = *s.m;
+    arch::CoreState& c = *s.c;
+    sim::Scheduler& sched = m.sched();
     for (;;) {
+      const Cycle t = sched.now();
       Cycle d;
       if (s.poll_next) {
-        auto& c = x.m_.core(x.core_);
         if (s.p->load(std::memory_order_relaxed) != s.last ||
-            c.prefetch_line == s.line ||
-            !x.m_.coherence().read_hit(x.core_, addr)) {
+            c.prefetch_line == s.hint.line ||
+            !m.coherence().read_hit(s.core, s.hint)) {
           return true;
         }
         ++c.mem_ops;
-        d = x.charge_load(x.m_.params().l_hit, false);
+        d = charge_step(m.tracer(), s.core, c, "load-hit", t,
+                        Bucket::kCompute, s.load_cycles);
       } else {
-        d = x.charge_busy(1, Bucket::kSpin, "spin");
+        d = charge_step(m.tracer(), s.core, c, "spin", t, Bucket::kSpin, 1);
       }
       s.poll_next = !s.poll_next;
-      if (!x.m_.sched().poll_wait(x.now() + d)) return false;
+      if (!sched.poll_wait(t + d)) return false;
     }
   }
 
@@ -482,19 +508,14 @@ class SimCtx {
   /// account_load()'s bookkeeping for a load whose value is usable `lat`
   /// cycles after issue, without the wait. Returns the cycles it occupies.
   Cycle charge_load(Cycle lat, bool remote) {
-    auto& c = m_.core(core_);
     const auto& p = m_.params();
-    m_.tracer().event(core_, remote ? "load-miss" : "load-hit", now(),
-                      p.issue_cost + lat);
+    auto& c = m_.core(core_);
     const Cycle busy_part = lat < p.l_hit ? lat : p.l_hit;
-    c.busy += p.issue_cost + busy_part;
-    c.stall += lat - busy_part;
     c.load_stall += lat - busy_part;
-    const Cycle t = now();
-    charge(Bucket::kCompute, t, t + p.issue_cost + busy_part);
-    charge(Bucket::kCoherenceRead, t + p.issue_cost + busy_part,
-           t + p.issue_cost + lat);
-    return p.issue_cost + lat;
+    return charge_step(m_.tracer(), core_, c,
+                       remote ? "load-miss" : "load-hit", now(),
+                       Bucket::kCompute, p.issue_cost + busy_part,
+                       Bucket::kCoherenceRead, lat - busy_part);
   }
 
   void account_store(std::uint64_t addr) {
@@ -572,5 +593,8 @@ class SimCtx {
 };
 
 static_assert(ExecutionContext<SimCtx>);
+// Simulated arenas align to kCacheLine (rt::AlignedArray), which must cover
+// every line size the coherence model accepts.
+static_assert(arch::CoherenceModel::kMaxLineBytes <= kCacheLine);
 
 }  // namespace hmps::rt

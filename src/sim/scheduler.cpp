@@ -5,7 +5,8 @@ namespace hmps::sim {
 Scheduler::FiberId Scheduler::spawn(std::function<void()> fn, Cycle start,
                                     std::size_t stack_bytes) {
   const FiberId id = static_cast<FiberId>(fibers_.size());
-  fibers_.push_back({std::make_unique<Fiber>(std::move(fn), stack_bytes)});
+  fibers_.emplace_back().fiber =
+      std::make_unique<Fiber>(std::move(fn), stack_bytes);
   schedule_resume(id, start);
   return id;
 }
@@ -17,13 +18,10 @@ void Scheduler::schedule_resume(FiberId id, Cycle t) {
   schedule_resume_at(id, t);
 }
 
-void Scheduler::schedule_resume_at(FiberId id, Cycle t) {
-  queue_.schedule_resume(t, id);
-}
-
-bool Scheduler::dispatch_resume(Slot& s) {
-  if (s.poll == nullptr) return true;
-  if (!s.poll(s.poll_arg)) {
+bool Scheduler::dispatch_resume(FiberId id) {
+  Slot& s = fibers_[id];
+  if (s.poll == nullptr) return !s.fiber->finished();
+  if (!s.poll(s.rec)) {
     queue_.note_polled();
     return false;
   }
@@ -43,11 +41,10 @@ Cycle Scheduler::run(Cycle horizon) {
     }
     now_ = t;
     if (EventQueue::is_resume(e)) {
-      Slot& s = fibers_[EventQueue::resume_fiber(e)];
-      if (s.fiber->finished()) continue;  // resume raced the fiber's exit
+      const FiberId id = EventQueue::resume_fiber(e);
       const FiberId prev = current_;
-      current_ = EventQueue::resume_fiber(e);
-      if (dispatch_resume(s)) s.fiber->resume();
+      current_ = id;
+      if (dispatch_resume(id)) fibers_[id].fiber->resume();
       current_ = prev;
     } else {
       EventQueue::Callback cb = queue_.claim(e);
@@ -78,22 +75,9 @@ void Scheduler::wait_until(Cycle t) {
   park_and_dispatch(id);
 }
 
-bool Scheduler::poll_wait(Cycle t) {
-  if (fast_forward_enabled_ && !stop_requested_ && t <= horizon_ &&
-      queue_.fast_forward(t)) {
-    now_ = t;
-    return true;
-  }
-  schedule_resume_at(current_, t);
-  return false;
-}
-
-void Scheduler::park_polling(PollFn poll, void* arg) {
-  assert(in_fiber());
-  if (poll(arg)) return;
-  Slot& s = fibers_[current_];
-  s.poll = poll;
-  s.poll_arg = arg;
+void Scheduler::park_polled(PollFn poll) {
+  if (poll(fibers_[current_].rec)) return;
+  fibers_[current_].poll = poll;
   park_and_dispatch(current_);
 }
 
@@ -106,15 +90,13 @@ void Scheduler::park_and_dispatch(FiberId self) {
     if (e == EventQueue::kNoEvent) break;  // callback next, or past horizon
     now_ = t;
     const FiberId id = EventQueue::resume_fiber(e);
-    Slot& s = fibers_[id];
-    if (s.fiber->finished()) continue;  // stale resume, same skip as run()
     current_ = id;
-    if (!dispatch_resume(s)) continue;  // its poller ran in place of it
+    if (!dispatch_resume(id)) continue;  // stale, or its poller ran instead
     if (id == self) {  // nothing ran in between but pollers: no switch
       f.set_state(Fiber::State::kRunning);
       return;
     }
-    f.switch_to(*s.fiber);
+    f.switch_to(*fibers_[id].fiber);
     return;
   }
   f.yield();

@@ -6,8 +6,11 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -85,25 +88,48 @@ class Scheduler {
   /// Blocks the current fiber indefinitely; resume via wake().
   void suspend();
 
-  /// A parked fiber's stand-in (see park_polling). Returns true when the
-  /// fiber itself must run now, false after it scheduled the fiber's next
-  /// resume through poll_wait().
-  using PollFn = bool (*)(void* arg);
+  /// A parked fiber's stand-in (see park_polling), called with the
+  /// fiber's poll record. Returns true when the fiber itself must run now,
+  /// false after it scheduled the fiber's next resume through poll_wait().
+  using PollFn = bool (*)(void* rec);
 
-  /// Parks the current fiber behind a poller. `poll(arg)` runs at once on
-  /// the fiber; while it returns false, each of the fiber's resume entries
-  /// runs it again in place of a context switch — from run() or from
-  /// another fiber's park. The fiber continues, at the queue position of
-  /// the entry that ran it, once it returns true. `arg` must stay valid
-  /// until then (the fiber's own stack is).
-  void park_polling(PollFn poll, void* arg);
+  /// Size and alignment of the poll record a fiber's slot holds inline.
+  static constexpr std::size_t kPollRecordBytes = 64;
+  static constexpr std::size_t kPollRecordAlign = 8;
+
+  /// Parks the current fiber behind a poller. `rec` is copied into the
+  /// fiber's slot, and `poll` runs on that copy at once; while it returns
+  /// false, each of the fiber's resume entries runs it again in place of a
+  /// context switch — from run() or from another fiber's park. The fiber
+  /// continues, at the queue position of the entry that ran it, once it
+  /// returns true. The record is dropped then: the fiber never reads it.
+  template <class Rec>
+  void park_polling(PollFn poll, const Rec& rec) {
+    static_assert(!std::is_pointer_v<Rec>, "pass the record, not its address");
+    static_assert(sizeof(Rec) <= kPollRecordBytes &&
+                      alignof(Rec) <= kPollRecordAlign &&
+                      std::is_trivially_copyable_v<Rec> &&
+                      std::is_trivially_destructible_v<Rec>,
+                  "a poll record must fit the slot's inline storage");
+    assert(in_fiber());
+    ::new (static_cast<void*>(fibers_[current_].rec)) Rec(rec);
+    park_polled(poll);
+  }
 
   /// wait_until() for a poller: same fast-forward rules (stop(), the run()
   /// horizon, set_fast_forward_enabled()), without a perturber and without
   /// switching stacks. Returns true when the clock moved straight to `t`
   /// (the poller goes on), false when the polling fiber's resume was
   /// scheduled at `t` instead (the poller must return false).
-  bool poll_wait(Cycle t);
+  bool poll_wait(Cycle t) {
+    if (fast_forward_enabled_ && !stop_requested_ && t <= horizon_ &&
+        queue_.fast_forward(t)) {
+      now_ = t;
+      return true;
+    }
+    schedule_resume_at(current_, t);
+    return false;
+  }
 
   /// Schedules fiber `id` to resume at time t (>= now). Only valid for
   /// fibers blocked via suspend().
@@ -125,19 +151,29 @@ class Scheduler {
   static constexpr FiberId kNoFiber = ~FiberId{0};
 
  private:
-  void schedule_resume(FiberId id, Cycle t);     // applies the perturber
-  void schedule_resume_at(FiberId id, Cycle t);  // exact time, no perturb
+  void schedule_resume(FiberId id, Cycle t);  // applies the perturber
+  void schedule_resume_at(FiberId id, Cycle t) {  // exact time, no perturb
+    queue_.schedule_resume(t, id);
+  }
 
-  /// A fiber and its poller slot (set while it is parked behind one).
+  /// A fiber and, while it is parked behind a poller, that poller and its
+  /// record. The record sits inline so a poll step touches only this slot;
+  /// references into fibers_ never outlive a call that may spawn().
   struct Slot {
-    std::unique_ptr<Fiber> fiber;
     PollFn poll = nullptr;
-    void* poll_arg = nullptr;
+    alignas(kPollRecordAlign) unsigned char rec[kPollRecordBytes];
+    std::unique_ptr<Fiber> fiber;
   };
 
-  /// Handles a popped resume of `s`, whose fiber is current_: runs its
-  /// poller, if any. Returns true when the fiber itself must now run.
-  bool dispatch_resume(Slot& s);
+  /// park_polling()'s type-free half: runs `poll` on the current fiber's
+  /// record and, unless it is done at once, parks the fiber behind it.
+  void park_polled(PollFn poll);
+
+  /// Decides whether a popped resume of fiber `id` (made current_) runs
+  /// the fiber: false for a stale resume of a finished fiber, and when the
+  /// fiber's poller ran in its place and stays armed. A slot with a poller
+  /// skips the finished() test: a parked fiber never finishes.
+  bool dispatch_resume(FiberId id);
 
   /// Parks fiber `self` (the one currently running). If the next event due
   /// is a resume, dispatches it: a poller runs inline and the loop goes

@@ -77,6 +77,27 @@ TEST(CoherenceDeathTest, ControllerCountOutsideTableAborts) {
   }
 }
 
+// line_of() is a shift, and simulated arenas are aligned to 64 bytes only:
+// a line size that is not a power of two in [8, 64] must abort instead of
+// dividing by zero or packing lines by the host allocation base.
+TEST(CoherenceDeathTest, LineSizeOutsideModelAborts) {
+  for (std::uint32_t b : {8u, 32u, 64u}) {
+    MachineParams p = MachineParams::tilegx36();
+    p.line_bytes = b;
+    MeshTopology topo(p);
+    CoherenceModel coh(p, topo);
+    EXPECT_EQ(coh.line_of(5 * b + b - 1), 5u);
+  }
+  for (std::uint32_t b : {0u, 48u, 128u}) {
+    MachineParams p = MachineParams::tilegx36();
+    p.line_bytes = b;
+    MeshTopology topo(p);
+    EXPECT_DEATH(CoherenceModel(p, topo),
+                 "hmps fatal: CoherenceModel: line_bytes = [0-9]+ is not a "
+                 "power of two in \\[8, 64\\]");
+  }
+}
+
 class CoherenceTest : public ::testing::Test {
  protected:
   CoherenceTest() : p_(MachineParams::tilegx36()), topo_(p_), coh_(p_, topo_) {}
@@ -210,6 +231,54 @@ TEST_F(CoherenceTest, CountersTrackEvents) {
   EXPECT_EQ(c.hits, 1u);
   EXPECT_EQ(c.rmr_writes, 1u);
   EXPECT_EQ(c.atomics, 1u);
+}
+
+// Lines whose numbers differ by the memo size share one entry of the
+// direct-mapped lookup memo, and table growth moves every line to a new
+// slot. Neither may mix up two lines' states, and a hint taken before the
+// growth must find its line again.
+TEST_F(CoherenceTest, MemoAliasingAndGrowthKeepLineState) {
+  const std::uint64_t a = 0x9000;
+  const std::uint64_t b = a + CoherenceModel::kMemoLines * p_.line_bytes;
+  ASSERT_EQ(coh_.line_of(b) - coh_.line_of(a), CoherenceModel::kMemoLines);
+  coh_.reset_counters();
+  EXPECT_TRUE(coh_.read(0, a, 0).remote);      // a: S{0}
+  EXPECT_TRUE(coh_.write(1, b, 100).remote);   // b: M(1)
+  EXPECT_FALSE(coh_.read(0, a, 200).remote);
+  EXPECT_FALSE(coh_.write(1, b, 300).remote);
+  EXPECT_TRUE(coh_.read(1, a, 400).remote);    // a: S{0,1}
+  EXPECT_TRUE(coh_.read(0, b, 500).remote);    // b: S{0,1}, owner downgraded
+  EXPECT_TRUE(coh_.write(0, a, 600).remote);   // a: M(0), invalidates 1
+  EXPECT_TRUE(coh_.write(1, b, 700).remote);   // b: M(1), invalidates 0
+  EXPECT_FALSE(coh_.read(0, a, 800).remote);
+  EXPECT_FALSE(coh_.read(1, b, 900).remote);
+  EXPECT_EQ(coh_.counters().hits, 4u);
+  EXPECT_EQ(coh_.counters().rmr_reads, 3u);
+  EXPECT_EQ(coh_.counters().rmr_writes, 3u);
+  EXPECT_EQ(coh_.counters().invalidations, 2u);
+
+  // Enough first touches to grow the table (it starts at 1024 slots and
+  // grows at half load).
+  CoherenceModel::LineHint ha = coh_.hint(a);
+  CoherenceModel::LineHint hb = coh_.hint(b);
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    coh_.read(2, 0x100000 + i * p_.line_bytes, 1000);
+  }
+  EXPECT_NE(coh_.hint(a).gen, ha.gen);
+  coh_.reset_counters();
+  EXPECT_TRUE(coh_.read_hit(0, a));
+  EXPECT_FALSE(coh_.read_hit(1, a));
+  EXPECT_TRUE(coh_.read_hit(1, b));
+  EXPECT_FALSE(coh_.read_hit(0, b));
+  EXPECT_TRUE(coh_.read_hit(0, ha));  // stale hints are refreshed
+  EXPECT_FALSE(coh_.read_hit(0, hb));
+  EXPECT_EQ(ha.gen, coh_.hint(a).gen);
+  EXPECT_EQ(ha.slot, coh_.hint(a).slot);
+  EXPECT_EQ(coh_.counters().hits, 3u);
+  EXPECT_EQ(coh_.counters().rmr_reads, 0u);
+  // The owners still write without a transaction.
+  EXPECT_FALSE(coh_.write(0, a, 2000).remote);
+  EXPECT_FALSE(coh_.write(1, b, 2000).remote);
 }
 
 // ---- UDN ----

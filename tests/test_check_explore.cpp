@@ -287,6 +287,28 @@ TEST(Repro, RejectsMemoryControllerCountOutsideModel) {
   }
 }
 
+// The coherence model maps addresses to lines with a shift, and simulated
+// arenas are only aligned to 64 bytes, so a line size that is not a power
+// of two in [8, 64] is rejected the same way.
+TEST(Repro, RejectsLineSizeOutsideModel) {
+  check::Scenario base = base_scenario();
+  for (std::uint32_t b : {0u, 48u, 128u, 8u, 64u}) {
+    base.cfg.params.line_bytes = b;
+    const std::string json = check::repro_to_json(base, check::Violation{});
+    check::Scenario s;
+    check::Violation expect;
+    std::string err;
+    const bool ok = check::repro_from_json(json, &s, &expect, &err);
+    if (b == 8 || b == 64) {
+      EXPECT_TRUE(ok) << b << ": " << err;
+      EXPECT_EQ(s.cfg.params.line_bytes, b);
+    } else {
+      EXPECT_FALSE(ok) << b;
+      EXPECT_NE(err.find("line_bytes"), std::string::npos) << err;
+    }
+  }
+}
+
 // ---- workload clamping (shared generator rules) ----
 
 TEST(ClampCfg, ServerKindsKeepServerCoreUniprogrammed) {

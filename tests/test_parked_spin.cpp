@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "arch/machine.hpp"
@@ -20,6 +21,7 @@
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sim/perturb.hpp"
+#include "sim/rng.hpp"
 #include "sync/ccsynch.hpp"
 #include "sync/dsm_synch.hpp"
 #include "sync/hsynch.hpp"
@@ -280,6 +282,107 @@ TEST(ParkedSpin, SharedCoreMatchesPlainLoop) {
   EXPECT_EQ(got_done, ref_done);
   EXPECT_GT(ref_done, 0u);
   EXPECT_GT(got.polled, 0u);
+}
+
+// ---- the line-slot hint across table growth ----
+//
+// A parked poller finds its line through a cached table slot. Here the
+// line table grows under parked spinners: a toucher on core 0 first-touches
+// 900 fresh lines (the table starts at 1024 slots and grows at half load),
+// which moves about half the lines to a new slot. Then a writer on core 1
+// stores to the other word of each watched line, which takes the line from
+// a spinner on core 0 without changing the word it watches, and finally
+// flips the watched words. A poller that kept a slot from before the
+// growth would test whatever line now sits there, most often one that is
+// readable on core 0, and take its next load for a hit. The lines are
+// picked at random from a pool so that their table slots collide as often
+// as random keys do.
+
+struct GrowthRun {
+  Snapshot snap;
+  std::vector<Cycle> done_at;
+  std::uint32_t gen_before = 0;
+  std::uint32_t gen_after = 0;
+};
+
+constexpr std::uint32_t kGrowthSpinners = 64;
+constexpr std::uint32_t kGrowthFresh = 900;
+constexpr std::uint32_t kGrowthPool = 4096;
+
+/// Pool indices: the first kGrowthSpinners are the watched lines, the next
+/// kGrowthFresh the toucher's.
+std::vector<std::uint32_t> growth_picks() {
+  std::vector<std::uint32_t> idx(kGrowthPool);
+  for (std::uint32_t i = 0; i < kGrowthPool; ++i) idx[i] = i;
+  sim::Xoshiro256 rng(17);
+  for (std::uint32_t i = kGrowthPool - 1; i > 0; --i) {
+    std::swap(idx[i], idx[rng.below(i + 1)]);
+  }
+  idx.resize(kGrowthSpinners + kGrowthFresh);
+  return idx;
+}
+
+GrowthRun run_table_growth(sim::Perturber* perturber,
+                           const std::vector<std::uint32_t>& picks) {
+  struct alignas(rt::kCacheLine) Line {
+    rt::Word watched{0};
+    rt::Word other{0};
+  };
+  // Two cores: thread t runs on core t % 2.
+  rt::SimExecutor ex(arch::MachineParams::tilegx_small(2, 1), 3);
+  if (perturber != nullptr) ex.sched().set_perturber(perturber);
+  std::vector<Line> pool(kGrowthPool);
+  const auto watched = [&](std::uint32_t i) -> Line& {
+    return pool[picks[i]];
+  };
+  GrowthRun r;
+  r.done_at.assign(kGrowthSpinners, 0);
+  ex.add_thread([&](SimCtx& ctx) {  // toucher, core 0
+    ctx.compute(500);
+    arch::CoherenceModel& coh = ctx.machine().coherence();
+    const std::uint64_t w0 = reinterpret_cast<std::uint64_t>(&watched(0));
+    r.gen_before = coh.hint(w0).gen;
+    for (std::uint32_t i = 0; i < kGrowthFresh; ++i) {
+      ctx.load(&pool[picks[kGrowthSpinners + i]].watched);
+      ctx.compute(ctx.rand_below(4));
+    }
+    r.gen_after = coh.hint(w0).gen;
+  });
+  ex.add_thread([&](SimCtx& ctx) {  // writer, core 1
+    ctx.compute(200'000);
+    for (std::uint32_t i = 0; i < kGrowthSpinners; ++i) {
+      ctx.store(&watched(i).other, std::uint64_t{1});
+      ctx.compute(ctx.rand_below(40));
+    }
+    for (std::uint32_t i = 0; i < kGrowthSpinners; ++i) {
+      ctx.store(&watched(i).watched, std::uint64_t{1});
+      ctx.compute(ctx.rand_below(40));
+    }
+  });
+  for (std::uint32_t i = 0; i < kGrowthSpinners; ++i) {
+    ex.add_thread([&, i](SimCtx& ctx) {
+      ctx.spin_until(&watched(i).watched,
+                     [](std::uint64_t v) { return v == 1; });
+      r.done_at[i] = ctx.now();
+    });
+  }
+  ex.run_until(1'000'000);
+  r.snap = snapshot(ex);
+  return r;
+}
+
+TEST(ParkedSpin, HintSurvivesLineTableGrowth) {
+  const std::vector<std::uint32_t> picks = growth_picks();
+  ZeroPerturber zero;
+  const GrowthRun ref = run_table_growth(&zero, picks);
+  const GrowthRun got = run_table_growth(nullptr, picks);
+  expect_same(got.snap, ref.snap);
+  EXPECT_EQ(got.done_at, ref.done_at);
+  // The table grew while the spinners were parked, and every spinner saw
+  // its flip.
+  EXPECT_NE(got.gen_after, got.gen_before);
+  for (const Cycle t : ref.done_at) EXPECT_GT(t, 200'000u);
+  EXPECT_GT(got.snap.polled, 0u);
 }
 
 }  // namespace

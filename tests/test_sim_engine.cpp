@@ -368,8 +368,8 @@ struct PollSteps {
   int left;
 };
 
-bool poll_steps(void* arg) {
-  PollSteps& x = *static_cast<PollSteps*>(arg);
+bool poll_steps(void* rec) {
+  PollSteps& x = *static_cast<PollSteps*>(rec);
   for (;;) {
     x.fp->mix(0x5000 + x.s->now());
     if (--x.left == 0) return true;
@@ -385,7 +385,7 @@ std::uint64_t poller_edge_fp(bool poller, bool fast_forward,
   PollSteps steps{&s, &fp, 40};
   s.spawn([&] {
     if (poller) {
-      s.park_polling(&poll_steps, &steps);
+      s.park_polling(&poll_steps, steps);  // the poller steps a copy
     } else {
       for (;;) {
         fp.mix(0x5000 + s.now());
