@@ -1,5 +1,5 @@
 // Engine micro-benchmark: raw throughput of the simulation engine itself
-// (no synchronization algorithms on top). Five workloads:
+// (no synchronization algorithms on top). Its workloads:
 //
 //   event_churn   — events executed/sec through the event queue, using
 //                   callbacks with UDN-delivery-sized captures (24 bytes)
@@ -14,6 +14,9 @@
 //                   makes spin_until run its plain fiber loop: the poller's
 //                   reference (the two poll counts must match, or the run
 //                   exits 1)
+//   machine_setup — arch::Machine constructions/sec (and destructions) of
+//                   a 6x6 and a 16x16 mesh: the set-up cost every short run
+//                   pays (docs/ENGINE.md "Set-up cost")
 //
 // Usage: engine_micro [--smoke] [--json FILE]
 //   --smoke  run 1% of the default iteration counts (CI smoke test)
@@ -33,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/machine.hpp"
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
@@ -208,6 +212,21 @@ Result spin_park(std::uint64_t flips, bool plain, std::uint64_t* polled) {
   return {plain ? "spin_plain" : "spin_park", "polls/s", polls, dt};
 }
 
+// ---- machine_setup ---------------------------------------------------------
+Result machine_setup(const char* name, std::uint32_t w, std::uint32_t h,
+                     std::uint64_t machines) {
+  const arch::MachineParams p = arch::MachineParams::tilegx_small(w, h);
+  std::uint64_t cores = 0;
+  const double t0 = now_sec();
+  for (std::uint64_t i = 0; i < machines; ++i) {
+    arch::Machine m(p);
+    cores += m.cores();
+  }
+  const double dt = now_sec() - t0;
+  // Machines counted through their cores, so every build has a use.
+  return {name, "machines/s", cores / (w * h), dt};
+}
+
 // ---- engine self-counters --------------------------------------------------
 // Re-runs a short mixed workload on a fresh scheduler purely to report the
 // allocation-escape counters (the seed engine has none — stubbed under
@@ -281,11 +300,16 @@ int main(int argc, char** argv) {
   results.push_back(udn_pingpong(400'000 / scale));
   results.push_back(udn_flood(700'000 / scale));
   std::uint64_t polled = 0;
-  results.push_back(spin_park(200 / scale, false, &polled));
-  results.push_back(spin_park(200 / scale, true, nullptr));
+  const Result park = spin_park(200 / scale, false, &polled);
+  const Result plain = spin_park(200 / scale, true, nullptr);
+  results.push_back(park);
+  results.push_back(plain);
+  results.push_back(machine_setup("machine_setup_6x6", 6, 6, 4000 / scale));
+  results.push_back(
+      machine_setup("machine_setup_16x16", 16, 16, 1000 / scale));
 
   for (const Result& r : results) {
-    std::printf("%-14s %12llu ops  %8.3f s  %14.0f %s\n", r.name,
+    std::printf("%-19s %12llu ops  %8.3f s  %14.0f %s\n", r.name,
                 (unsigned long long)r.ops, r.seconds, r.rate(), r.unit);
   }
 
@@ -296,8 +320,6 @@ int main(int argc, char** argv) {
   }
   // Exactness: the parked run must take every load of its plain-loop
   // reference, no more and no fewer.
-  const Result& park = results[results.size() - 2];
-  const Result& plain = results.back();
   if (park.ops != plain.ops) {
     std::fprintf(stderr,
                  "FAIL: spin_park took %llu polls, its plain-loop reference "

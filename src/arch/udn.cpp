@@ -8,16 +8,18 @@ namespace hmps::arch {
 UdnModel::UdnModel(const MachineParams& p, const MeshTopology& topo,
                    sim::Scheduler& sched)
     : p_(p), topo_(topo), noc_(p, topo), sched_(sched), nq_(p.udn_queues),
-      bufs_(topo.cores()) {
+      bufs_(topo.cores()), rings_(topo.cores() * nq_),
+      recv_waiters_(rings_.size()) {
   // Each ring holds a whole buffer's worth of words: credits cap resident +
   // in-flight words per buffer at udn_buf_words, so any single queue can see
   // at most that many staged words.
   const std::size_t cap = std::bit_ceil(
       static_cast<std::size_t>(p.udn_buf_words ? p.udn_buf_words : 1));
-  for (auto& b : bufs_) {
-    b.queues.resize(nq_);
-    for (auto& q : b.queues) q.init(cap);
-    b.q_recv_waiters.resize(nq_);
+  // Ring words are only read after stage() wrote them: no zero fill.
+  words_ =
+      std::make_unique_for_overwrite<std::uint64_t[]>(rings_.size() * cap);
+  for (std::size_t i = 0; i < rings_.size(); ++i) {
+    rings_[i].init(words_.get() + i * cap, cap);
   }
 }
 
@@ -90,13 +92,13 @@ void UdnModel::send(Tid src, Tid dst, std::uint32_t queue,
   // publishes the words. Staging order matches delivery order: deliver times
   // per buffer are non-decreasing in send order via port_busy, and the event
   // queue breaks ties in schedule order.
-  b.queues[queue].stage(words, n);
-  sched_.at(deliver, [this, dst, queue, n] {
-    Buffer& buf = bufs_[dst];
-    auto& q = buf.queues[queue];
+  const std::size_t qi = dst * nq_ + queue;
+  rings_[qi].stage(words, n);
+  sched_.at(deliver, [this, qi, n] {
+    auto& q = rings_[qi];
     q.commit(n);
     // Wake the receiver if its demand is now satisfied.
-    auto& waiters = buf.q_recv_waiters[queue];
+    auto& waiters = recv_waiters_[qi];
     if (!waiters.empty() && q.size() >= waiters.front().need) {
       const auto fiber = waiters.front().fiber;
       waiters.pop_front();
@@ -112,9 +114,10 @@ void UdnModel::receive(Tid dst, std::uint32_t queue, std::uint64_t* out,
                        std::size_t n) {
   assert(dst < bufs_.size() && queue < nq_);
   Buffer& b = bufs_[dst];
-  auto& q = b.queues[queue];
+  const std::size_t qi = dst * nq_ + queue;
+  auto& q = rings_[qi];
   while (q.size() < n) {
-    b.q_recv_waiters[queue].push_back(Waiter{sched_.current(), n});
+    recv_waiters_[qi].push_back(Waiter{sched_.current(), n});
     sched_.suspend();
   }
   q.pop(out, n);

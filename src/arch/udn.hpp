@@ -26,6 +26,8 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "arch/noc.hpp"
@@ -44,11 +46,13 @@ using sim::Tid;
 /// Fixed-capacity power-of-two ring of 64-bit words with a staging area:
 /// stage() copies words in at the reserved tail, commit() makes them
 /// visible, pop() copies them out. Indices are free-running; the mask wraps.
+/// The words live in storage the owner provides (UdnModel keeps every
+/// ring of the machine in one slab).
 class WordRing {
  public:
-  void init(std::size_t capacity_pow2) {
+  void init(std::uint64_t* storage, std::size_t capacity_pow2) {
     assert(capacity_pow2 && (capacity_pow2 & (capacity_pow2 - 1)) == 0);
-    slots_.assign(capacity_pow2, 0);
+    slots_ = std::span<std::uint64_t>(storage, capacity_pow2);
     mask_ = capacity_pow2 - 1;
     head_ = tail_ = staged_ = 0;
   }
@@ -85,7 +89,7 @@ class WordRing {
   }
 
  private:
-  std::vector<std::uint64_t> slots_;
+  std::span<std::uint64_t> slots_;
   std::size_t mask_ = 0;
   std::uint64_t head_ = 0;    ///< next word to pop
   std::uint64_t tail_ = 0;    ///< end of delivered (visible) words
@@ -108,11 +112,11 @@ class UdnModel {
 
   /// True iff the local queue currently holds no words.
   bool queue_empty(Tid core, std::uint32_t queue) const {
-    return bufs_[core].queues[queue].empty();
+    return rings_[core * nq_ + queue].empty();
   }
 
   std::size_t words_pending(Tid core, std::uint32_t queue) const {
-    return bufs_[core].queues[queue].size();
+    return rings_[core * nq_ + queue].size();
   }
 
   /// Words currently holding credits in a core's hardware buffer (resident
@@ -184,11 +188,11 @@ class UdnModel {
     }
   };
 
+  /// Per-core credit state. The core's queues are rings_/recv_waiters_
+  /// entries core * nq_ .. core * nq_ + nq_ - 1.
   struct Buffer {
-    std::vector<WordRing> queues;
     std::size_t reserved = 0;  ///< words in flight or resident (credits)
     Cycle port_busy = 0;       ///< ingress port serialization
-    std::vector<WaiterFifo> q_recv_waiters;  ///< blocked receivers
     WaiterFifo send_waiters;  ///< senders blocked on credits
   };
 
@@ -209,7 +213,12 @@ class UdnModel {
   sim::FaultInjector* faults_ = nullptr;
   sim::Tracer* tracer_ = nullptr;
   std::size_t nq_;
+  // Flat per-machine storage: a Machine costs the same few allocations at
+  // every mesh shape (docs/ENGINE.md "Set-up cost").
   std::vector<Buffer> bufs_;
+  std::vector<WordRing> rings_;             ///< [core * nq_ + queue]
+  std::vector<WaiterFifo> recv_waiters_;    ///< [core * nq_ + queue]
+  std::unique_ptr<std::uint64_t[]> words_;  ///< every ring's words
   Counters counters_;
 };
 

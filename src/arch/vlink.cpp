@@ -10,7 +10,9 @@ VlinkFabric::ChannelId VlinkFabric::create_channel(Tid home,
   Channel c;
   c.home = home;
   c.cap = capacity < 2 ? 2 : capacity;
-  c.ring.init(std::bit_ceil(c.cap));
+  const std::size_t words = std::bit_ceil(c.cap);
+  c.words = std::make_unique_for_overwrite<std::uint64_t[]>(words);
+  c.ring.init(c.words.get(), words);
   chans_.push_back(std::move(c));
   return static_cast<ChannelId>(chans_.size() - 1);
 }

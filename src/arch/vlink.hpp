@@ -37,6 +37,7 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "arch/noc.hpp"
@@ -124,6 +125,7 @@ class VlinkFabric {
   struct Channel {
     Tid home = 0;
     std::size_t cap = 0;       ///< credit capacity in words
+    std::unique_ptr<std::uint64_t[]> words;  ///< the ring's storage
     WordRing ring;
     std::size_t reserved = 0;  ///< words staged, in flight, or resident
     Cycle enq_busy = 0;        ///< ingress-port serialization at the home

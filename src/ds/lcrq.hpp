@@ -16,6 +16,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -34,14 +36,13 @@ class Lcrq {
  public:
   /// `ring_order`: lg2 of cells per CRQ. `max_rings`: allocation pool size
   /// (closed rings are retired, not freed, in lieu of hazard pointers —
-  /// bounded-lifetime use only, as in the paper's benchmark).
+  /// bounded-lifetime use only, as in the paper's benchmark). Rings are
+  /// built on demand, so a queue pays only for the rings it uses. Running
+  /// past `max_rings` aborts.
   explicit Lcrq(std::uint32_t ring_order = 7, std::uint32_t max_rings = 4096)
-      : ring_size_(1u << ring_order), pool_cap_(max_rings) {
-    pool_.reserve(pool_cap_);
-    for (std::uint32_t i = 0; i < pool_cap_; ++i) {
-      pool_.push_back(std::make_unique<Crq>(ring_size_));
-    }
-    Crq* first = pool_[0].get();
+      : ring_size_(1u << ring_order), pool_cap_(max_rings),
+        pool_(pool_cap_) {
+    Crq* first = ring_at(0);
     pool_next_.store(1, std::memory_order_relaxed);
     init_empty(first);
     head_ptr_.store(rt::to_word(first), std::memory_order_relaxed);
@@ -231,8 +232,21 @@ class Lcrq {
 
   Crq* alloc_ring(Ctx& ctx) {
     const std::uint64_t i = ctx.faa(&pool_next_, 1);
-    assert(i < pool_cap_ && "LCRQ ring pool exhausted");
-    return pool_[static_cast<std::size_t>(i)].get();
+    if (i >= pool_cap_) {
+      std::fprintf(stderr,
+                   "hmps fatal: Lcrq: ring pool of %u rings exhausted\n",
+                   pool_cap_);
+      std::abort();
+    }
+    return ring_at(static_cast<std::size_t>(i));
+  }
+
+  /// Pool slot `i`, built on first use. The FAA in alloc_ring hands each
+  /// slot to exactly one caller, and the CAS that links the ring publishes
+  /// it to the others.
+  Crq* ring_at(std::size_t i) {
+    if (!pool_[i]) pool_[i] = std::make_unique<Crq>(ring_size_);
+    return pool_[i].get();
   }
 
   void recycle_ring(Ctx& ctx, Crq* nq) {

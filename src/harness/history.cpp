@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace hmps::harness {
 
@@ -170,6 +169,126 @@ CheckResult check_counter_fast(const std::vector<OpRecord>& history) {
   return {};
 }
 
+namespace {
+
+/// Set of 64-bit memo keys: open addressing with linear probing, key 0
+/// stored out of line. Sized for 2,048 keys before its first growth, so a
+/// search allocates the same few blocks whether it visits ten nodes or a
+/// thousand.
+class KeySet {
+ public:
+  bool contains(std::uint64_t k) const {
+    if (k == 0) return has_zero_;
+    for (std::size_t i = slot(k);; i = (i + 1) & mask_) {
+      if (keys_[i] == k) return true;
+      if (keys_[i] == 0) return false;
+    }
+  }
+
+  void insert(std::uint64_t k) {
+    if (k == 0) {
+      has_zero_ = true;
+      return;
+    }
+    if (2 * (size_ + 1) > keys_.size()) rehash(2 * keys_.size());
+    std::size_t i = slot(k);
+    for (; keys_[i] != 0; i = (i + 1) & mask_) {
+      if (keys_[i] == k) return;
+    }
+    keys_[i] = k;
+    ++size_;
+  }
+
+ private:
+  std::size_t slot(std::uint64_t k) const {
+    return static_cast<std::size_t>((k * 0x9e3779b97f4a7c15ULL) >> 32) &
+           mask_;
+  }
+
+  void rehash(std::size_t cap) {
+    std::vector<std::uint64_t> old(cap, 0);
+    old.swap(keys_);
+    mask_ = cap - 1;
+    size_ = 0;
+    for (std::uint64_t k : old) {
+      if (k != 0) insert(k);
+    }
+  }
+
+  static constexpr std::size_t kInitialSlots = 4096;
+
+  std::vector<std::uint64_t> keys_ =
+      std::vector<std::uint64_t>(kInitialSlots, 0);
+  std::size_t mask_ = kInitialSlots - 1;
+  std::size_t size_ = 0;
+  bool has_zero_ = false;
+};
+
+/// Wing & Gong DFS over (linearized-mask, spec state). Each node pushes the
+/// state it entered with onto one stack of saved words and restores it
+/// after every candidate; failed configurations are memoized by the hash of
+/// (mask, state).
+class Search {
+ public:
+  Search(const std::vector<OpRecord>& history, const SeqSpec& spec,
+         std::uint64_t max_nodes)
+      : h_(history), spec_(spec), n_(history.size()), max_nodes_(max_nodes) {
+    // The built-in specs hold at most one word per op applied so far.
+    state_.reserve(n_ + 1);
+    saved_.reserve((n_ + 1) * (n_ + 1));
+  }
+
+  bool dfs(std::uint64_t mask) {
+    if (mask == (std::uint64_t{1} << n_) - 1) return true;
+    if (max_nodes_ > 0 && ++nodes_ > max_nodes_) {
+      exhausted_ = true;
+      return false;
+    }
+    if (exhausted_) return false;
+    std::uint64_t key = mask;
+    for (std::uint64_t v : state_) key = mix(key, v);
+    if (failed_.contains(key)) return false;
+
+    // Minimal-response bound among unlinearized ops: an op may linearize
+    // next only if no unlinearized op responded before it was invoked.
+    Cycle min_resp = sim::kCycleMax;
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (!(mask & (std::uint64_t{1} << i))) {
+        min_resp = std::min(min_resp, h_[i].response);
+      }
+    }
+    const std::size_t saved_at = saved_.size();
+    saved_.insert(saved_.end(), state_.begin(), state_.end());
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (mask & (std::uint64_t{1} << i)) continue;
+      if (h_[i].invoke > min_resp) continue;  // someone must go first
+      const std::uint64_t expect = spec_.apply(state_, h_[i]);
+      if (expect == h_[i].ret && dfs(mask | (std::uint64_t{1} << i))) {
+        return true;
+      }
+      state_.assign(saved_.begin() + saved_at, saved_.end());
+    }
+    saved_.resize(saved_at);
+    failed_.insert(key);
+    return false;
+  }
+
+  bool exhausted() const { return exhausted_; }
+
+ private:
+  const std::vector<OpRecord>& h_;
+  const SeqSpec& spec_;
+  const std::size_t n_;
+  const std::uint64_t max_nodes_;
+  std::vector<std::uint64_t> state_;
+  std::vector<std::uint64_t> saved_;  ///< entry states along the DFS path
+  KeySet failed_;
+  std::uint64_t nodes_ = 0;
+  bool exhausted_ = false;
+};
+
+}  // namespace
+
 CheckResult linearizable(const std::vector<OpRecord>& history,
                          const SeqSpec& spec, std::uint64_t max_nodes) {
   const std::size_t n = history.size();
@@ -178,50 +297,9 @@ CheckResult linearizable(const std::vector<OpRecord>& history,
     return {false, "history too large for the complete checker (max 63 ops)"};
   }
 
-  // DFS over (linearized-mask, spec state); memoize failed configurations.
-  std::unordered_set<std::uint64_t> failed;
-  std::vector<std::uint64_t> state;
-  std::vector<std::size_t> order;  // for error reporting
-  std::uint64_t nodes = 0;
-  bool exhausted = false;
-
-  std::function<bool(std::uint64_t)> dfs = [&](std::uint64_t mask) -> bool {
-    if (mask == (std::uint64_t{1} << n) - 1) return true;
-    if (max_nodes > 0 && ++nodes > max_nodes) {
-      exhausted = true;
-      return false;
-    }
-    if (exhausted) return false;
-    std::uint64_t key = mask;
-    for (std::uint64_t v : state) key = mix(key, v);
-    if (failed.count(key)) return false;
-
-    // Minimal-response bound among unlinearized ops: an op may linearize
-    // next only if no unlinearized op responded before it was invoked.
-    Cycle min_resp = sim::kCycleMax;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(mask & (std::uint64_t{1} << i))) {
-        min_resp = std::min(min_resp, history[i].response);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask & (std::uint64_t{1} << i)) continue;
-      if (history[i].invoke > min_resp) continue;  // someone must go first
-      std::vector<std::uint64_t> saved = state;
-      const std::uint64_t expect = spec.apply(state, history[i]);
-      if (expect == history[i].ret) {
-        order.push_back(i);
-        if (dfs(mask | (std::uint64_t{1} << i))) return true;
-        order.pop_back();
-      }
-      state = std::move(saved);
-    }
-    failed.insert(key);
-    return false;
-  };
-
-  if (dfs(0)) return {};
-  if (exhausted) {
+  Search search(history, spec, max_nodes);
+  if (search.dfs(0)) return {};
+  if (search.exhausted()) {
     CheckResult r;
     r.reason = "complete search exceeded " + std::to_string(max_nodes) +
                " nodes (inconclusive)";

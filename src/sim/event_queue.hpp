@@ -18,9 +18,11 @@
 // zero-allocation contract instead of assuming it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -291,10 +293,7 @@ class EventQueue {
 
   /// Drops all pending events in O(n + wheel size).
   void clear() {
-    for (Bucket& b : buckets_) {
-      b.slots.clear();
-      b.head = 0;
-    }
+    for (Bucket& b : buckets_) b.len = b.head = 0;
     occ_.fill(0);
     overflow_.clear();
     pool_.clear();
@@ -308,14 +307,32 @@ class EventQueue {
   /// `per_bucket` > 0) every wheel bucket for `per_bucket` same-cycle
   /// events plus the overflow heap for `n` far-future timers — a fully
   /// pre-sized queue runs its steady state with zero heap growth
-  /// (heap_grows stays 0 after reset_counters()).
+  /// (heap_grows stays 0 after reset_counters()). The buckets take their
+  /// shares from one slab (one allocation, not kWheel); a bucket that
+  /// outgrows its share moves to storage of its own and counts a
+  /// heap_grows like any other growth. Only a share larger than the current
+  /// one re-slabs, so calling this again never shrinks a bucket.
   void reserve(std::size_t n, std::size_t per_bucket = 0) {
     pool_.reserve(n);
     free_slots_.reserve(n);
-    if (per_bucket > 0) {
-      for (Bucket& b : buckets_) b.slots.reserve(per_bucket);
-      overflow_.reserve(n);
+    if (per_bucket > share_) {
+      auto slab = std::make_unique_for_overwrite<std::uint32_t[]>(
+          kWheel * per_bucket);
+      for (std::size_t i = 0; i < kWheel; ++i) {
+        Bucket& b = buckets_[i];
+        if (b.cap >= per_bucket) continue;  // own storage, already larger
+        std::uint32_t* share = slab.get() + i * per_bucket;
+        std::copy(b.data + b.head, b.data + b.len, share);
+        b.len -= b.head;
+        b.head = 0;
+        b.data = share;
+        b.cap = static_cast<std::uint32_t>(per_bucket);
+        b.own.reset();
+      }
+      slab_ = std::move(slab);
+      share_ = per_bucket;
     }
+    if (per_bucket > 0) overflow_.reserve(n);
   }
 
   const EngineCounters& counters() const { return counters_; }
@@ -340,13 +357,29 @@ class EventQueue {
   };
 
   /// FIFO of same-time events (pool-slot indices; the shared time is stored
-  /// once). `head` fronts the vector so steady-state drain/refill cycles
-  /// never shift or reallocate.
+  /// once) in `data[head, len)`. `head` fronts the array so steady-state
+  /// drain/refill cycles never shift or reallocate. `data` points into the
+  /// queue's slab (reserve) or, once the bucket outgrew its share, into
+  /// `own`.
   struct Bucket {
-    std::vector<std::uint32_t> slots;
-    std::size_t head = 0;
+    std::uint32_t* data = nullptr;
+    std::uint32_t len = 0;
+    std::uint32_t head = 0;
+    std::uint32_t cap = 0;
     Cycle time = 0;  ///< time of every live entry; valid while non-empty
+    std::unique_ptr<std::uint32_t[]> own;
   };
+
+  /// Doubles a full bucket's capacity into storage of its own (the same
+  /// 1, 2, 4, ... steps a vector takes, so heap_grows counts alike).
+  static void grow(Bucket& b) {
+    const std::uint32_t cap = b.cap ? 2 * b.cap : 1;
+    auto own = std::make_unique_for_overwrite<std::uint32_t[]>(cap);
+    std::copy(b.data, b.data + b.len, own.get());
+    b.own = std::move(own);
+    b.data = b.own.get();
+    b.cap = cap;
+  }
 
   static constexpr std::size_t kNoBucket = ~std::size_t{0};
 
@@ -399,16 +432,15 @@ class EventQueue {
         return kNoEvent;
       }
       Bucket& b = buckets_[idx];
-      entry = b.slots[b.head];
+      entry = b.data[b.head];
       if constexpr (kResumeOnly) {
         if (!is_resume(entry)) {
           cur_ = idx;
           return kNoEvent;
         }
       }
-      if (++b.head == b.slots.size()) {
-        b.slots.clear();
-        b.head = 0;
+      if (++b.head == b.len) {
+        b.len = b.head = 0;
         occ_[idx / 64] &= ~(1ull << (idx % 64));
         cur_ = kNoBucket;
       } else {
@@ -429,8 +461,11 @@ class EventQueue {
     if (t - floor_ < kWheel) {
       const std::size_t idx = t & (kWheel - 1);
       Bucket& b = buckets_[idx];
-      if (b.slots.size() == b.slots.capacity()) ++counters_.heap_grows;
-      b.slots.push_back(entry);
+      if (b.len == b.cap) {
+        ++counters_.heap_grows;
+        grow(b);
+      }
+      b.data[b.len++] = entry;
       b.time = t;
       occ_[idx / 64] |= 1ull << (idx % 64);
       ++wheel_count_;
@@ -494,6 +529,8 @@ class EventQueue {
   }
 
   std::array<Bucket, kWheel> buckets_;
+  std::unique_ptr<std::uint32_t[]> slab_;  ///< reserved bucket shares
+  std::size_t share_ = 0;                  ///< slab entries per bucket
   std::array<std::uint64_t, kWheel / 64> occ_{};  ///< bucket occupancy bits
   std::vector<Node> overflow_;             ///< heap of far-future events
   std::vector<EventFn> pool_;              ///< slot-indexed callable storage

@@ -29,6 +29,7 @@
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
 #include "ds/counter.hpp"
+#include "harness/history.hpp"
 #include "harness/record.hpp"
 #include "harness/service.hpp"
 #include "harness/workload.hpp"
@@ -979,6 +980,65 @@ TEST(ZeroAlloc, UdnPingPongSteadyState) {
   EXPECT_EQ(rounds, 11000u);
   EXPECT_EQ(g_allocs.load() - allocs_at_steady, 0u);
   EXPECT_EQ(s.engine_counters().spill_allocs, 0u);
+}
+
+// Machine set-up: the event-queue buckets share one slab and the UDN keeps
+// its rings and per-core arrays flat, so building a machine costs the same
+// small number of allocations at every mesh shape. The first build of each
+// shape is left out of the count (function-local statics, lazily built
+// tables shared across machines).
+TEST(ZeroAlloc, MachineSetupIsShapeIndependent) {
+  std::vector<std::uint64_t> costs;
+  for (const auto& [w, h] : {std::pair{2u, 2u}, {6u, 6u}, {16u, 16u}}) {
+    arch::MachineParams p = arch::MachineParams::tilegx_small(w, h);
+    { arch::Machine warm(p); }
+    const std::uint64_t before = g_allocs.load();
+    { arch::Machine m(p); }
+    costs.push_back(g_allocs.load() - before);
+  }
+  EXPECT_LE(costs[0], 32u) << costs[0] << " allocations per machine";
+  EXPECT_EQ(costs[1], costs[0]);
+  EXPECT_EQ(costs[2], costs[0]);
+}
+
+// The complete linearizability search reuses per-depth saved states and a
+// flat memo, so its allocations are a per-call constant, not per node. The
+// wide history: nine overlapping enqueues of one value, then nine
+// sequential dequeues whose last return is corrupted, so the search walks
+// every subset of enqueues (the memo merges their orders) before failing.
+// The serial one: the same ops run one after another.
+TEST(ZeroAlloc, LinearizableSearchAllocatesPerCall) {
+  using harness::OpKind;
+  using harness::OpRecord;
+  std::vector<OpRecord> wide, serial;
+  for (std::uint64_t i = 1; i <= 9; ++i) {
+    wide.push_back(OpRecord{0, OpKind::kEnq, 7, 0, 0, 100});
+    serial.push_back(OpRecord{0, OpKind::kEnq, 7, 0, 10 * i, 10 * i + 5});
+  }
+  for (std::uint64_t i = 1; i <= 9; ++i) {
+    const std::uint64_t ret = i == 9 ? 99 : 7;
+    wide.push_back(OpRecord{0, OpKind::kDeq, 0, ret, 100 + 10 * i,
+                            105 + 10 * i});
+    serial.push_back(OpRecord{0, OpKind::kDeq, 0, ret, 100 + 10 * i,
+                              105 + 10 * i});
+  }
+  const harness::SeqSpec spec = harness::queue_spec();
+  // Node counts, through the budget: the wide search needs more than
+  // 1,000 nodes, the serial one no more than 20.
+  ASSERT_TRUE(harness::linearizable(wide, spec, 1000).inconclusive);
+  ASSERT_FALSE(harness::linearizable(serial, spec, 20).inconclusive);
+
+  const auto allocs_of = [&](const std::vector<OpRecord>& h) {
+    const std::uint64_t before = g_allocs.load();
+    const harness::CheckResult r = harness::linearizable(h, spec);
+    const std::uint64_t n = g_allocs.load() - before;
+    EXPECT_FALSE(r.ok);
+    return n;
+  };
+  const std::uint64_t wide_allocs = allocs_of(wide);
+  const std::uint64_t serial_allocs = allocs_of(serial);
+  EXPECT_LE(wide_allocs, serial_allocs)
+      << "wide " << wide_allocs << " vs serial " << serial_allocs;
 }
 
 // Fuzz the (time, seq) total order across the timing wheel's near/far split:

@@ -96,6 +96,26 @@ TEST(LcrqEdge, RingCloseUnderFill) {
   ex.run_until(sim::kCycleMax);
 }
 
+// Closed rings are retired, never reused, so a queue that keeps filling
+// rings walks through its pool. Past `max_rings` it must abort loudly in
+// every build type instead of reading beyond the pool.
+using LcrqDeathTest = ::testing::Test;
+
+TEST(LcrqDeathTest, RingPoolExhaustionAborts) {
+  // Two-cell rings, four of them: eight enqueues fill exactly the pool.
+  const auto fill = [](std::uint32_t values) {
+    SimExecutor ex(arch::MachineParams::tilegx_small(), 1);
+    ds::Lcrq<SimCtx> q(1, 4);
+    ex.add_thread([&](SimCtx& ctx) {
+      for (std::uint32_t v = 0; v < values; ++v) q.enqueue(ctx, v);
+      for (std::uint32_t v = 0; v < values; ++v) EXPECT_EQ(q.dequeue(ctx), v);
+    });
+    ex.run_until(sim::kCycleMax);
+  };
+  fill(8);
+  EXPECT_DEATH(fill(9), "hmps fatal: Lcrq: ring pool of 4 rings exhausted");
+}
+
 TEST(LcrqEdge, AlternatingNearEmpty) {
   // The empty-transition path (dequeuers overshooting tail) is the
   // trickiest part of CRQ; hammer it.

@@ -3,6 +3,10 @@
 // histories produced by the universal constructions on the simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "arch/params.hpp"
@@ -12,6 +16,7 @@
 #include "harness/history.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
+#include "sim/rng.hpp"
 #include "sync/ccsynch.hpp"
 #include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
@@ -145,6 +150,137 @@ TEST(CounterFast, RejectsNonMonotonicRealTime) {
 TEST(Complete, RefusesOversizedHistory) {
   std::vector<OpRecord> h(64, op(0, OpKind::kInc, 0, 0, 0, 1));
   EXPECT_FALSE(linearizable(h, counter_spec()).ok);
+}
+
+// ---- the search against a reference copy ----
+
+// The search as it stood before its memo went flat and its recursion lost
+// std::function, kept here as an oracle: a straight Wing & Gong DFS that
+// copies the spec state per candidate and memoizes failed (mask, state)
+// hashes in a node-based set.
+std::uint64_t oracle_mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
+CheckResult oracle_linearizable(const std::vector<OpRecord>& history,
+                                const SeqSpec& spec, std::uint64_t max_nodes) {
+  const std::size_t n = history.size();
+  if (n == 0) return {};
+  if (n > 63) {
+    return {false, "history too large for the complete checker (max 63 ops)"};
+  }
+  std::unordered_set<std::uint64_t> failed;
+  std::vector<std::uint64_t> state;
+  std::uint64_t nodes = 0;
+  bool exhausted = false;
+  std::function<bool(std::uint64_t)> dfs = [&](std::uint64_t mask) -> bool {
+    if (mask == (std::uint64_t{1} << n) - 1) return true;
+    if (max_nodes > 0 && ++nodes > max_nodes) {
+      exhausted = true;
+      return false;
+    }
+    if (exhausted) return false;
+    std::uint64_t key = mask;
+    for (std::uint64_t v : state) key = oracle_mix(key, v);
+    if (failed.count(key)) return false;
+    Cycle min_resp = sim::kCycleMax;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!(mask & (std::uint64_t{1} << i))) {
+        min_resp = std::min(min_resp, history[i].response);
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask & (std::uint64_t{1} << i)) continue;
+      if (history[i].invoke > min_resp) continue;
+      std::vector<std::uint64_t> saved = state;
+      const std::uint64_t expect = spec.apply(state, history[i]);
+      if (expect == history[i].ret &&
+          dfs(mask | (std::uint64_t{1} << i))) {
+        return true;
+      }
+      state = std::move(saved);
+    }
+    failed.insert(key);
+    return false;
+  };
+  if (dfs(0)) return {};
+  if (exhausted) {
+    CheckResult r;
+    r.reason = "complete search exceeded " + std::to_string(max_nodes) +
+               " nodes (inconclusive)";
+    r.inconclusive = true;
+    return r;
+  }
+  return {false, "no linearization exists for this history of " +
+                     std::to_string(n) + " ops"};
+}
+
+// A random history of `n` ops on one object: a sequential run of the spec
+// whose ops get overlapping [invoke, response] intervals around their
+// linearization points, recorded in shuffled order. With `corrupt`, one
+// op's return is changed.
+std::vector<OpRecord> random_history(int object, std::size_t n, bool corrupt,
+                                     sim::Xoshiro256& rng) {
+  static const OpKind kinds[3][2] = {{OpKind::kEnq, OpKind::kDeq},
+                                     {OpKind::kPush, OpKind::kPop},
+                                     {OpKind::kInc, OpKind::kRead}};
+  const SeqSpec spec = object == 0   ? queue_spec()
+                       : object == 1 ? stack_spec()
+                                     : counter_spec();
+  std::vector<std::uint64_t> state;
+  std::vector<OpRecord> h;
+  Cycle point = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    OpRecord o;
+    o.thread = static_cast<std::uint32_t>(i % 4);
+    o.kind = kinds[object][rng.below(2)];
+    o.arg = 100 + i;
+    o.ret = spec.apply(state, o);
+    point += 1 + rng.below(20);
+    o.invoke = point - rng.below(point < 40 ? point : 40);
+    o.response = point + rng.below(40);
+    h.push_back(o);
+  }
+  if (corrupt) h[rng.below(n)].ret += 1 + rng.below(2);
+  for (std::size_t i = n; i > 1; --i) std::swap(h[i - 1], h[rng.below(i)]);
+  return h;
+}
+
+// The flat-memo search must agree with the oracle on every verdict,
+// including where a budget runs out: explore's 20k and 400k node budgets
+// depend on the node count staying exactly the same.
+TEST(Complete, SearchMatchesReferenceOnRandomHistories) {
+  const std::uint64_t budgets[] = {0, 1, 7, 50, 20000};
+  const SeqSpec specs[] = {queue_spec(), stack_spec(), counter_spec()};
+  sim::Xoshiro256 rng(2024);
+  int histories = 0, rejected = 0, inconclusive = 0;
+  for (int round = 0; round < 1000; ++round) {
+    const int object = round % 3;
+    const std::size_t n = 2 + rng.below(11);
+    for (const bool corrupt : {false, true}) {
+      const std::vector<OpRecord> h = random_history(object, n, corrupt, rng);
+      ++histories;
+      for (const std::uint64_t budget : budgets) {
+        const CheckResult want = oracle_linearizable(h, specs[object], budget);
+        const CheckResult got = linearizable(h, specs[object], budget);
+        ASSERT_EQ(got.ok, want.ok) << "round " << round << " budget " << budget;
+        ASSERT_EQ(got.inconclusive, want.inconclusive)
+            << "round " << round << " budget " << budget;
+        ASSERT_EQ(got.reason, want.reason)
+            << "round " << round << " budget " << budget;
+        rejected += !got.ok;
+        inconclusive += got.inconclusive;
+      }
+      if (!corrupt) {
+        EXPECT_TRUE(linearizable(h, specs[object]).ok) << "round " << round;
+      }
+    }
+  }
+  EXPECT_EQ(histories, 2000);
+  // Every verdict kind occurs, so the comparison is not vacuous.
+  EXPECT_GT(rejected, 100);
+  EXPECT_GT(inconclusive, 100);
 }
 
 // ---- histories recorded from the real constructions ----
