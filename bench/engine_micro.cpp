@@ -177,9 +177,11 @@ class ZeroPerturber final : public sim::Perturber {
   }
 };
 
-// Every poll of a spinning thread is one load; `*polled` (if given) receives
-// the resume entries that parked spins' pollers consumed without a switch.
-Result spin_park(std::uint64_t flips, bool plain, std::uint64_t* polled) {
+// Every poll of a spinning thread is one load; `*ec` (if given) receives
+// the run's engine counters: `polled` counts the resume entries that parked
+// spins' pollers consumed without a switch, `poll_blocks` and
+// `block_members` the poll blocks that ran them.
+Result spin_park(std::uint64_t flips, bool plain, sim::EngineCounters* ec) {
   constexpr std::uint32_t kSpinners = 63;
   constexpr Cycle kFlipEvery = 500;
   rt::SimExecutor ex(arch::MachineParams::tilegx_small(8, 8), 1);
@@ -208,7 +210,7 @@ Result spin_park(std::uint64_t flips, bool plain, std::uint64_t* polled) {
   const double dt = now_sec() - t0;
   std::uint64_t polls = 0;
   for (Tid c = 0; c < kSpinners; ++c) polls += ex.machine().core(c).mem_ops;
-  if (polled != nullptr) *polled = ex.sched().engine_counters().polled;
+  if (ec != nullptr) *ec = ex.sched().engine_counters();
   return {plain ? "spin_plain" : "spin_park", "polls/s", polls, dt};
 }
 
@@ -299,8 +301,8 @@ int main(int argc, char** argv) {
   results.push_back(fiber_churn(2'000'000 / scale));
   results.push_back(udn_pingpong(400'000 / scale));
   results.push_back(udn_flood(700'000 / scale));
-  std::uint64_t polled = 0;
-  const Result park = spin_park(200 / scale, false, &polled);
+  sim::EngineCounters park_ec;
+  const Result park = spin_park(200 / scale, false, &park_ec);
   const Result plain = spin_park(200 / scale, true, nullptr);
   results.push_back(park);
   results.push_back(plain);
@@ -313,9 +315,20 @@ int main(int argc, char** argv) {
                 (unsigned long long)r.ops, r.seconds, r.rate(), r.unit);
   }
 
-  std::printf("spin_park: polled=%llu\n", (unsigned long long)polled);
-  if (polled == 0) {
+  const double per_block =
+      park_ec.poll_blocks == 0
+          ? 0.0
+          : static_cast<double>(park_ec.block_members) /
+                static_cast<double>(park_ec.poll_blocks);
+  std::printf("spin_park: polled=%llu poll_blocks=%llu members/block=%.1f\n",
+              (unsigned long long)park_ec.polled,
+              (unsigned long long)park_ec.poll_blocks, per_block);
+  if (park_ec.polled == 0) {
     std::fprintf(stderr, "FAIL: no spin was parked behind a poller\n");
+    return 1;
+  }
+  if (park_ec.poll_blocks == 0) {
+    std::fprintf(stderr, "FAIL: spin_park's pollers formed no poll block\n");
     return 1;
   }
   // Exactness: the parked run must take every load of its plain-loop

@@ -251,9 +251,10 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
   r.mops = static_cast<double>(completed_n) / win * 1200.0;
   r.offered_mops = static_cast<double>(offered_n) / win * 1200.0;
   r.lat_mean = sojourn.summary().mean();
-  r.lat_p50 = static_cast<double>(sojourn.quantile(0.50));
-  r.lat_p99 = static_cast<double>(sojourn.quantile(0.99));
-  r.lat_p999 = static_cast<double>(sojourn.quantile(0.999));
+  const auto [p50, p99, p999] = sojourn.quantiles({0.50, 0.99, 0.999});
+  r.lat_p50 = static_cast<double>(p50);
+  r.lat_p99 = static_cast<double>(p99);
+  r.lat_p999 = static_cast<double>(p999);
   r.lat_max = sojourn.summary().max();
   r.queue_delay_mean = queue_delay.mean();
   r.service_mean = service_time.mean();

@@ -130,8 +130,9 @@ void Telemetry::close_window(sim::Cycle t) {
 
   if (completion_stream_) {
     w.completions = win_completions_;
-    w.p50 = sojourn_.quantile(0.5);
-    w.p99 = sojourn_.quantile(0.99);
+    const auto [p50, p99] = sojourn_.quantiles({0.5, 0.99});
+    w.p50 = p50;
+    w.p99 = p99;
     w.max = win_max_sojourn_;
     win_completions_ = 0;
     win_max_sojourn_ = 0;

@@ -430,36 +430,33 @@ class SimCtx {
     bool poll_next;       ///< next step: the load (true) or the relax
   };
 
-  /// The poller (Scheduler::PollFn). Alternates the loop's two steps, each
-  /// with its exact bookkeeping and wait, while the clock can move straight
-  /// on; returns false once a wait had to schedule the fiber's resume.
-  /// Hands back to the fiber (true) when the next load might differ from a
-  /// plain cache hit returning `last`: the word changed, the line is no
-  /// longer readable here, or a prefetch of it is outstanding.
+  /// The poller (Scheduler::PollFn): one of the loop's two steps, which
+  /// alternate, with its exact bookkeeping; returns the step's cycles.
+  /// Hands back to the fiber (Scheduler::kHandBack) when the next load
+  /// might differ from a plain cache hit returning `last`: the word
+  /// changed, the line is no longer readable here, or a prefetch of it is
+  /// outstanding.
   template <class T>
-  static bool spin_poll(void* rec) {
+  static Cycle spin_poll(void* rec) {
     SpinPoll<T>& s = *std::launder(static_cast<SpinPoll<T>*>(rec));
     arch::Machine& m = *s.m;
     arch::CoreState& c = *s.c;
-    sim::Scheduler& sched = m.sched();
-    for (;;) {
-      const Cycle t = sched.now();
-      Cycle d;
-      if (s.poll_next) {
-        if (s.p->load(std::memory_order_relaxed) != s.last ||
-            c.prefetch_line == s.hint.line ||
-            !m.coherence().read_hit(s.core, s.hint)) {
-          return true;
-        }
-        ++c.mem_ops;
-        d = charge_step(m.tracer(), s.core, c, "load-hit", t,
-                        Bucket::kCompute, s.load_cycles);
-      } else {
-        d = charge_step(m.tracer(), s.core, c, "spin", t, Bucket::kSpin, 1);
+    const Cycle t = m.sched().now();
+    Cycle d;
+    if (s.poll_next) {
+      if (s.p->load(std::memory_order_relaxed) != s.last ||
+          c.prefetch_line == s.hint.line ||
+          !m.coherence().read_hit(s.core, s.hint)) {
+        return sim::Scheduler::kHandBack;
       }
-      s.poll_next = !s.poll_next;
-      if (!sched.poll_wait(t + d)) return false;
+      ++c.mem_ops;
+      d = charge_step(m.tracer(), s.core, c, "load-hit", t, Bucket::kCompute,
+                      s.load_cycles);
+    } else {
+      d = charge_step(m.tracer(), s.core, c, "spin", t, Bucket::kSpin, 1);
     }
+    s.poll_next = !s.poll_next;
+    return d;
   }
 
   /// Fault-injection hook at every operation boundary: while this core sits

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -168,6 +169,13 @@ class EventFn {
 /// bit-for-bit. An occupancy bitmap makes "find the next non-empty bucket" a
 /// couple of word scans, and a cached cursor to that bucket makes draining
 /// same-cycle runs of events skip the scan entirely.
+///
+/// Poll blocks: consecutive resumes of parked pollers in one bucket share a
+/// single entry (kPollTag | first member; the scheduler threads the members
+/// through its fiber table). A poller scheduled into a bucket whose last
+/// entry is such a block joins it — the FIFO position its own entry would
+/// have taken. Every count the queue keeps (size, the EngineCounters, a
+/// bucket's growth) still counts members, not entries.
 class EventQueue {
  public:
   using Callback = EventFn;
@@ -177,14 +185,25 @@ class EventQueue {
   /// all — see schedule_resume). The tag bit is what lets the scheduler's
   /// dominant event class skip the callable pool on both ends.
   static constexpr std::uint32_t kResumeTag = 0x8000'0000u;
+  /// A poll block: resumes of parked pollers, kPollTag | first member. A
+  /// poll entry is also a resume entry (is_resume).
+  static constexpr std::uint32_t kPollTag = 0xC000'0000u;
   /// pop_entry() result when the earliest event lies past the horizon.
   static constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
+  /// Wheel buckets per revolution. Covers every delta a cycle-level model
+  /// produces (wire latencies, think times); longer timers take the
+  /// overflow-heap path, which is merely O(log n), not wrong.
+  static constexpr std::size_t kWheel = 1024;
 
   static bool is_resume(std::uint32_t entry) {
     return (entry & kResumeTag) != 0;
   }
+  static bool is_poll(std::uint32_t entry) {
+    return (entry & kPollTag) == kPollTag;
+  }
+  /// The fiber of a resume entry; of a poll entry, its first member.
   static std::uint32_t resume_fiber(std::uint32_t entry) {
-    return entry & ~kResumeTag;
+    return entry & ~kPollTag;
   }
 
   /// Schedules `cb` to fire at absolute time `t`. A `t` earlier than the
@@ -214,6 +233,77 @@ class EventQueue {
   void schedule_resume(Cycle t, std::uint32_t fiber_id) {
     if (t < floor_) t = floor_;
     place(t, kResumeTag | fiber_id);
+  }
+
+  /// Schedules parked poller `fiber`'s resume at `t` (>= the last popped
+  /// time). If bucket t's last entry is a poll block, the fiber joins it
+  /// and that block's first member is returned: the caller links the fiber
+  /// behind the block's last member. Otherwise the fiber gets a poll entry
+  /// of its own and kNoEvent is returned.
+  std::uint32_t schedule_poll(Cycle t, std::uint32_t fiber) {
+    const std::uint32_t joined = place_polls(t, fiber, 1);
+    count_scheduled();
+    return joined;
+  }
+
+  /// schedule_poll() for a run of `n` members of a popped poll block, first
+  /// member `first` (the caller has threaded the rest), all due at `t`. Only
+  /// a single member may be bound for the overflow heap. Moves the entries
+  /// only: the members' counts go through account_polls().
+  std::uint32_t place_polls(Cycle t, std::uint32_t first, std::uint32_t n) {
+    if (t - floor_ < kWheel) {
+      const std::size_t idx = t & (kWheel - 1);
+      Bucket& b = buckets_[idx];
+      if (b.len != 0 && is_poll(b.data[b.len - 1])) {
+        make_room(b, n);
+        b.n += n;
+        return resume_fiber(b.data[b.len - 1]);
+      }
+      append(idx, t, kPollTag | first, n);
+    } else {
+      assert(n == 1);
+      push_overflow(t, kPollTag | first);
+    }
+    return kNoEvent;
+  }
+
+  /// Books the members of one popped poll block beyond its first (the pop
+  /// counted that one): `ran` members stepped, and `placed` of all those
+  /// that stepped were scheduled again through place_polls(). Each member
+  /// counts as the executed, scheduled and polled event its own entry
+  /// would have been. While a member runs, every other member is pending,
+  /// so each of those placements saw the queue one deeper than now.
+  void account_polls(std::uint64_t ran, std::uint64_t placed) {
+    counters_.executed += ran;
+    if (ran > 0) {
+      ++counters_.poll_blocks;
+      counters_.block_members += ran + 1;
+    }
+    if (placed == 0) return;
+    counters_.scheduled += placed;
+    counters_.polled += placed;
+    if (size_ + 1 > counters_.peak_depth) counters_.peak_depth = size_ + 1;
+  }
+
+  /// Puts `entry` back in front of everything pending at the last popped
+  /// time: the members of a popped poll block that have not run yet, when
+  /// an earlier member hands back to its fiber. Only valid right after that
+  /// block was popped from the wheel, before anything else was popped.
+  void push_front(std::uint32_t entry) {
+    const std::size_t idx = floor_ & (kWheel - 1);
+    Bucket& b = buckets_[idx];
+    if (b.len == 0) {  // the block was the bucket's last entry
+      // b.n still counts the bucket's entries since it last emptied
+      // (logically it has not: these members are still in it).
+      b.data[0] = entry;
+      b.len = 1;
+      b.time = floor_;
+      occ_[idx / 64] |= 1ull << (idx % 64);
+    } else {
+      b.data[--b.head] = entry;
+    }
+    ++wheel_count_;
+    cur_ = idx;
   }
 
   bool empty() const { return size_ == 0; }
@@ -325,6 +415,7 @@ class EventQueue {
         std::copy(b.data + b.head, b.data + b.len, share);
         b.len -= b.head;
         b.head = 0;
+        b.n = b.len;  // exact while no entry holds more than one member
         b.data = share;
         b.cap = static_cast<std::uint32_t>(per_bucket);
         b.own.reset();
@@ -343,11 +434,6 @@ class EventQueue {
   void note_polled() { ++counters_.polled; }
 
  private:
-  /// Wheel buckets per revolution. Covers every delta a cycle-level model
-  /// produces (wire latencies, think times); longer timers take the
-  /// overflow-heap path, which is merely O(log n), not wrong.
-  static constexpr std::size_t kWheel = 1024;
-
   /// Overflow-heap entry. Wheel buckets need none of this: their time is
   /// stored once per bucket and their FIFO order is their seq order.
   struct Node {
@@ -360,20 +446,32 @@ class EventQueue {
   /// once) in `data[head, len)`. `head` fronts the array so steady-state
   /// drain/refill cycles never shift or reallocate. `data` points into the
   /// queue's slab (reserve) or, once the bucket outgrew its share, into
-  /// `own`.
+  /// `own`. `n` counts the events appended since the bucket last emptied,
+  /// a poll block's members one by one; it is what `cap` bounds, so the
+  /// bucket grows exactly when one entry per event would have (n >= len).
+  /// It is reset by the first append to an empty bucket, not by the pop
+  /// that empties it, because push_front() may refill it with the rest of
+  /// the block that pop took.
   struct Bucket {
     std::uint32_t* data = nullptr;
     std::uint32_t len = 0;
     std::uint32_t head = 0;
     std::uint32_t cap = 0;
+    std::uint32_t n = 0;
     Cycle time = 0;  ///< time of every live entry; valid while non-empty
     std::unique_ptr<std::uint32_t[]> own;
   };
 
-  /// Doubles a full bucket's capacity into storage of its own (the same
-  /// 1, 2, 4, ... steps a vector takes, so heap_grows counts alike).
-  static void grow(Bucket& b) {
-    const std::uint32_t cap = b.cap ? 2 * b.cap : 1;
+  /// Grows bucket `b` until `extra` more events fit, into storage of its
+  /// own, by the doublings (1, 2, 4, ...) a vector appending them one by
+  /// one would take, each counted in heap_grows.
+  void make_room(Bucket& b, std::uint32_t extra) {
+    if (b.n + extra <= b.cap) [[likely]] return;
+    std::uint32_t cap = b.cap;
+    do {
+      ++counters_.heap_grows;
+      cap = cap ? 2 * cap : 1;
+    } while (b.n + extra > cap);
     auto own = std::make_unique_for_overwrite<std::uint32_t[]>(cap);
     std::copy(b.data, b.data + b.len, own.get());
     b.own = std::move(own);
@@ -459,26 +557,39 @@ class EventQueue {
   /// the wheel or the overflow heap. Precondition: t >= floor_.
   void place(Cycle t, std::uint32_t entry) {
     if (t - floor_ < kWheel) {
-      const std::size_t idx = t & (kWheel - 1);
-      Bucket& b = buckets_[idx];
-      if (b.len == b.cap) {
-        ++counters_.heap_grows;
-        grow(b);
-      }
-      b.data[b.len++] = entry;
-      b.time = t;
-      occ_[idx / 64] |= 1ull << (idx % 64);
-      ++wheel_count_;
-      if (cur_ == kNoBucket) {
-        if (wheel_count_ == 1) cur_ = idx;
-      } else if (t < buckets_[cur_].time) {
-        cur_ = idx;
-      }
+      append(t & (kWheel - 1), t, entry, 1);
     } else {
-      if (overflow_.size() == overflow_.capacity()) ++counters_.heap_grows;
-      overflow_.push_back(Node{t, next_seq_++, entry});
-      sift_up(overflow_.size() - 1);
+      push_overflow(t, entry);
     }
+    count_scheduled();
+  }
+
+  /// Appends `entry`, standing for `n` events due at `t`, to wheel bucket
+  /// `idx`.
+  void append(std::size_t idx, Cycle t, std::uint32_t entry,
+              std::uint32_t n) {
+    Bucket& b = buckets_[idx];
+    if (b.len == 0) b.n = 0;
+    make_room(b, n);
+    b.data[b.len++] = entry;
+    b.n += n;
+    b.time = t;
+    occ_[idx / 64] |= 1ull << (idx % 64);
+    ++wheel_count_;
+    if (cur_ == kNoBucket) {
+      if (wheel_count_ == 1) cur_ = idx;
+    } else if (t < buckets_[cur_].time) {
+      cur_ = idx;
+    }
+  }
+
+  void push_overflow(Cycle t, std::uint32_t entry) {
+    if (overflow_.size() == overflow_.capacity()) ++counters_.heap_grows;
+    overflow_.push_back(Node{t, next_seq_++, entry});
+    sift_up(overflow_.size() - 1);
+  }
+
+  void count_scheduled() {
     ++size_;
     ++counters_.scheduled;
     if (size_ > counters_.peak_depth) counters_.peak_depth = size_;

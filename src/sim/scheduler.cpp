@@ -18,15 +18,78 @@ void Scheduler::schedule_resume(FiberId id, Cycle t) {
   schedule_resume_at(id, t);
 }
 
-bool Scheduler::dispatch_resume(FiberId id) {
-  Slot& s = fibers_[id];
-  if (s.poll == nullptr) return !s.fiber->finished();
-  if (!s.poll(s.rec)) {
-    queue_.note_polled();
-    return false;
+Scheduler::FiberId Scheduler::run_polls(FiberId id) {
+  const FiberId last = fibers_[id].last;
+  if (id != last) {
+    const FiberId handed = run_members(id, last);
+    if (handed != kNoFiber) return handed;
   }
-  s.poll = nullptr;
-  return true;
+  Slot& s = fibers_[last];
+  const Cycle t = poll_until_wait(s.poll, s.rec);
+  if (t == kHandBack) {
+    s.poll = nullptr;
+    return last;
+  }
+  queue_.note_polled();
+  schedule_poll(last, t);
+  return kNoFiber;
+}
+
+Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last) {
+  // Members that stayed parked, by wait: each run is threaded through its
+  // members' `next` links and joins bucket now + d in one operation. Waits
+  // too long for the wheel are placed one by one, as lone pollers.
+  struct Run {
+    Cycle d;
+    FiberId first, last;
+    std::uint32_t n;
+  };
+  constexpr std::size_t kMaxRuns = 4;
+  Run runs[kMaxRuns];
+  std::size_t nruns = 0;
+  std::uint64_t ran = 0, placed = 0;
+  const auto place_runs = [&] {
+    for (std::size_t r = 0; r < nruns; ++r) {
+      const Run& x = runs[r];
+      link_polls(queue_.place_polls(now_ + x.d, x.first, x.n), x.first,
+                 x.last);
+    }
+    nruns = 0;
+  };
+
+  while (id != last) {
+    Slot& s = fibers_[id];
+    const FiberId next = s.next;
+    __builtin_prefetch(&fibers_[next]);
+    const Cycle d = s.poll(s.rec);
+    if (d == kHandBack) [[unlikely]] {
+      s.poll = nullptr;
+      place_runs();
+      queue_.account_polls(ran, placed);
+      fibers_[next].last = last;
+      queue_.push_front(EventQueue::kPollTag | next);
+      return id;
+    }
+    assert(d > 0);
+    ++placed;
+    std::size_t r = 0;
+    while (r < nruns && runs[r].d != d) ++r;
+    if (r < nruns) {
+      fibers_[runs[r].last].next = id;
+      runs[r].last = id;
+      ++runs[r].n;
+    } else if (d >= EventQueue::kWheel) [[unlikely]] {
+      link_polls(queue_.place_polls(now_ + d, id, 1), id, id);
+    } else {
+      if (nruns == kMaxRuns) place_runs();
+      runs[nruns++] = Run{d, id, id, 1};
+    }
+    ++ran;
+    id = next;
+  }
+  place_runs();  // before the last member's wait looks at the queue
+  queue_.account_polls(ran, placed);
+  return kNoFiber;
 }
 
 Cycle Scheduler::run(Cycle horizon) {
@@ -41,10 +104,11 @@ Cycle Scheduler::run(Cycle horizon) {
     }
     now_ = t;
     if (EventQueue::is_resume(e)) {
-      const FiberId id = EventQueue::resume_fiber(e);
+      const FiberId id = dispatch(e);
+      if (id == kNoFiber) continue;  // stale, or its pollers ran instead
       const FiberId prev = current_;
       current_ = id;
-      if (dispatch_resume(id)) fibers_[id].fiber->resume();
+      fibers_[id].fiber->resume();
       current_ = prev;
     } else {
       EventQueue::Callback cb = queue_.claim(e);
@@ -76,9 +140,12 @@ void Scheduler::wait_until(Cycle t) {
 }
 
 void Scheduler::park_polled(PollFn poll) {
-  if (poll(fibers_[current_].rec)) return;
-  fibers_[current_].poll = poll;
-  park_and_dispatch(current_);
+  const FiberId id = current_;
+  const Cycle t = poll_until_wait(poll, fibers_[id].rec);
+  if (t == kHandBack) return;
+  fibers_[id].poll = poll;
+  schedule_poll(id, t);
+  park_and_dispatch(id);
 }
 
 void Scheduler::park_and_dispatch(FiberId self) {
@@ -89,9 +156,9 @@ void Scheduler::park_and_dispatch(FiberId self) {
     const std::uint32_t e = queue_.pop_resume(horizon_, &t);
     if (e == EventQueue::kNoEvent) break;  // callback next, or past horizon
     now_ = t;
-    const FiberId id = EventQueue::resume_fiber(e);
+    const FiberId id = dispatch(e);
+    if (id == kNoFiber) continue;  // stale, or its pollers ran instead
     current_ = id;
-    if (!dispatch_resume(id)) continue;  // stale, or its poller ran instead
     if (id == self) {  // nothing ran in between but pollers: no switch
       f.set_state(Fiber::State::kRunning);
       return;

@@ -88,21 +88,26 @@ class Scheduler {
   /// Blocks the current fiber indefinitely; resume via wake().
   void suspend();
 
-  /// A parked fiber's stand-in (see park_polling), called with the
-  /// fiber's poll record. Returns true when the fiber itself must run now,
-  /// false after it scheduled the fiber's next resume through poll_wait().
-  using PollFn = bool (*)(void* rec);
+  /// One step of a parked fiber's stand-in (see park_polling), called with
+  /// the fiber's poll record at the step's time, now(). Returns the cycles
+  /// until its next step (at least 1), or kHandBack when the fiber itself
+  /// must run now instead.
+  using PollFn = Cycle (*)(void* rec);
+  static constexpr Cycle kHandBack = kCycleMax;
 
   /// Size and alignment of the poll record a fiber's slot holds inline.
   static constexpr std::size_t kPollRecordBytes = 64;
   static constexpr std::size_t kPollRecordAlign = 8;
 
   /// Parks the current fiber behind a poller. `rec` is copied into the
-  /// fiber's slot, and `poll` runs on that copy at once; while it returns
-  /// false, each of the fiber's resume entries runs it again in place of a
-  /// context switch — from run() or from another fiber's park. The fiber
-  /// continues, at the queue position of the entry that ran it, once it
-  /// returns true. The record is dropped then: the fiber never reads it.
+  /// fiber's slot, and `poll` steps that copy at once. Each step's wait
+  /// follows wait_until()'s rules: the clock moves straight on when
+  /// nothing intervenes (the next step follows at once), and otherwise the
+  /// fiber's resume is scheduled, as a member of a poll block. Each popped
+  /// resume runs the next step in place of a context switch — from run()
+  /// or from another fiber's park. The fiber continues, at the queue
+  /// position of the entry that ran it, once a step hands back. The record
+  /// is dropped then: the fiber never reads it.
   template <class Rec>
   void park_polling(PollFn poll, const Rec& rec) {
     static_assert(!std::is_pointer_v<Rec>, "pass the record, not its address");
@@ -114,21 +119,6 @@ class Scheduler {
     assert(in_fiber());
     ::new (static_cast<void*>(fibers_[current_].rec)) Rec(rec);
     park_polled(poll);
-  }
-
-  /// wait_until() for a poller: same fast-forward rules (stop(), the run()
-  /// horizon, set_fast_forward_enabled()), without a perturber and without
-  /// switching stacks. Returns true when the clock moved straight to `t`
-  /// (the poller goes on), false when the polling fiber's resume was
-  /// scheduled at `t` instead (the poller must return false).
-  bool poll_wait(Cycle t) {
-    if (fast_forward_enabled_ && !stop_requested_ && t <= horizon_ &&
-        queue_.fast_forward(t)) {
-      now_ = t;
-      return true;
-    }
-    schedule_resume_at(current_, t);
-    return false;
   }
 
   /// Schedules fiber `id` to resume at time t (>= now). Only valid for
@@ -156,24 +146,84 @@ class Scheduler {
     queue_.schedule_resume(t, id);
   }
 
-  /// A fiber and, while it is parked behind a poller, that poller and its
-  /// record. The record sits inline so a poll step touches only this slot;
-  /// references into fibers_ never outlive a call that may spawn().
-  struct Slot {
-    PollFn poll = nullptr;
+  /// A fiber and, while it is parked behind a poller, that poller, its
+  /// record and its place in a poll block. The record sits inline so a poll
+  /// step touches only this slot; references into fibers_ never outlive a
+  /// call that may spawn(). A slot is two whole cache lines, the record
+  /// and the rest: unaligned, some slots spanned a third line, which cost
+  /// the shm-server and CC-Synch service runs about 10% of their host time.
+  struct alignas(64) Slot {
     alignas(kPollRecordAlign) unsigned char rec[kPollRecordBytes];
+    PollFn poll = nullptr;
+    FiberId next = kNoFiber;  ///< the member after this one in its block
+    FiberId last = kNoFiber;  ///< a block's first member: its last member
     std::unique_ptr<Fiber> fiber;
   };
 
-  /// park_polling()'s type-free half: runs `poll` on the current fiber's
-  /// record and, unless it is done at once, parks the fiber behind it.
+  /// park_polling()'s type-free half: steps `poll` on the current fiber's
+  /// record and, unless it hands back at once, parks the fiber behind it.
   void park_polled(PollFn poll);
 
-  /// Decides whether a popped resume of fiber `id` (made current_) runs
-  /// the fiber: false for a stale resume of a finished fiber, and when the
-  /// fiber's poller ran in its place and stays armed. A slot with a poller
-  /// skips the finished() test: a parked fiber never finishes.
-  bool dispatch_resume(FiberId id);
+  /// Steps `poll` on `rec` while each wait can fast-forward the clock
+  /// (wait_until()'s rules: stop(), the run() horizon,
+  /// set_fast_forward_enabled()). Returns kHandBack, or the time of the
+  /// step the queue must schedule.
+  Cycle poll_until_wait(PollFn poll, void* rec) {
+    for (;;) {
+      const Cycle d = poll(rec);
+      if (d == kHandBack) return kHandBack;
+      assert(d > 0);
+      const Cycle t = now_ + d;
+      if (!fast_forward_enabled_ || stop_requested_ || t > horizon_ ||
+          !queue_.fast_forward(t)) {
+        return t;
+      }
+      now_ = t;
+    }
+  }
+
+  /// Links the members `first`..`last` (threaded through `next`), just
+  /// placed as one run, into the poll block that `joined` (a first member,
+  /// or kNoEvent for a new block) names.
+  void link_polls(std::uint32_t joined, FiberId first, FiberId last) {
+    if (joined == EventQueue::kNoEvent) {
+      fibers_[first].last = last;
+      return;
+    }
+    Slot& head = fibers_[joined];
+    fibers_[head.last].next = first;
+    head.last = last;
+  }
+
+  /// Schedules parked fiber `id`'s next step at `t`, as the last member of
+  /// the poll block that ends bucket t, or as a block of its own.
+  void schedule_poll(FiberId id, Cycle t) {
+    link_polls(queue_.schedule_poll(t, id), id, id);
+  }
+
+  /// The fiber that popped resume entry `e` runs: its own (kNoFiber for a
+  /// stale resume of a finished fiber), or for a poll block the member
+  /// that handed back, if one did (run_polls).
+  FiberId dispatch(std::uint32_t e) {
+    const FiberId id = EventQueue::resume_fiber(e);
+    if (EventQueue::is_poll(e)) return run_polls(id);
+    return fibers_[id].fiber->finished() ? kNoFiber : id;
+  }
+
+  /// Runs a popped poll block from its first member `id`, in FIFO order:
+  /// run_members() up to its last member, which then steps like a lone
+  /// poller. Returns the member that handed back, or kNoFiber.
+  FiberId run_polls(FiberId id);
+
+  /// Steps the members of a popped poll block from `id` up to, not
+  /// including, `last`. Each takes exactly one step: the rest of its block
+  /// is still pending this cycle, so its wait could never fast-forward.
+  /// Members that stay parked are scheduled again in runs of equal wait,
+  /// one queue operation per run, all before `last` steps. If a member
+  /// hands back, the members that ran are placed and the ones after it go
+  /// back to the head of the bucket, to run after its fiber in this same
+  /// cycle; that member is returned. Otherwise kNoFiber.
+  FiberId run_members(FiberId id, FiberId last);
 
   /// Parks fiber `self` (the one currently running). If the next event due
   /// is a resume, dispatches it: a poller runs inline and the loop goes

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -22,6 +23,11 @@ struct EngineCounters {
   std::uint64_t peak_depth = 0;     ///< max simultaneous pending events
   std::uint64_t fast_forwards = 0;  ///< waits satisfied without an event
   std::uint64_t polled = 0;  ///< resumes a poller consumed without a switch
+  /// Pops of poll blocks that ran two or more members, and the members
+  /// those pops ran (docs/ENGINE.md, "Poll blocks"). Kept out of the
+  /// hmps-metrics-v2 engine block.
+  std::uint64_t poll_blocks = 0;
+  std::uint64_t block_members = 0;
 };
 
 /// Streaming min/max/mean/variance accumulator (Welford's algorithm).
@@ -161,18 +167,18 @@ class Reservoir {
   /// 2^16 + 1 arrivals with the default capacity. Interpolated quantiles
   /// of a stride-decimated stream match the interpolated quantiles of the
   /// full offline sort (tests/test_service.cpp pins the boundary).
-  std::uint64_t quantile(double q) const {
-    if (v_.empty()) return 0;
+  std::uint64_t quantile(double q) const { return quantiles({q})[0]; }
+
+  /// quantile() at each of `qs`, from one sorted copy: a run's p50, p99
+  /// and p999 pay for one sort, not three.
+  template <std::size_t N>
+  std::array<std::uint64_t, N> quantiles(const double (&qs)[N]) const {
+    std::array<std::uint64_t, N> out{};
+    if (v_.empty()) return out;
     std::vector<std::uint64_t> s(v_);
     std::sort(s.begin(), s.end());
-    double r = q * static_cast<double>(s.size() - 1);
-    if (r < 0) r = 0;
-    const std::size_t i = static_cast<std::size_t>(r);
-    if (i >= s.size() - 1) return s.back();
-    const double frac = r - static_cast<double>(i);
-    const double lo = static_cast<double>(s[i]);
-    const double hi = static_cast<double>(s[i + 1]);
-    return static_cast<std::uint64_t>(lo + (hi - lo) * frac);
+    for (std::size_t k = 0; k < N; ++k) out[k] = sorted_quantile(s, qs[k]);
+    return out;
   }
 
   void merge(const Reservoir& o) {
@@ -184,6 +190,18 @@ class Reservoir {
   }
 
  private:
+  static std::uint64_t sorted_quantile(const std::vector<std::uint64_t>& s,
+                                       double q) {
+    double r = q * static_cast<double>(s.size() - 1);
+    if (r < 0) r = 0;
+    const std::size_t i = static_cast<std::size_t>(r);
+    if (i >= s.size() - 1) return s.back();
+    const double frac = r - static_cast<double>(i);
+    const double lo = static_cast<double>(s[i]);
+    const double hi = static_cast<double>(s[i + 1]);
+    return static_cast<std::uint64_t>(lo + (hi - lo) * frac);
+  }
+
   std::size_t cap_;
   std::uint64_t seen_ = 0;
   std::uint64_t stride_ = 1;

@@ -202,6 +202,11 @@ TEST(Reservoir, DecimationBoundaryMatchesOfflineSort) {
       EXPECT_EQ(res.quantile(q), offline_quantile(all, q))
           << "n=" << n << " q=" << q;
     }
+    // One sort for a set of quantiles gives each quantile() exactly.
+    const auto [p50, p99, p999] = res.quantiles({0.5, 0.99, 0.999});
+    EXPECT_EQ(p50, offline_quantile(all, 0.5)) << "n=" << n;
+    EXPECT_EQ(p99, offline_quantile(all, 0.99)) << "n=" << n;
+    EXPECT_EQ(p999, offline_quantile(all, 0.999)) << "n=" << n;
   }
 }
 

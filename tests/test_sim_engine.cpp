@@ -7,7 +7,11 @@
 #include <functional>
 #include <vector>
 
+#include "arch/params.hpp"
+#include "runtime/sim_context.hpp"
+#include "runtime/sim_executor.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/perturb.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
@@ -368,13 +372,11 @@ struct PollSteps {
   int left;
 };
 
-bool poll_steps(void* rec) {
+Cycle poll_steps(void* rec) {
   PollSteps& x = *static_cast<PollSteps*>(rec);
-  for (;;) {
-    x.fp->mix(0x5000 + x.s->now());
-    if (--x.left == 0) return true;
-    if (!x.s->poll_wait(x.s->now() + 1)) return false;
-  }
+  x.fp->mix(0x5000 + x.s->now());
+  if (--x.left == 0) return Scheduler::kHandBack;
+  return 1;
 }
 
 std::uint64_t poller_edge_fp(bool poller, bool fast_forward,
@@ -414,6 +416,289 @@ TEST(Scheduler, ParkedPollerMatchesPlainFiberLoop) {
     EXPECT_EQ(polled_plain, 0u);
     EXPECT_GT(polled, 0u);
   }
+}
+
+// ---- poll blocks (docs/ENGINE.md, "Poll blocks") ----
+//
+// A waiter watches a word. Each step, while the word still holds `seen`
+// and steps are left, it mixes (id, now) into the trace and waits the next
+// of its two alternating waits; otherwise it hands back to its fiber. Run
+// as a parked poller (park_polling) or as a plain wait_for loop, a scenario
+// must leave the same trace and the same engine counters: the plain loop
+// is the reference order, one queue entry per step. Its state lives
+// outside the poll record so the fiber sees it after a hand-back.
+
+struct WaitState {
+  std::uint32_t id;
+  std::uint64_t seen;
+  std::uint32_t left;  ///< steps before handing back on its own
+  Cycle waits[2];
+  std::uint32_t phase = 0;
+};
+
+struct WaitRec {
+  Scheduler* s;
+  TraceFp* fp;
+  const std::uint64_t* word;
+  WaitState* st;
+};
+
+Cycle wait_step(void* rec) {
+  const WaitRec& r = *static_cast<const WaitRec*>(rec);
+  WaitState& w = *r.st;
+  if (*r.word != w.seen || w.left == 0) return Scheduler::kHandBack;
+  --w.left;
+  r.fp->mix((std::uint64_t{w.id} << 32) | r.s->now());
+  const Cycle d = w.waits[w.phase];
+  w.phase ^= 1;
+  return d;
+}
+
+void wait_on(bool poller, WaitRec r) {
+  if (poller) {
+    r.s->park_polling(&wait_step, r);
+    return;
+  }
+  for (Cycle d; (d = wait_step(&r)) != Scheduler::kHandBack;) {
+    r.s->wait_for(d);
+  }
+}
+
+/// A scenario's observables: the trace and every engine counter the plain
+/// loop also keeps.
+struct BlockRun {
+  std::uint64_t fp = 0;
+  EngineCounters ec;
+};
+
+void expect_same_run(const BlockRun& got, const BlockRun& ref) {
+  EXPECT_EQ(got.fp, ref.fp);
+  EXPECT_EQ(got.ec.executed, ref.ec.executed);
+  EXPECT_EQ(got.ec.scheduled, ref.ec.scheduled);
+  EXPECT_EQ(got.ec.peak_depth, ref.ec.peak_depth);
+  EXPECT_EQ(got.ec.heap_grows, ref.ec.heap_grows);
+  EXPECT_EQ(got.ec.fast_forwards, ref.ec.fast_forwards);
+  EXPECT_EQ(ref.ec.polled, 0u);
+  EXPECT_EQ(ref.ec.poll_blocks, 0u);
+}
+
+/// Runs `scenario(s, fp, poller)` as pollers and as plain loops, with the
+/// fast path on and off, and compares each pair. Returns the pollers' run
+/// with the fast path on.
+template <class Scenario>
+BlockRun expect_blocks_match_plain_loop(Scenario scenario) {
+  BlockRun fast{};
+  for (const bool ff : {true, false}) {
+    BlockRun runs[2];
+    for (const bool poller : {false, true}) {
+      Scheduler s;
+      s.set_fast_forward_enabled(ff);
+      TraceFp fp;
+      scenario(s, fp, poller);
+      runs[poller] = {fp.h, s.engine_counters()};
+    }
+    SCOPED_TRACE(ff ? "fast path on" : "fast path off");
+    expect_same_run(runs[1], runs[0]);
+    EXPECT_GT(runs[1].ec.polled, 0u);
+    EXPECT_GT(runs[1].ec.poll_blocks, 0u);
+    if (ff) fast = runs[1];
+  }
+  return fast;
+}
+
+// Four waiters share one block at cycle 10, and a plain fiber's resume
+// follows the block in that cycle. Waiter 1's word flipped at cycle 5, so
+// it hands back mid-block; its fiber then flips waiter 2's word in the
+// same cycle. The rest of the block must stay ahead of the plain fiber and
+// run after waiter 1's fiber: waiter 2 sees the store and hands back, and
+// waiter 3 steps before the plain fiber flips its word.
+TEST(Scheduler, PollBlockHandBackMidBlockSeesFiberStore) {
+  expect_blocks_match_plain_loop([](Scheduler& s, TraceFp& fp, bool poller) {
+    std::uint64_t words[4] = {};
+    WaitState st[4];
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      st[i] = WaitState{i, 0, 6, {10, 10}};
+      s.spawn([&, i, poller] {
+        wait_on(poller, WaitRec{&s, &fp, &words[i], &st[i]});
+        fp.mix(0xD000 + (std::uint64_t{i} << 32) + s.now());
+        if (i == 1) words[2] = 1;
+      });
+    }
+    s.spawn([&] {
+      s.wait_for(10);
+      fp.mix(0xE000 + s.now());
+      words[3] = 1;
+    });
+    s.spawn([&] {
+      s.wait_for(5);
+      words[1] = 1;
+    });
+    s.run();
+  });
+}
+
+// Six waiters alternate 1- and 3-cycle waits, half of them starting on
+// the other phase: every block splits into two runs, one per wait, and
+// the runs join blocks already waiting in their target buckets.
+TEST(Scheduler, PollBlockSplitsAcrossWaits) {
+  const BlockRun run =
+      expect_blocks_match_plain_loop([](Scheduler& s, TraceFp& fp,
+                                        bool poller) {
+        std::uint64_t word = 0;
+        WaitState st[6];
+        for (std::uint32_t i = 0; i < 6; ++i) {
+          st[i] = WaitState{i, 0, 40, {1, 3}, i % 2};
+          s.spawn([&, i, poller] {
+            wait_on(poller, WaitRec{&s, &fp, &word, &st[i]});
+            fp.mix(0xD000 + (std::uint64_t{i} << 32) + s.now());
+          });
+        }
+        s.run();
+      });
+  EXPECT_GT(run.ec.block_members, 2 * run.ec.poll_blocks);
+}
+
+// Waiters A and B share a block at cycle 2. A then waits 5 cycles; B, the
+// block's last member, waits 1 and 2 cycles in turn and fast-forwards
+// until A's entry at cycle 7 is due, as a lone poller would.
+TEST(Scheduler, PollBlockLastMemberFastForwards) {
+  const BlockRun run =
+      expect_blocks_match_plain_loop([](Scheduler& s, TraceFp& fp,
+                                        bool poller) {
+        std::uint64_t word = 0;
+        WaitState a{0, 0, 8, {2, 5}}, b{1, 0, 30, {2, 1}};
+        s.spawn([&, poller] { wait_on(poller, {&s, &fp, &word, &a}); });
+        s.spawn([&, poller] { wait_on(poller, {&s, &fp, &word, &b}); });
+        s.run();
+      });
+  EXPECT_GT(run.ec.fast_forwards, 0u);
+}
+
+// Waiter 1 hands back mid-block at cycle 10 and its fiber calls stop():
+// run() must return with waiters 2 and 3 still due at cycle 10, and the
+// next run() must step them there.
+TEST(Scheduler, PollBlockStopFromHandedBackMember) {
+  expect_blocks_match_plain_loop([](Scheduler& s, TraceFp& fp, bool poller) {
+    std::uint64_t words[4] = {};
+    WaitState st[4];
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      st[i] = WaitState{i, 0, 5, {10, 10}};
+      s.spawn([&, i, poller] {
+        wait_on(poller, WaitRec{&s, &fp, &words[i], &st[i]});
+        fp.mix(0xD000 + (std::uint64_t{i} << 32) + s.now());
+        if (i == 1) s.stop();
+      });
+    }
+    s.spawn([&] {
+      s.wait_for(5);
+      words[1] = 1;
+    });
+    int runs = 0;
+    while (s.engine_counters().executed < s.engine_counters().scheduled) {
+      fp.mix(0xF000 + s.run());
+      ++runs;
+    }
+    EXPECT_EQ(runs, 2);
+  });
+}
+
+// After its first hand-back, fiber 1 parks again between waiters 0 and 2,
+// and its own park pops the block it is in: when it hands back mid-block
+// (its steps run out), the scheduler returns straight into it, and waiter
+// 2 steps after it in the same cycle.
+TEST(Scheduler, PollBlockOwnEntryInsideBlock) {
+  expect_blocks_match_plain_loop([](Scheduler& s, TraceFp& fp, bool poller) {
+    std::uint64_t word = 0;
+    WaitState st[3];
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      st[i] = WaitState{i, 0, i == 1 ? 4u : 12u, {1, 1}};
+      s.spawn([&, i, poller] {
+        wait_on(poller, WaitRec{&s, &fp, &word, &st[i]});
+        fp.mix(0xD000 + (std::uint64_t{i} << 32) + s.now());
+        if (i != 1) return;
+        st[i].left = 3;
+        wait_on(poller, WaitRec{&s, &fp, &word, &st[i]});
+        fp.mix(0xD100 + s.now());
+      });
+    }
+    s.run();
+  });
+}
+
+
+// Two spinners on each of two cores (SimCtx::spin_until), parked behind
+// pollers whose blocks mix relax and hit-load steps and both cores; a
+// writer on core 0 flips their words at random times. Against the same
+// run under a zero perturber (the plain loop, docs/TESTING.md), every
+// spinner must see each value at the same cycle and every core's
+// bookkeeping must match.
+class ZeroPerturber final : public Perturber {
+ public:
+  Cycle resume_delay(std::uint32_t, Cycle) override { return 0; }
+  Cycle point_delay(std::uint32_t, std::uint32_t, const char*,
+                    Cycle) override {
+    return 0;
+  }
+};
+
+struct SpinRun {
+  std::uint64_t fp = 0;
+  std::vector<Cycle> busy;
+  std::vector<std::uint64_t> mem_ops;
+  std::uint64_t hits = 0;
+  EngineCounters ec;
+};
+
+SpinRun run_two_spinners_per_core(Perturber* perturber) {
+  constexpr std::uint32_t kSpinners = 4;
+  rt::SimExecutor ex(arch::MachineParams::tilegx_small(2, 1), 3);
+  if (perturber != nullptr) ex.sched().set_perturber(perturber);
+  struct alignas(rt::kCacheLine) Line {
+    rt::Word w{0};
+  };
+  Line lines[kSpinners];
+  TraceFp fp;
+  for (std::uint32_t i = 0; i < kSpinners; ++i) {
+    ex.add_thread([&, i](rt::SimCtx& ctx) {
+      for (std::uint64_t seen = 0; seen < 25;) {
+        seen = ctx.spin_until(&lines[i].w,
+                              [seen](std::uint64_t v) { return v != seen; });
+        fp.mix((std::uint64_t{i} << 56) ^ (seen << 40) ^ ctx.now());
+      }
+    });
+  }
+  ex.add_thread([&](rt::SimCtx& ctx) {
+    for (std::uint64_t k = 0; k < 25 * kSpinners; ++k) {
+      ctx.compute(1 + ctx.rand_below(40));
+      ctx.store(&lines[k % kSpinners].w, k / kSpinners + 1);
+    }
+  });
+  ex.run_until(1'000'000);
+  SpinRun r;
+  r.fp = fp.h;
+  for (std::uint32_t c = 0; c < ex.machine().cores(); ++c) {
+    r.busy.push_back(ex.machine().core(c).busy);
+    r.mem_ops.push_back(ex.machine().core(c).mem_ops);
+  }
+  r.hits = ex.machine().coherence().counters().hits;
+  r.ec = ex.sched().engine_counters();
+  return r;
+}
+
+TEST(Scheduler, PollBlockTwoSpinnersOnOneCore) {
+  ZeroPerturber zero;
+  const SpinRun ref = run_two_spinners_per_core(&zero);
+  const SpinRun got = run_two_spinners_per_core(nullptr);
+  EXPECT_EQ(got.fp, ref.fp);
+  EXPECT_EQ(got.busy, ref.busy);
+  EXPECT_EQ(got.mem_ops, ref.mem_ops);
+  EXPECT_EQ(got.hits, ref.hits);
+  EXPECT_EQ(got.ec.executed, ref.ec.executed);
+  EXPECT_EQ(got.ec.scheduled, ref.ec.scheduled);
+  EXPECT_EQ(got.ec.peak_depth, ref.ec.peak_depth);
+  EXPECT_EQ(got.ec.fast_forwards, ref.ec.fast_forwards);
+  EXPECT_GT(got.ec.poll_blocks, 0u);
+  EXPECT_EQ(ref.ec.poll_blocks, 0u);
 }
 
 }  // namespace
