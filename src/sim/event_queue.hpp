@@ -267,21 +267,19 @@ class EventQueue {
     return kNoEvent;
   }
 
-  /// Books the members of one popped poll block beyond its first (the pop
-  /// counted that one): `ran` members stepped, and `placed` of all those
-  /// that stepped were scheduled again through place_polls(). Each member
-  /// counts as the executed, scheduled and polled event its own entry
-  /// would have been. While a member runs, every other member is pending,
-  /// so each of those placements saw the queue one deeper than now.
-  void account_polls(std::uint64_t ran, std::uint64_t placed) {
-    counters_.executed += ran;
-    if (ran > 0) {
-      ++counters_.poll_blocks;
-      counters_.block_members += ran + 1;
-    }
-    if (placed == 0) return;
-    counters_.scheduled += placed;
-    counters_.polled += placed;
+  /// Books a popped poll block whose first `n` members stepped and were
+  /// scheduled again through place_polls(). Each counts as the polled and
+  /// scheduled event its own entry would have been, and the n members
+  /// after them, which began (the pop counted the first), as executed
+  /// events. While a member runs, every other member is pending, so each
+  /// placement saw the queue one deeper than now.
+  void account_polls(std::uint64_t n) {
+    if (n == 0) return;
+    counters_.executed += n;
+    counters_.scheduled += n;
+    counters_.polled += n;
+    ++counters_.poll_blocks;
+    counters_.block_members += n + 1;
     if (size_ + 1 > counters_.peak_depth) counters_.peak_depth = size_ + 1;
   }
 

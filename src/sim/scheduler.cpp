@@ -47,7 +47,7 @@ Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last) {
   constexpr std::size_t kMaxRuns = 4;
   Run runs[kMaxRuns];
   std::size_t nruns = 0;
-  std::uint64_t ran = 0, placed = 0;
+  std::uint64_t stepped = 0;  // members that stepped and stay parked
   const auto place_runs = [&] {
     for (std::size_t r = 0; r < nruns; ++r) {
       const Run& x = runs[r];
@@ -65,13 +65,13 @@ Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last) {
     if (d == kHandBack) [[unlikely]] {
       s.poll = nullptr;
       place_runs();
-      queue_.account_polls(ran, placed);
+      queue_.account_polls(stepped);
       fibers_[next].last = last;
       queue_.push_front(EventQueue::kPollTag | next);
       return id;
     }
     assert(d > 0);
-    ++placed;
+    ++stepped;
     std::size_t r = 0;
     while (r < nruns && runs[r].d != d) ++r;
     if (r < nruns) {
@@ -84,11 +84,10 @@ Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last) {
       if (nruns == kMaxRuns) place_runs();
       runs[nruns++] = Run{d, id, id, 1};
     }
-    ++ran;
     id = next;
   }
   place_runs();  // before the last member's wait looks at the queue
-  queue_.account_polls(ran, placed);
+  queue_.account_polls(stepped);
   return kNoFiber;
 }
 
