@@ -9,7 +9,9 @@
 //   spin_park     — local-spin polls/sec: 63 threads spin_until on private
 //                   lines while one writer flips one line every 500 cycles,
 //                   so nearly every poll is a cache hit run by a parked
-//                   spin's poller (docs/ENGINE.md "Parked spins")
+//                   spin's poller (docs/ENGINE.md "Parked spins"), most of
+//                   them by poll groups that move whole ("Poll groups";
+//                   the run exits 1 if none did)
 //   spin_plain    — the same run with a perturber that delays nothing, which
 //                   makes spin_until run its plain fiber loop: the poller's
 //                   reference (the two poll counts must match, or the run
@@ -65,6 +67,8 @@ double now_sec() {
 }
 
 // ---- event_churn -----------------------------------------------------------
+volatile std::uint64_t g_sink;  // results the optimizer must keep
+
 // Self-rescheduling events whose captures are sized like the engine's real
 // hot-path callbacks: a UDN delivery captures {this, dst, queue, n} = 24
 // bytes, which is what the inline event storage exists for.
@@ -92,7 +96,7 @@ Result event_churn(std::uint64_t events) {
     schedule_churn(&ctx, 0x9e3779b97f4a7c15ull * (i + 1), i);
   s.run();
   const double dt = now_sec() - t0;
-  if (ctx.sink == 42) std::printf("");  // defeat dead-code elimination
+  g_sink = ctx.sink;  // defeat dead-code elimination
   return {"event_churn", "events/s", events, dt};
 }
 
@@ -180,7 +184,8 @@ class ZeroPerturber final : public sim::Perturber {
 // Every poll of a spinning thread is one load; `*ec` (if given) receives
 // the run's engine counters: `polled` counts the resume entries that parked
 // spins' pollers consumed without a switch, `poll_blocks` and
-// `block_members` the poll blocks that ran them.
+// `block_members` the poll blocks that ran them, `moved_members` the ones
+// that poll groups took whole.
 Result spin_park(std::uint64_t flips, bool plain, sim::EngineCounters* ec) {
   constexpr std::uint32_t kSpinners = 63;
   constexpr Cycle kFlipEvery = 500;
@@ -320,15 +325,26 @@ int main(int argc, char** argv) {
           ? 0.0
           : static_cast<double>(park_ec.block_members) /
                 static_cast<double>(park_ec.poll_blocks);
-  std::printf("spin_park: polled=%llu poll_blocks=%llu members/block=%.1f\n",
-              (unsigned long long)park_ec.polled,
-              (unsigned long long)park_ec.poll_blocks, per_block);
+  // Poll steps that whole poll groups took without stepping the member.
+  const double moved_share =
+      park_ec.polled == 0 ? 0.0
+                          : static_cast<double>(park_ec.moved_members) /
+                                static_cast<double>(park_ec.polled);
+  std::printf(
+      "spin_park: polled=%llu poll_blocks=%llu members/block=%.1f "
+      "moved_whole=%.3f\n",
+      (unsigned long long)park_ec.polled,
+      (unsigned long long)park_ec.poll_blocks, per_block, moved_share);
   if (park_ec.polled == 0) {
     std::fprintf(stderr, "FAIL: no spin was parked behind a poller\n");
     return 1;
   }
   if (park_ec.poll_blocks == 0) {
     std::fprintf(stderr, "FAIL: spin_park's pollers formed no poll block\n");
+    return 1;
+  }
+  if (park_ec.moved_members == 0) {
+    std::fprintf(stderr, "FAIL: no spin_park poll group moved whole\n");
     return 1;
   }
   // Exactness: the parked run must take every load of its plain-loop

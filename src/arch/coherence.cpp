@@ -2,7 +2,13 @@
 
 #include <bit>
 
+#include "sim/scheduler.hpp"
+
 namespace hmps::arch {
+
+bool CoherenceModel::notify_watchers(std::uint64_t ln) {
+  return watchers_ != nullptr && watchers_->notify(ln);
+}
 
 Cycle CoherenceModel::inval_cost(std::uint64_t sharers, Tid except) {
   const int n = std::popcount(sharers & ~bit(except));
@@ -41,6 +47,7 @@ AccessCost CoherenceModel::read(Tid c, std::uint64_t addr, Cycle now) {
 AccessCost CoherenceModel::write(Tid c, std::uint64_t addr, Cycle now) {
   const std::uint64_t ln = line_of(addr);
   Line& l = slots_[slot_of(ln)];
+  notify(l, ln);
   if (l.state == State::kModified && l.owner == c) {
     ++counters_.hits;
     if (prof_) prof_->on_hit(ln);
@@ -85,12 +92,16 @@ AccessCost CoherenceModel::atomic(Tid c, std::uint64_t addr, Cycle now,
     // peels off at the merge router on its way back (docs/MODEL.md §11).
     const auto m = combining_.try_combine(c, addr, now);
     if (m.combined) {
+      // The word changes, but the line table is never reached: tell the
+      // line's watchers by key.
+      notify_watchers(line_of(addr));
       if (ctrl_wait_out) *ctrl_wait_out = 0;
       if (prof_) prof_->on_atomic(line_of(addr), m.done - now);
       return {m.done - now, true};
     }
   }
   Line& l = line_at(addr);
+  notify(l, line_of(addr));
   const Cycle wait = acquire_line(l, now);
   const std::uint32_t ctrl = l.ctrl;
 

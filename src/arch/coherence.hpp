@@ -25,6 +25,10 @@
 #include "arch/topology.hpp"
 #include "sim/types.hpp"
 
+namespace hmps::sim {
+class Scheduler;
+}  // namespace hmps::sim
+
 namespace hmps::arch {
 
 using sim::Cycle;
@@ -121,12 +125,31 @@ class CoherenceModel {
   /// instead of a lookup; a hint from before the last table growth is
   /// refreshed first.
   bool read_hit(Tid c, LineHint& h) {
-    if (h.gen != gen_) [[unlikely]] {
-      h.slot = static_cast<std::uint32_t>(slot_of(h.line));
-      h.gen = gen_;
-    }
+    refresh(h);
     return hit(c, slots_[h.slot], h.line);
   }
+
+  /// Whether core `c` holds the line of hint `h` readable, counting
+  /// nothing: the state a hit test would find.
+  bool readable(Tid c, LineHint& h) {
+    refresh(h);
+    return readable(c, slots_[h.slot]);
+  }
+
+  /// Marks the line of hint `h` watched: from now on every write, atomic,
+  /// silent ownership and prefetch of it calls the attached scheduler's
+  /// notify(line) (see attach_watchers), until one finds no watcher left.
+  void watch(LineHint& h) {
+    refresh(h);
+    slots_[h.slot].watched = true;
+  }
+
+  /// The scheduler whose parked pollers watch lines (Scheduler::notify).
+  void attach_watchers(sim::Scheduler* s) { watchers_ = s; }
+
+  /// Counts `k` read hits that parked pollers took at once (a poll group's
+  /// check step; see Scheduler::PollGroupOps).
+  void count_hits(std::uint64_t k) { counters_.hits += k; }
 
   /// Core `c` writes the line (acquires read-write ownership).
   AccessCost write(Tid c, std::uint64_t addr, Cycle now);
@@ -143,6 +166,8 @@ class CoherenceModel {
   /// Non-binding prefetch: performs the read transaction so a subsequent
   /// read hits, and reports when the data will have arrived.
   Cycle prefetch(Tid c, std::uint64_t addr, Cycle now) {
+    // The prefetch slot is part of a parked spinner's hit test.
+    notify(line_at(addr), line_of(addr));
     return now + read(c, addr, now).latency;
   }
 
@@ -153,6 +178,7 @@ class CoherenceModel {
   /// miss again).
   void own_silently(Tid c, std::uint64_t addr) {
     Line& l = line_at(addr);
+    notify(l, line_of(addr));
     l.state = State::kModified;
     l.owner = c;
     l.sharers = 0;
@@ -193,6 +219,7 @@ class CoherenceModel {
 
   struct Line {
     State state = State::kHome;
+    bool watched = false;         ///< see watch(); fills padding
     Tid owner = sim::kNoTid;      ///< valid when kModified
     std::uint64_t sharers = 0;    ///< bitmask over cores (<= 64 cores)
     Cycle busy_until = 0;         ///< line-occupancy serialization point
@@ -265,17 +292,36 @@ class CoherenceModel {
     }
   }
 
+  static bool readable(Tid c, const Line& l) {
+    return (l.state == State::kModified && l.owner == c) ||
+           (l.state == State::kShared && (l.sharers & bit(c)));
+  }
+
   /// The read-hit predicate, shared by both read_hit() forms: `l` is line
   /// `ln`'s state.
   bool hit(Tid c, const Line& l, std::uint64_t ln) {
-    if ((l.state == State::kModified && l.owner == c) ||
-        (l.state == State::kShared && (l.sharers & bit(c)))) {
+    if (readable(c, l)) {
       ++counters_.hits;
       if (prof_) prof_->on_hit(ln);
       return true;
     }
     return false;
   }
+
+  /// Points a hint from before the last table growth at its line's slot.
+  void refresh(LineHint& h) {
+    if (h.gen != gen_) [[unlikely]] {
+      h.slot = static_cast<std::uint32_t>(slot_of(h.line));
+      h.gen = gen_;
+    }
+  }
+
+  /// Tells the watchers of line `ln` (state `l`) that it changes, if it is
+  /// watched; a line nobody watches any more drops its mark.
+  void notify(Line& l, std::uint64_t ln) {
+    if (l.watched) [[unlikely]] l.watched = notify_watchers(ln);
+  }
+  bool notify_watchers(std::uint64_t ln);
 
   static constexpr std::uint64_t bit(Tid c) {
     return std::uint64_t{1} << (c % 64);
@@ -300,9 +346,12 @@ class CoherenceModel {
     std::size_t slot = 0;
   };
 
+  static_assert(sizeof(Line) == 32);
+
   const MachineParams& p_;
   const MeshTopology& topo_;
   CoherenceProfiler* prof_ = nullptr;
+  sim::Scheduler* watchers_ = nullptr;
   std::vector<std::uint64_t> keys_;  ///< open-addressing key array
   std::vector<Line> slots_;          ///< values, parallel to keys_
   std::size_t mask_ = 0;

@@ -7,6 +7,7 @@
 // as the critical section grows).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "obs/cycle_account.hpp"
@@ -15,6 +16,12 @@
 namespace hmps::arch {
 
 struct CoreState {
+  // Fibers parked in spin_until on this core, threaded through their
+  // scheduler slots (sim::Scheduler::settle_parked). Not a counter: a
+  // window reset keeps it. First, beside the counters every operation
+  // updates: Machine::core() tests it on each access.
+  std::uint32_t parked = ~std::uint32_t{0};
+
   // Cycle attribution. busy + stall + idle ~= elapsed window time for a
   // saturated core (idle = blocked in message receive with an empty queue).
   sim::Cycle busy = 0;
@@ -58,8 +65,68 @@ struct CoreState {
   /// Zeroes the window counters. The cycle account restarts at `now` (its
   /// watermark must track simulated time, not snap back to zero).
   void reset_window(sim::Cycle now) {
+    const std::uint32_t keep = parked;
     *this = CoreState{};
+    parked = keep;
     account.reset(now);
+  }
+
+  /// One step of a parked spin at `t`, booked as its poller books it: a
+  /// hit load of `load_cycles` (a mem op, compute) or a relax (1 cycle,
+  /// spin). Returns the step's cycles.
+  sim::Cycle spin_step(sim::Cycle t, bool load, sim::Cycle load_cycles) {
+    using B = obs::CycleAccount;
+    if (load) {
+      ++mem_ops;
+      busy += load_cycles;
+      account.charge(B::kCompute, t, t + load_cycles);
+      return load_cycles;
+    }
+    busy += 1;
+    account.charge(B::kSpin, t, t + 1);
+    return 1;
+  }
+
+  /// Books the steps of a parked spin that began in [from, to), the first
+  /// a load iff `load`, alternating, one by one. `to` ends a step. Returns
+  /// whether the step at `to` is a load. The reference for book_spin().
+  bool replay_spin(sim::Cycle from, sim::Cycle to, bool load,
+                   sim::Cycle load_cycles) {
+    for (sim::Cycle t = from; t < to; load = !load) {
+      t += spin_step(t, load, load_cycles);
+    }
+    return load;
+  }
+
+  /// replay_spin() in O(1): steps that end at or before the account's
+  /// watermark are clipped away whole, so they are counted in pairs; at
+  /// most two steps straddle it; the rest tile [t, to) and are charged in
+  /// closed form.
+  bool book_spin(sim::Cycle from, sim::Cycle to, bool load,
+                 sim::Cycle load_cycles) {
+    using B = obs::CycleAccount;
+    const sim::Cycle pair = 1 + load_cycles;
+    sim::Cycle t = from;
+    if (account.mark() > t) {
+      const sim::Cycle lim = account.mark() < to ? account.mark() : to;
+      const sim::Cycle pairs = (lim - t) / pair;
+      t += pairs * pair;
+      busy += pairs * pair;
+      mem_ops += pairs;
+      for (; t < to && t < account.mark(); load = !load) {
+        t += spin_step(t, load, load_cycles);
+      }
+    }
+    if (t >= to) return load;
+    const sim::Cycle span = to - t;
+    const sim::Cycle pairs = span / pair;
+    const bool odd = span % pair != 0;  // one more step, at the first phase
+    assert(!odd || span % pair == (load ? load_cycles : 1));
+    const sim::Cycle loads = pairs + (odd && load ? 1 : 0);
+    busy += span;
+    mem_ops += loads;
+    account.charge_tiled(B::kCompute, loads * load_cycles, B::kSpin, t, to);
+    return odd ? !load : load;
   }
 };
 

@@ -30,6 +30,7 @@ class Machine {
     // The tracer pointer is one branch on the UDN send path; flow events
     // are only recorded while the tracer is enabled.
     udn_.attach_tracer(&tracer_);
+    coh_.attach_watchers(&sched_);
     // Pre-size the event heap from the machine shape: each core keeps at
     // most a few engine events in flight (a pending resume, a UDN delivery,
     // a model timer), and same-cycle bursts are bounded by the core count.
@@ -61,15 +62,21 @@ class Machine {
     faults_.install(plan, cores());
   }
 
-  CoreState& core(sim::Tid c) { return cores_[c]; }
-  const CoreState& core(sim::Tid c) const { return cores_[c]; }
+  /// Core `c`'s state, with the deferred bookkeeping of the spinners
+  /// parked on it settled (docs/ENGINE.md "Poll groups"): every read of a
+  /// core's counters or account goes through here.
+  CoreState& core(sim::Tid c) {
+    CoreState& s = cores_[c];
+    if (s.parked != sim::Scheduler::kNoFiber) [[unlikely]] settle_parked(s);
+    return s;
+  }
   std::uint32_t cores() const { return topo_.cores(); }
 
   /// Zeroes all per-window counters (core accounting + model counters)
   /// without touching functional state, so a measurement can start after
   /// warmup.
   void reset_window_counters() {
-    for (auto& c : cores_) c.reset_window(sched_.now());
+    for (sim::Tid c = 0; c < cores(); ++c) core(c).reset_window(sched_.now());
     coh_.reset_counters();
     udn_.reset_counters();
     vlink_.reset_counters();
@@ -80,7 +87,7 @@ class Machine {
   /// accounts at a window boundary.
   void settle_accounts() {
     const sim::Cycle t = sched_.now();
-    for (auto& c : cores_) c.account.settle(t);
+    for (sim::Tid c = 0; c < cores(); ++c) core(c).account.settle(t);
   }
 
   /// Closes every core's account at run teardown. Unlike settle_accounts()
@@ -92,10 +99,16 @@ class Machine {
   /// leaving a never-worked core's account empty instead of all-idle.
   void finalize_accounts(sim::Cycle run_end) {
     const sim::Cycle t = run_end > sched_.now() ? run_end : sched_.now();
-    for (auto& c : cores_) c.account.finalize(t);
+    for (sim::Tid c = 0; c < cores(); ++c) core(c).account.finalize(t);
   }
 
  private:
+  // Out of line: core() sits on every simulated operation's path, and
+  // a core that holds a parked spinner is rarely the one operating.
+  __attribute__((noinline)) void settle_parked(const CoreState& s) {
+    sched_.settle_parked(s.parked);
+  }
+
   MachineParams params_;
   sim::Tracer tracer_;
   sim::Scheduler sched_;

@@ -2,8 +2,20 @@
 
 #include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace hmps::arch {
+
+void UdnModel::bad_queue(Tid core, std::uint32_t queue,
+                         const char* where) const {
+  std::fprintf(stderr,
+               "hmps fatal: UdnModel: %s: core %u queue %u is outside the "
+               "machine's %zu cores x %zu demux queues (udn_queues)\n",
+               where, static_cast<unsigned>(core),
+               static_cast<unsigned>(queue), bufs_.size(), nq_);
+  std::abort();
+}
 
 UdnModel::UdnModel(const MachineParams& p, const MeshTopology& topo,
                    sim::Scheduler& sched)
@@ -34,7 +46,7 @@ void UdnModel::attach_faults(sim::FaultInjector* f) {
 
 void UdnModel::send(Tid src, Tid dst, std::uint32_t queue,
                     const std::uint64_t* words, std::size_t n) {
-  assert(dst < bufs_.size() && queue < nq_);
+  const std::size_t qi = queue_index(dst, queue, "send");
   assert(n <= p_.udn_buf_words && "message larger than a whole buffer");
   Buffer& b = bufs_[dst];
 
@@ -92,7 +104,6 @@ void UdnModel::send(Tid src, Tid dst, std::uint32_t queue,
   // publishes the words. Staging order matches delivery order: deliver times
   // per buffer are non-decreasing in send order via port_busy, and the event
   // queue breaks ties in schedule order.
-  const std::size_t qi = dst * nq_ + queue;
   rings_[qi].stage(words, n);
   sched_.at(deliver, [this, qi, n] {
     auto& q = rings_[qi];
@@ -112,9 +123,8 @@ void UdnModel::send(Tid src, Tid dst, std::uint32_t queue,
 
 void UdnModel::receive(Tid dst, std::uint32_t queue, std::uint64_t* out,
                        std::size_t n) {
-  assert(dst < bufs_.size() && queue < nq_);
+  const std::size_t qi = queue_index(dst, queue, "receive");
   Buffer& b = bufs_[dst];
-  const std::size_t qi = dst * nq_ + queue;
   auto& q = rings_[qi];
   while (q.size() < n) {
     recv_waiters_[qi].push_back(Waiter{sched_.current(), n});

@@ -112,11 +112,11 @@ class UdnModel {
 
   /// True iff the local queue currently holds no words.
   bool queue_empty(Tid core, std::uint32_t queue) const {
-    return rings_[core * nq_ + queue].empty();
+    return rings_[queue_index(core, queue, "queue_empty")].empty();
   }
 
   std::size_t words_pending(Tid core, std::uint32_t queue) const {
-    return rings_[core * nq_ + queue].size();
+    return rings_[queue_index(core, queue, "words_pending")].size();
   }
 
   /// Words currently holding credits in a core's hardware buffer (resident
@@ -212,6 +212,20 @@ class UdnModel {
   sim::Scheduler& sched_;
   sim::FaultInjector* faults_ = nullptr;
   sim::Tracer* tracer_ = nullptr;
+  /// Index of (core, demux queue) in rings_ and recv_waiters_. Aborts
+  /// when either lies outside the machine (udn_queues bounds the queues),
+  /// in every build: a thread placed on a queue past udn_queues would read
+  /// and write another core's rings.
+  std::size_t queue_index(Tid core, std::uint32_t queue,
+                          const char* where) const {
+    if (core >= bufs_.size() || queue >= nq_) [[unlikely]] {
+      bad_queue(core, queue, where);
+    }
+    return core * nq_ + queue;
+  }
+  [[noreturn]] void bad_queue(Tid core, std::uint32_t queue,
+                              const char* where) const;
+
   std::size_t nq_;
   // Flat per-machine storage: a Machine costs the same few allocations at
   // every mesh shape (docs/ENGINE.md "Set-up cost").

@@ -138,7 +138,6 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
     ex.add_thread([&, i, tid](SimCtx& ctx) {
       sfid[i] = ex.sched().current();
       const std::uint32_t core = tid % ex.machine().cores();
-      obs::CycleAccount& acct = ex.machine().core(core).account;
       auto& myq = pend[i];
       auto& mystamps = stamps[i];
       // Records the `n` oldest stamped ops as completed now.
@@ -173,7 +172,10 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
         // a wait that began during warmup cannot overdraw the reset
         // buckets).
         const Cycle wait_from = arr.t > t_meas0 ? arr.t : t_meas0;
-        if (t_disp > wait_from) carve_queue_delay(acct, t_disp - wait_from);
+        if (t_disp > wait_from) {
+          carve_queue_delay(ex.machine().core(core).account,
+                            t_disp - wait_from);
+        }
         const std::uint64_t arg = sync::ShardedServer<SimCtx>::pack_obj_arg(
             arr.obj, cfg.queue_object ? 1 + (k & 0xFFFF) : 0);
         ++k;

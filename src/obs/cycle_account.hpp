@@ -71,6 +71,16 @@ class CycleAccount {
     mark_ = end;
   }
 
+  /// charge() of back-to-back intervals that tile [start, end), `na` of
+  /// their cycles attributed to `a` and the rest to `b`, in O(1).
+  /// Precondition: mark() <= start, so no interval is clipped.
+  void charge_tiled(Bucket a, Cycle na, Bucket b, Cycle start, Cycle end) {
+    b_[kIdle] += start - mark_;
+    b_[a] += na;
+    b_[b] += end - start - na;
+    mark_ = end;
+  }
+
   /// Accounts the tail [mark, now) as idle so total() == now - origin.
   /// Call at window boundaries before reading the buckets.
   void settle(Cycle now) {

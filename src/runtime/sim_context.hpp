@@ -280,11 +280,27 @@ class SimCtx {
         continue;
       }
       const auto& par = m_.params();
+      arch::CoreState& c = m_.core(core_);
+      arch::CoherenceModel& coh = m_.coherence();
+      arch::CoherenceModel::LineHint hint =
+          coh.hint(reinterpret_cast<std::uint64_t>(p));
+      // From here on every change to the line, the word or this core's
+      // prefetch slot notifies the poller's group; `clean` says whether
+      // its next load would be the hit returning `v` (the value may have
+      // changed during the load's own latency).
+      coh.watch(hint);
+      const bool clean = p->load(std::memory_order_relaxed) == v &&
+                         c.prefetch_line != hint.line &&
+                         coh.readable(core_, hint);
+      const sim::Scheduler::PollGroup group{
+          &kSpinGroup, sim::Scheduler::kPhasePlain, clean, hint.line,
+          &c.parked};
       m_.sched().park_polling(
           &SimCtx::spin_poll<T>,
-          SpinPoll<T>{&m_, &m_.core(core_), p, v,
-                      m_.coherence().hint(reinterpret_cast<std::uint64_t>(p)),
-                      par.issue_cost + par.l_hit, core_, false});
+          SpinPoll<T>{{&m_, &c, hint, par.issue_cost + par.l_hit, core_,
+                       false},
+                      p, v},
+          &group);
     }
   }
 
@@ -399,7 +415,7 @@ class SimCtx {
   /// The bookkeeping of one operation that core `core` (state `c`) starts
   /// at `t`: `busy` cycles charged to `b`, then `stall` stalled cycles
   /// charged to `stall_b`, and a tracer event over both. Returns busy +
-  /// stall. Shared by charge_busy(), charge_load() and the poller.
+  /// stall. Shared by charge_busy() and charge_load().
   static Cycle charge_step(sim::Tracer& tr, Tid core, arch::CoreState& c,
                            const char* name, Cycle t, Bucket b, Cycle busy,
                            Bucket stall_b = Bucket::kCompute,
@@ -417,44 +433,73 @@ class SimCtx {
   /// A spin_until() parked behind its poller. The scheduler keeps it in
   /// the fiber's slot (Scheduler::kPollRecordBytes), so a poll step reads
   /// this record, the core's state and the line's table slot, and nothing
-  /// of the SimCtx.
-  template <class T>
-  struct SpinPoll {
+  /// of the SimCtx. The part that does not depend on T comes first: the
+  /// poll group hooks read only that.
+  struct SpinState {
     arch::Machine* m;
     arch::CoreState* c;   ///< state of `core`
-    const std::atomic<T>* p;
-    T last;               ///< value of the last real load (not done)
     arch::CoherenceModel::LineHint hint;  ///< the line holding *p
     Cycle load_cycles;    ///< a cache-hit load's occupancy: issue + l_hit
     Tid core;
     bool poll_next;       ///< next step: the load (true) or the relax
   };
+  template <class T>
+  struct SpinPoll {
+    SpinState s;
+    const std::atomic<T>* p;
+    T last;               ///< value of the last real load (not done)
+  };
+
+  static SpinState& spin_state(void* rec) {
+    return *std::launder(static_cast<SpinState*>(rec));
+  }
+
+  /// Scheduler::PollGroupOps::move for parked spins: a load-phase group
+  /// counts its k hits. Observers see every step (the tracer its events,
+  /// the profiler its hits), so with one attached the members step.
+  static Cycle spin_move(void* rec, std::uint8_t phase, std::uint32_t k) {
+    const SpinState& s = spin_state(rec);
+    arch::Machine& m = *s.m;
+    if (m.tracer().enabled() || m.coherence().profiler() != nullptr ||
+        s.load_cycles >= sim::EventQueue::kWheel) {
+      return sim::Scheduler::kHandBack;
+    }
+    if (phase == sim::Scheduler::kPhasePlain) return 1;
+    m.coherence().count_hits(k);
+    return s.load_cycles;
+  }
+
+  /// Scheduler::PollGroupOps::settle for parked spins.
+  static void spin_settle(void* rec, Cycle from, Cycle to) {
+    SpinState& s = spin_state(rec);
+    s.poll_next = s.c->book_spin(from, to, s.poll_next, s.load_cycles);
+  }
+
+  static constexpr sim::Scheduler::PollGroupOps kSpinGroup{&spin_move,
+                                                           &spin_settle};
 
   /// The poller (Scheduler::PollFn): one of the loop's two steps, which
-  /// alternate, with its exact bookkeeping; returns the step's cycles.
+  /// alternate, with its exact bookkeeping (CoreState::spin_step, the one
+  /// spin_settle books a moved group's steps with, and the tracer event);
+  /// returns the step's cycles.
   /// Hands back to the fiber (Scheduler::kHandBack) when the next load
   /// might differ from a plain cache hit returning `last`: the word
   /// changed, the line is no longer readable here, or a prefetch of it is
   /// outstanding.
   template <class T>
   static Cycle spin_poll(void* rec) {
-    SpinPoll<T>& s = *std::launder(static_cast<SpinPoll<T>*>(rec));
+    SpinPoll<T>& r = *std::launder(static_cast<SpinPoll<T>*>(rec));
+    SpinState& s = r.s;
     arch::Machine& m = *s.m;
     arch::CoreState& c = *s.c;
-    const Cycle t = m.sched().now();
-    Cycle d;
-    if (s.poll_next) {
-      if (s.p->load(std::memory_order_relaxed) != s.last ||
-          c.prefetch_line == s.hint.line ||
-          !m.coherence().read_hit(s.core, s.hint)) {
-        return sim::Scheduler::kHandBack;
-      }
-      ++c.mem_ops;
-      d = charge_step(m.tracer(), s.core, c, "load-hit", t, Bucket::kCompute,
-                      s.load_cycles);
-    } else {
-      d = charge_step(m.tracer(), s.core, c, "spin", t, Bucket::kSpin, 1);
+    if (s.poll_next && (r.p->load(std::memory_order_relaxed) != r.last ||
+                        c.prefetch_line == s.hint.line ||
+                        !m.coherence().read_hit(s.core, s.hint))) {
+      return sim::Scheduler::kHandBack;
     }
+    const Cycle t = m.sched().now();
+    const Cycle d = c.spin_step(t, s.poll_next, s.load_cycles);
+    m.tracer().event(s.core, s.poll_next ? "load-hit" : "spin", t, d);
     s.poll_next = !s.poll_next;
     return d;
   }

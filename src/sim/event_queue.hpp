@@ -171,11 +171,12 @@ class EventFn {
 /// same-cycle runs of events skip the scan entirely.
 ///
 /// Poll blocks: consecutive resumes of parked pollers in one bucket share a
-/// single entry (kPollTag | first member; the scheduler threads the members
-/// through its fiber table). A poller scheduled into a bucket whose last
-/// entry is such a block joins it — the FIFO position its own entry would
-/// have taken. Every count the queue keeps (size, the EngineCounters, a
-/// bucket's growth) still counts members, not entries.
+/// single entry (kPollTag | phase | first member; the scheduler threads the
+/// members through its fiber table). A poller scheduled into a bucket whose
+/// last entry is a block of the same phase joins it — the FIFO position its
+/// own entry would have taken; otherwise it starts a new entry. Every count
+/// the queue keeps (size, the EngineCounters, a bucket's growth) still
+/// counts members, not entries.
 class EventQueue {
  public:
   using Callback = EventFn;
@@ -185,9 +186,13 @@ class EventQueue {
   /// all — see schedule_resume). The tag bit is what lets the scheduler's
   /// dominant event class skip the callable pool on both ends.
   static constexpr std::uint32_t kResumeTag = 0x8000'0000u;
-  /// A poll block: resumes of parked pollers, kPollTag | first member. A
-  /// poll entry is also a resume entry (is_resume).
+  /// A poll block: resumes of parked pollers, kPollTag | phase << 28 |
+  /// first member. A poll entry is also a resume entry (is_resume). The
+  /// phase (0-3) is the scheduler's: only same-phase pollers share a block.
   static constexpr std::uint32_t kPollTag = 0xC000'0000u;
+  static constexpr std::uint32_t kPhaseShift = 28;
+  /// Fiber ids of resume and poll entries lie below this bound.
+  static constexpr std::uint32_t kMaxFibers = 1u << kPhaseShift;
   /// pop_entry() result when the earliest event lies past the horizon.
   static constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
   /// Wheel buckets per revolution. Covers every delta a cycle-level model
@@ -203,7 +208,14 @@ class EventQueue {
   }
   /// The fiber of a resume entry; of a poll entry, its first member.
   static std::uint32_t resume_fiber(std::uint32_t entry) {
-    return entry & ~kPollTag;
+    return entry & (kMaxFibers - 1);
+  }
+  /// The phase of a poll entry.
+  static std::uint8_t poll_phase(std::uint32_t entry) {
+    return static_cast<std::uint8_t>((entry >> kPhaseShift) & 3u);
+  }
+  static std::uint32_t poll_entry(std::uint32_t first, std::uint8_t phase) {
+    return kPollTag | std::uint32_t{phase} << kPhaseShift | first;
   }
 
   /// Schedules `cb` to fire at absolute time `t`. A `t` earlier than the
@@ -236,12 +248,13 @@ class EventQueue {
   }
 
   /// Schedules parked poller `fiber`'s resume at `t` (>= the last popped
-  /// time). If bucket t's last entry is a poll block, the fiber joins it
-  /// and that block's first member is returned: the caller links the fiber
-  /// behind the block's last member. Otherwise the fiber gets a poll entry
-  /// of its own and kNoEvent is returned.
-  std::uint32_t schedule_poll(Cycle t, std::uint32_t fiber) {
-    const std::uint32_t joined = place_polls(t, fiber, 1);
+  /// time), at `phase`. If bucket t's last entry is a poll block of that
+  /// phase, the fiber joins it and that block's first member is returned:
+  /// the caller links the fiber behind the block's last member. Otherwise
+  /// the fiber gets a poll entry of its own and kNoEvent is returned.
+  std::uint32_t schedule_poll(Cycle t, std::uint32_t fiber,
+                              std::uint8_t phase) {
+    const std::uint32_t joined = place_polls(t, fiber, 1, phase);
     count_scheduled();
     return joined;
   }
@@ -250,21 +263,43 @@ class EventQueue {
   /// member `first` (the caller has threaded the rest), all due at `t`. Only
   /// a single member may be bound for the overflow heap. Moves the entries
   /// only: the members' counts go through account_polls().
-  std::uint32_t place_polls(Cycle t, std::uint32_t first, std::uint32_t n) {
+  std::uint32_t place_polls(Cycle t, std::uint32_t first, std::uint32_t n,
+                            std::uint8_t phase) {
+    const std::uint32_t entry = poll_entry(first, phase);
     if (t - floor_ < kWheel) {
       const std::size_t idx = t & (kWheel - 1);
       Bucket& b = buckets_[idx];
-      if (b.len != 0 && is_poll(b.data[b.len - 1])) {
+      constexpr std::uint32_t kTagAndPhase = ~(kMaxFibers - 1);
+      if (b.len != 0 &&
+          (b.data[b.len - 1] & kTagAndPhase) == (entry & kTagAndPhase)) {
         make_room(b, n);
         b.n += n;
         return resume_fiber(b.data[b.len - 1]);
       }
-      append(idx, t, kPollTag | first, n);
+      append(idx, t, entry, n);
     } else {
       assert(n == 1);
-      push_overflow(t, kPollTag | first);
+      push_overflow(t, entry);
     }
     return kNoEvent;
+  }
+
+  /// Reschedules a whole popped poll block of `n` >= 2 members, first
+  /// member `first`, at `t` (a wheel time) without stepping its members:
+  /// the queue work and the counts of a pop whose members all took one step
+  /// of the same length and stayed parked (run_members' runs, then its last
+  /// member's schedule_poll, which could not fast-forward past the others).
+  /// Returns what place_polls() returns.
+  std::uint32_t move_polls(Cycle t, std::uint32_t first, std::uint32_t n,
+                           std::uint8_t phase) {
+    assert(n >= 2 && t - floor_ < kWheel);
+    const std::uint32_t joined = place_polls(t, first, n, phase);
+    account_polls(n - 1);
+    ++counters_.polled;
+    count_scheduled();
+    ++counters_.group_moves;
+    counters_.moved_members += n;
+    return joined;
   }
 
   /// Books a popped poll block whose first `n` members stepped and were

@@ -1,10 +1,20 @@
 #include "sim/scheduler.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace hmps::sim {
 
 Scheduler::FiberId Scheduler::spawn(std::function<void()> fn, Cycle start,
                                     std::size_t stack_bytes) {
   const FiberId id = static_cast<FiberId>(fibers_.size());
+  if (fibers_.size() >= EventQueue::kMaxFibers) [[unlikely]] {
+    // Queue entries hold a fiber id beside their tag and phase bits.
+    std::fprintf(stderr,
+                 "hmps fatal: Scheduler::spawn: more than %u fibers\n",
+                 static_cast<unsigned>(EventQueue::kMaxFibers));
+    std::abort();
+  }
   fibers_.emplace_back().fiber =
       std::make_unique<Fiber>(std::move(fn), stack_bytes);
   schedule_resume(id, start);
@@ -18,24 +28,76 @@ void Scheduler::schedule_resume(FiberId id, Cycle t) {
   schedule_resume_at(id, t);
 }
 
-Scheduler::FiberId Scheduler::run_polls(FiberId id) {
-  const FiberId last = fibers_[id].last;
+bool Scheduler::notify(std::uint64_t key) {
+  bool watched = false;
+  for (FiberId f = watch_heads_[watch_bucket(key)]; f != kNoFiber;
+       f = fibers_[f].watch_next) {
+    if (fibers_[f].watch == key) {
+      fibers_[find(f)].dirty = true;
+      watched = true;
+    }
+  }
+  return watched;
+}
+
+void Scheduler::release(FiberId id) {
+  Slot& s = fibers_[id];
+  s.poll = nullptr;
+  if (s.ops == nullptr) return;
+  s.ops = nullptr;
+  if (s.watch_prev != kNoFiber) {
+    fibers_[s.watch_prev].watch_next = s.watch_next;
+  } else {
+    watch_heads_[watch_bucket(s.watch)] = s.watch_next;
+  }
+  if (s.watch_next != kNoFiber) fibers_[s.watch_next].watch_prev = s.watch_prev;
+  FiberId* link = s.settle_list;
+  while (*link != id) link = &fibers_[*link].settle_next;
+  *link = s.settle_next;
+  s.shared = false;
+  const FiberId only = *s.settle_list;
+  if (only != kNoFiber && fibers_[only].settle_next == kNoFiber) {
+    fibers_[only].shared = false;  // its group is re-formed unpinned
+  }
+}
+
+Scheduler::FiberId Scheduler::run_polls(FiberId id, std::uint8_t phase) {
+  Slot& h = fibers_[id];
+  if (phase != kPhaseOpaque && h.n >= 2 && !h.pinned &&
+      (phase == kPhasePlain || !h.dirty)) {
+    // A poll group: every member would take the same step and stay parked
+    // (a check step passes while no member's key was notified), so the
+    // group moves whole and the members' bookkeeping waits for settle().
+    const Cycle d = h.ops->move(h.rec, phase, h.n);
+    if (d != kHandBack) {
+      const Cycle t = now_ + d;
+      link_polls(queue_.move_polls(t, id, h.n, flip(phase)), id, h.last, h.n,
+                 t, h.dirty, false);
+      return kNoFiber;
+    }
+  }
+  const FiberId last = h.last;
+  const bool dirty = h.dirty;
   if (id != last) {
-    const FiberId handed = run_members(id, last);
+    const FiberId handed = run_members(id, last, phase, dirty);
     if (handed != kNoFiber) return handed;
   }
   Slot& s = fibers_[last];
-  const Cycle t = poll_until_wait(s.poll, s.rec);
+  settle(s, now_);
+  std::uint8_t ph = phase;
+  bool d = dirty;
+  const Cycle t = poll_until_wait(s.poll, s.rec, &ph, &d);
   if (t == kHandBack) {
-    s.poll = nullptr;
+    release(last);
     return last;
   }
   queue_.note_polled();
-  schedule_poll(last, t);
+  schedule_poll(last, t, ph, d);
   return kNoFiber;
 }
 
-Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last) {
+Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last,
+                                          std::uint8_t phase, bool dirty) {
   // Members that stayed parked, by wait: each run is threaded through its
   // members' `next` links and joins bucket now + d in one operation. Waits
   // too long for the wheel are placed one by one, as lone pollers.
@@ -43,16 +105,21 @@ Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last) {
     Cycle d;
     FiberId first, last;
     std::uint32_t n;
+    bool pinned;
   };
   constexpr std::size_t kMaxRuns = 4;
   Run runs[kMaxRuns];
   std::size_t nruns = 0;
-  std::uint64_t stepped = 0;  // members that stepped and stay parked
+  std::uint32_t stepped = 0;  // members that stepped and stay parked
+  const std::uint32_t members = fibers_[id].n;
+  const std::uint8_t next_phase = flip(phase);
+  const bool run_dirty = dirty && phase != kPhaseCheck;
   const auto place_runs = [&] {
     for (std::size_t r = 0; r < nruns; ++r) {
       const Run& x = runs[r];
-      link_polls(queue_.place_polls(now_ + x.d, x.first, x.n), x.first,
-                 x.last);
+      const Cycle t = now_ + x.d;
+      link_polls(queue_.place_polls(t, x.first, x.n, next_phase), x.first,
+                 x.last, x.n, t, run_dirty, x.pinned);
     }
     nruns = 0;
   };
@@ -61,28 +128,46 @@ Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last) {
     Slot& s = fibers_[id];
     const FiberId next = s.next;
     __builtin_prefetch(&fibers_[next]);
+    settle(s, now_);
     const Cycle d = s.poll(s.rec);
     if (d == kHandBack) [[unlikely]] {
-      s.poll = nullptr;
+      release(id);
       place_runs();
       queue_.account_polls(stepped);
-      fibers_[next].last = last;
-      queue_.push_front(EventQueue::kPollTag | next);
+      // The unrun rest becomes a block of its own, its members' group.
+      Slot& rest = fibers_[next];
+      rest.last = last;
+      rest.n = members - stepped - 1;
+      rest.time = now_;
+      rest.dirty = dirty;
+      rest.pinned = false;
+      for (FiberId f = next;; f = fibers_[f].next) {
+        fibers_[f].up = next;
+        rest.pinned |= fibers_[f].shared;
+        if (f == last) break;
+      }
+      queue_.push_front(EventQueue::poll_entry(next, phase));
       return id;
     }
     assert(d > 0);
     ++stepped;
+    s.from = now_ + d;
     std::size_t r = 0;
     while (r < nruns && runs[r].d != d) ++r;
     if (r < nruns) {
       fibers_[runs[r].last].next = id;
       runs[r].last = id;
       ++runs[r].n;
+      runs[r].pinned |= s.shared;
+      s.up = runs[r].first;
     } else if (d >= EventQueue::kWheel) [[unlikely]] {
-      link_polls(queue_.place_polls(now_ + d, id, 1), id, id);
+      const Cycle t = now_ + d;
+      link_polls(queue_.place_polls(t, id, 1, next_phase), id, id, 1, t,
+                 run_dirty, s.shared);
     } else {
       if (nruns == kMaxRuns) place_runs();
-      runs[nruns++] = Run{d, id, id, 1};
+      runs[nruns++] = Run{d, id, id, 1, s.shared};
+      s.up = id;
     }
     id = next;
   }
@@ -138,12 +223,33 @@ void Scheduler::wait_until(Cycle t) {
   park_and_dispatch(id);
 }
 
-void Scheduler::park_polled(PollFn poll) {
+void Scheduler::park_polled(PollFn poll, const PollGroup* group) {
   const FiberId id = current_;
-  const Cycle t = poll_until_wait(poll, fibers_[id].rec);
+  Slot& s = fibers_[id];
+  std::uint8_t phase = group != nullptr ? group->phase : kPhaseOpaque;
+  bool dirty = group != nullptr && !group->clean;
+  const Cycle t = poll_until_wait(poll, s.rec, &phase, &dirty);
   if (t == kHandBack) return;
-  fibers_[id].poll = poll;
-  schedule_poll(id, t);
+  s.poll = poll;
+  if (group != nullptr) {
+    s.ops = group->ops;
+    s.watch = group->watch;
+    FiberId& head = watch_heads_[watch_bucket(s.watch)];
+    s.watch_prev = kNoFiber;
+    s.watch_next = head;
+    if (head != kNoFiber) fibers_[head].watch_prev = id;
+    head = id;
+    s.settle_list = group->settle_list;
+    s.settle_next = *s.settle_list;
+    *s.settle_list = id;
+    s.shared = s.settle_next != kNoFiber;
+    for (FiberId f = s.settle_next; f != kNoFiber; f = fibers_[f].settle_next) {
+      // Settled already: the fiber read its core's state to park.
+      fibers_[f].shared = true;
+      fibers_[find(f)].pinned = true;
+    }
+  }
+  schedule_poll(id, t, phase, dirty);
   park_and_dispatch(id);
 }
 

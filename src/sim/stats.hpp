@@ -28,6 +28,10 @@ struct EngineCounters {
   /// hmps-metrics-v2 engine block.
   std::uint64_t poll_blocks = 0;
   std::uint64_t block_members = 0;
+  /// Poll groups moved whole without stepping a member, and the members
+  /// they held (docs/ENGINE.md, "Poll groups"). Kept out of hmps-metrics-v2.
+  std::uint64_t group_moves = 0;
+  std::uint64_t moved_members = 0;
 };
 
 /// Streaming min/max/mean/variance accumulator (Welford's algorithm).

@@ -10,6 +10,7 @@
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
+#include "harness/workload.hpp"
 #include "sim/stats.hpp"
 
 namespace hmps::arch {
@@ -75,6 +76,25 @@ TEST(CoherenceDeathTest, ControllerCountOutsideTableAborts) {
     EXPECT_DEATH(CoherenceModel(p, topo),
                  "n_mem_ctrls = [0-9]+ is outside the supported range");
   }
+}
+
+// A thread's demux queue indexes per-core ring arrays sized by
+// udn_queues. Four threads on two cores with one queue each put threads 2
+// and 3 on queue 1, which must abort in every build instead of reading
+// another core's ring (an ASan heap-buffer-overflow in WordRing::size).
+using UdnDeathTest = ::testing::Test;
+
+TEST(UdnDeathTest, DemuxQueuePastUdnQueuesAborts) {
+  harness::RunCfg cfg;
+  cfg.machine = MachineParams::tilegx_small(2, 1);
+  cfg.machine.udn_queues = 1;
+  cfg.app_threads = 4;
+  cfg.warmup = 2'000;
+  cfg.window = 2'000;
+  cfg.reps = 1;
+  EXPECT_DEATH(harness::run_counter(cfg, harness::Approach::kMpServer),
+               "hmps fatal: UdnModel: [a-z_]+: core [0-9]+ queue 1 is "
+               "outside the machine's 2 cores x 1 demux queues");
 }
 
 // line_of() is a shift, and simulated arenas are aligned to 64 bytes only:

@@ -48,18 +48,26 @@
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+
+// The replacements below pair malloc with free through these two
+// out-of-line calls, so the compiler never sees a pointer from operator new
+// reach free() (-Wmismatched-new-delete).
+[[gnu::noinline]] void* counted_malloc(std::size_t n) {
+  ++g_allocs;
+  return std::malloc(n ? n : 1);
+}
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = counted_malloc(n)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace hmps {
 namespace {
@@ -111,7 +119,7 @@ TEST(GoldenTrace, SchedulerInterleave) {
   for (std::uint32_t j = 0; j < 6; ++j) {
     s.spawn([&s, &fp, j] {
       sim::Xoshiro256 rng(1000 + j);
-      for (int i = 0; i < 400; ++i) {
+      for (std::uint32_t i = 0; i < 400; ++i) {
         fp.mix(j);
         fp.mix(s.now());
         if (i % 7 == j % 7) {

@@ -10,14 +10,19 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "arch/core.hpp"
 #include "arch/machine.hpp"
 #include "arch/params.hpp"
 #include "ds/counter.hpp"
 #include "harness/record.hpp"
 #include "obs/cycle_account.hpp"
+#include "obs/json.hpp"
+#include "obs/telemetry.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sim/perturb.hpp"
@@ -128,6 +133,7 @@ struct Snapshot {
   std::uint64_t executed = 0;
   std::uint64_t fast_forwards = 0;
   std::uint64_t polled = 0;
+  std::uint64_t moved = 0;  ///< poll steps that poll groups took whole
 };
 
 Snapshot snapshot(rt::SimExecutor& ex) {
@@ -149,6 +155,7 @@ Snapshot snapshot(rt::SimExecutor& ex) {
   s.executed = ec.executed;
   s.fast_forwards = ec.fast_forwards;
   s.polled = ec.polled;
+  s.moved = ec.moved_members;
   return s;
 }
 
@@ -383,6 +390,259 @@ TEST(ParkedSpin, HintSurvivesLineTableGrowth) {
   EXPECT_NE(got.gen_after, got.gen_before);
   for (const Cycle t : ref.done_at) EXPECT_GT(t, 200'000u);
   EXPECT_GT(got.snap.polled, 0u);
+}
+
+// ---- poll groups ----
+//
+// A poll group (docs/ENGINE.md "Poll groups") moves whole, without
+// stepping its members, while no member's line was written, atomically
+// updated, silently owned or prefetched since its last real check; the
+// members' bookkeeping is settled later. Each scenario below runs a
+// notification path or a settle point against the plain loop, and asserts
+// that groups did move whole.
+
+struct GroupRun {
+  Snapshot snap;
+  std::vector<Snapshot> snaps;  ///< the optional periodic snapshots
+  std::uint64_t fp = 0;         ///< every value every spinner saw, and when
+  std::string telemetry;        ///< the telemetry block, when on
+  std::uint64_t combines = 0;
+};
+
+struct GroupCfg {
+  arch::MachineParams machine = arch::MachineParams::tilegx36();
+  Cycle snapshot_every = 0;    ///< run_until + snapshot cadence; 0: none
+  Cycle telemetry_window = 0;  ///< 0: off
+  Cycle end = 300'000;
+};
+
+void mix(std::uint64_t* h, std::uint64_t v) {
+  *h ^= v;
+  *h *= 1099511628211ull;
+}
+
+/// Runs `threads` thread bodies (thread t on core t % cores) under
+/// `cfg`, then snapshots.
+GroupRun run_group(const GroupCfg& cfg, sim::Perturber* perturber,
+                   const std::function<void(rt::SimExecutor&, GroupRun&)>&
+                       add_threads) {
+  rt::SimExecutor ex(cfg.machine, 7);
+  if (perturber != nullptr) ex.sched().set_perturber(perturber);
+  GroupRun r;
+  r.fp = 14695981039346656037ull;
+  add_threads(ex, r);
+  obs::Telemetry tel(ex.machine(), {cfg.telemetry_window});
+  tel.start(0, cfg.end);
+  if (cfg.snapshot_every > 0) {
+    for (Cycle t = cfg.snapshot_every; t < cfg.end; t += cfg.snapshot_every) {
+      ex.run_until(t);
+      r.snaps.push_back(snapshot(ex));
+    }
+  }
+  ex.run_until(cfg.end);
+  r.snap = snapshot(ex);  // settles the accounts
+  tel.flush(cfg.end);
+  if (tel.enabled()) r.telemetry = tel.to_json().dump();
+  r.combines = ex.machine().coherence().combining().counters().combines;
+  return r;
+}
+
+void expect_same_group(const GroupRun& got, const GroupRun& ref) {
+  expect_same(got.snap, ref.snap);
+  EXPECT_EQ(got.fp, ref.fp);
+  ASSERT_EQ(got.snaps.size(), ref.snaps.size());
+  for (std::size_t i = 0; i < ref.snaps.size(); ++i) {
+    SCOPED_TRACE("snapshot " + std::to_string(i));
+    expect_same(got.snaps[i], ref.snaps[i]);
+  }
+  EXPECT_EQ(got.telemetry, ref.telemetry);
+  // Groups moved whole, and never under the plain loop.
+  EXPECT_GT(got.snap.moved, 0u);
+  EXPECT_EQ(ref.snap.moved, 0u);
+}
+
+struct alignas(rt::kCacheLine) GroupLine {
+  rt::Word w{0};
+};
+
+/// 32 spinners, one per core, each on its own line and started together;
+/// a writer on core 32 flips one watched word, picked at random, at random
+/// times.
+void lockstep_spinners(rt::SimExecutor& ex, GroupRun& r,
+                       std::vector<GroupLine>& lines) {
+  constexpr std::uint32_t kSpinners = 32;
+  lines = std::vector<GroupLine>(kSpinners);
+  for (std::uint32_t i = 0; i < kSpinners; ++i) {
+    ex.add_thread([&, i](SimCtx& ctx) {
+      for (std::uint64_t seen = 0;;) {
+        seen = ctx.spin_until(&lines[i].w,
+                              [seen](std::uint64_t v) { return v != seen; });
+        mix(&r.fp, std::uint64_t{i} << 56 ^ seen << 32 ^ ctx.now());
+      }
+    });
+  }
+  ex.add_thread([&](SimCtx& ctx) {
+    for (std::uint64_t k = 1;; ++k) {
+      ctx.compute(1 + ctx.rand_below(400));
+      ctx.store(&lines[ctx.rand_below(kSpinners)].w, k);
+    }
+  });
+}
+
+GroupRun run_lockstep(const GroupCfg& cfg, sim::Perturber* perturber) {
+  std::vector<GroupLine> lines;
+  return run_group(cfg, perturber, [&](rt::SimExecutor& ex, GroupRun& r) {
+    lockstep_spinners(ex, r, lines);
+  });
+}
+
+TEST(ParkedSpin, GroupLockstepSpinnersMatchPlainLoop) {
+  const GroupCfg cfg;
+  ZeroPerturber zero;
+  expect_same_group(run_lockstep(cfg, nullptr), run_lockstep(cfg, &zero));
+}
+
+// Snapshots between run_until() calls read every core through
+// Machine::core(), which settles the spinners parked there to their
+// groups' times.
+TEST(ParkedSpin, GroupSnapshotsEvery997Cycles) {
+  GroupCfg cfg;
+  cfg.snapshot_every = 997;
+  cfg.end = 100'000;
+  ZeroPerturber zero;
+  const GroupRun got = run_lockstep(cfg, nullptr);
+  expect_same_group(got, run_lockstep(cfg, &zero));
+  EXPECT_EQ(got.snaps.size(), 100u);
+}
+
+// Telemetry ticks are events that snapshot every core's account.
+TEST(ParkedSpin, GroupTelemetryWindowsMatchPlainLoop) {
+  GroupCfg cfg;
+  cfg.telemetry_window = 1'500;
+  cfg.end = 100'000;
+  ZeroPerturber zero;
+  const GroupRun got = run_lockstep(cfg, nullptr);
+  expect_same_group(got, run_lockstep(cfg, &zero));
+  EXPECT_FALSE(got.telemetry.empty());
+}
+
+// Eight spinners watch one word that four cores fetch-and-add now and
+// then. With in-network combining, a FAA that merges into one in flight
+// changes the word without reaching the line table: it must notify by key.
+// Twelve cores keep the single memory controller busy with CAS on words of
+// their own, so a root FAA waits there long enough for the spinners to
+// reload the word and park again before the next FAA merges into it.
+TEST(ParkedSpin, GroupCombinedFaaNotifiesWatchers) {
+  GroupCfg cfg;
+  cfg.machine.noc_combining = true;
+  cfg.machine.n_mem_ctrls = 1;
+  cfg.end = 300'000;
+  alignas(rt::kCacheLine) rt::Word word{0};
+  std::vector<GroupLine> own(12);
+  const auto threads = [&](rt::SimExecutor& ex, GroupRun& r) {
+    word.store(0);
+    for (auto& l : own) l.w.store(0);
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      ex.add_thread([&, i](SimCtx& ctx) {
+        for (std::uint64_t seen = 0;;) {
+          seen = ctx.spin_until(
+              &word, [seen](std::uint64_t v) { return v != seen; });
+          mix(&r.fp, std::uint64_t{i} << 56 ^ seen << 32 ^ ctx.now());
+        }
+      });
+    }
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      ex.add_thread([&](SimCtx& ctx) {
+        for (;;) {
+          ctx.compute(ctx.rand_below(1'500));
+          ctx.faa(&word, 1);
+        }
+      });
+    }
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      ex.add_thread([&, i](SimCtx& ctx) {
+        for (std::uint64_t k = 0;; ++k) ctx.cas(&own[i].w, k, k + 1);
+      });
+    }
+  };
+  ZeroPerturber zero;
+  const GroupRun got = run_group(cfg, nullptr, threads);
+  expect_same_group(got, run_group(cfg, &zero, threads));
+  EXPECT_GT(got.combines, 0u);
+}
+
+// Eight spinners, one per core, each with a core-mate that prefetches the
+// spinner's line (which changes the spinner's next load: it takes the
+// prefetch path), loads it, and now and then stores to the watched word.
+TEST(ParkedSpin, GroupCoreMatePrefetchAndStore) {
+  GroupCfg cfg;
+  cfg.machine = arch::MachineParams::tilegx_small(4, 2);
+  cfg.end = 200'000;
+  std::vector<GroupLine> lines(8);
+  const auto threads = [&](rt::SimExecutor& ex, GroupRun& r) {
+    for (auto& l : lines) l.w.store(0);
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      ex.add_thread([&, i](SimCtx& ctx) {
+        for (std::uint64_t seen = 0;;) {
+          seen = ctx.spin_until(&lines[i].w,
+                                [seen](std::uint64_t v) { return v != seen; });
+          mix(&r.fp, std::uint64_t{i} << 56 ^ seen << 32 ^ ctx.now());
+        }
+      });
+    }
+    for (std::uint32_t i = 0; i < 8; ++i) {  // thread 8 + i: core i
+      ex.add_thread([&, i](SimCtx& ctx) {
+        for (std::uint64_t k = 1;; ++k) {
+          ctx.compute(ctx.rand_below(600));
+          ctx.prefetch(&lines[i].w);
+          ctx.compute(ctx.rand_below(60));
+          if (k % 4 == 0) {
+            ctx.store(&lines[i].w, k);
+          } else {
+            ctx.load(&lines[i].w);
+          }
+        }
+      });
+    }
+  };
+  ZeroPerturber zero;
+  expect_same_group(run_group(cfg, nullptr, threads),
+                    run_group(cfg, &zero, threads));
+}
+
+// CoreState::book_spin() books a parked spin's deferred steps in O(1); it
+// must match replaying them one by one, wherever the account's watermark
+// lies: before the first step, inside the run (a core-mate charged ahead),
+// or past its end.
+TEST(ParkedSpin, GroupSettleMatchesReplay) {
+  sim::Xoshiro256 rng(23);
+  for (int trial = 0; trial < 20'000; ++trial) {
+    const Cycle load_cycles = 1 + rng.below(12);
+    const Cycle from = rng.below(500);
+    bool load = rng.below(2) == 1;
+    Cycle to = from;
+    for (std::uint64_t n = rng.below(40), i = 0; i < n; ++i) {
+      to += (load ^ (i % 2 == 1)) ? load_cycles : 1;
+    }
+    const Cycle mark = rng.below(to + 60);
+    arch::CoreState a;
+    a.account.charge(obs::CycleAccount::kAtomic, mark / 3, mark);
+    a.busy = rng.below(100);
+    arch::CoreState b = a;
+    SCOPED_TRACE("from " + std::to_string(from) + " to " + std::to_string(to) +
+                 " load " + std::to_string(load) + " mark " +
+                 std::to_string(mark) + " L " + std::to_string(load_cycles));
+    const bool got = a.book_spin(from, to, load, load_cycles);
+    const bool ref = b.replay_spin(from, to, load, load_cycles);
+    ASSERT_EQ(got, ref);
+    ASSERT_EQ(a.busy, b.busy);
+    ASSERT_EQ(a.mem_ops, b.mem_ops);
+    ASSERT_EQ(a.account.mark(), b.account.mark());
+    for (int k = 0; k < obs::CycleAccount::kNumBuckets; ++k) {
+      const auto bk = static_cast<obs::CycleAccount::Bucket>(k);
+      ASSERT_EQ(a.account.bucket(bk), b.account.bucket(bk)) << k;
+    }
+  }
 }
 
 }  // namespace
