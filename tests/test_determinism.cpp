@@ -28,7 +28,10 @@
 #include "arch/params.hpp"
 #include "arch/topology.hpp"
 #include "arch/udn.hpp"
+#include "check/perturb.hpp"
 #include "ds/counter.hpp"
+#include "ds/queue.hpp"
+#include "harness/constructions.hpp"
 #include "harness/history.hpp"
 #include "harness/record.hpp"
 #include "harness/service.hpp"
@@ -39,6 +42,7 @@
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sync/delegation_server.hpp"
+#include "sync/sharded.hpp"
 #include "sync/vlink_server.hpp"
 
 // ---------------------------------------------------------------------------
@@ -341,18 +345,23 @@ TEST(GoldenTrace, MultiChipSurchargeSlowsIdenticalTraffic) {
   EXPECT_NE(mono.fp, quad.fp);  // completion order shifts under the extras
 }
 
-// Scenario: the three delegation servers (MP-SERVER, MP-SERVER-HUB,
-// VLINK-SERVER) end to end on the 6x6 TILE-Gx, in three client modes: sync
-// apply(), 4-deep async trains reaped in reverse, and 6-deep trains against
-// a 2-credit Section 6 guard (the drain-while-spinning path). Every returned
-// value, the final cycle, the UDN and vlink counters and the summed
-// SyncStats fold into one fingerprint, so any change to the order of a
-// client's or server's context operations shows up here.
-enum class Deleg { kMp, kHub, kVlink };
+// Scenario: the delegation servers (MP-SERVER, MP-SERVER-HUB,
+// VLINK-SERVER and a 2-shard ShardedServer fleet) end to end on the 6x6
+// TILE-Gx, in three client modes: sync apply(), 4-deep async trains reaped
+// in reverse, and 6-deep trains against a 2-credit Section 6 guard (the
+// drain-while-spinning path). The fleet runs over an 8-object counter farm,
+// and over a queue farm where every third op is a queue_transfer. Every
+// returned value, the final cycle, the UDN and vlink counters and the
+// summed SyncStats fold into one fingerprint, so any change to the order of
+// a client's or server's context operations shows up here. With `explore`
+// set a PCT perturber stalls threads at the sync-layer exploration points,
+// so the order of those points is pinned too.
+enum class Deleg { kMp, kHub, kVlink, kFleet, kFleetTransfer };
 
 struct DelegMode {
   std::uint32_t train;  ///< 0 = synchronous apply()
   std::uint64_t max_inflight;
+  bool explore = false;
 };
 
 struct DelegGold {
@@ -379,10 +388,49 @@ void drive_client(rt::SimCtx& ctx, Server& srv, Op op, DelegMode mode,
   }
 }
 
+using Fleet = sync::ShardedServer<rt::SimCtx>;
+constexpr std::uint64_t kFarm = 8;
+
+// The fleet behind drive_client's one-argument calls: op k goes to farm
+// object k % kFarm. On a queue farm op k enqueues k, dequeues or (every
+// third op) moves the head of object k % kFarm to object (k + 3) % kFarm.
+struct FleetClient {
+  Fleet& f;
+  bool queues;
+
+  std::uint64_t apply(rt::SimCtx& ctx, harness::reg::Fn fn, std::uint64_t k) {
+    if (!queues) return f.apply(ctx, fn, k % kFarm, k);
+    if (k % 3 == 2) return f.queue_transfer(ctx, k % kFarm, (k + 3) % kFarm);
+    return f.apply(ctx, queue_op(k), k % kFarm, k);
+  }
+  sync::Ticket apply_async(rt::SimCtx& ctx, harness::reg::Fn fn,
+                           std::uint64_t k) {
+    if (!queues) return f.apply_async(ctx, fn, k % kFarm, k);
+    if (k % 3 == 2) return f.transfer_async(ctx, k % kFarm, (k + 3) % kFarm);
+    return f.apply_async(ctx, queue_op(k), k % kFarm, k);
+  }
+  std::uint64_t wait(rt::SimCtx& ctx, sync::Ticket& t) { return f.wait(ctx, t); }
+
+  static harness::reg::Fn queue_op(std::uint64_t k) {
+    return k % 3 == 0 ? &harness::reg::farm_enq : &harness::reg::farm_deq;
+  }
+};
+
 DelegGold run_delegation(Deleg kind, DelegMode mode) {
   constexpr std::uint32_t kClients = 5;
   constexpr std::uint64_t kOps = 24;
+  const bool fleet = kind == Deleg::kFleet || kind == Deleg::kFleetTransfer;
+  const std::uint32_t servers = fleet ? 2 : 1;
   rt::SimExecutor ex(arch::MachineParams::tilegx36(), /*seed=*/11);
+  check::PerturbPlan plan;
+  plan.seed = 29;
+  plan.nthreads = servers + kClients;
+  plan.resume_permille = 100;
+  plan.delay_unit = 7;
+  plan.point_permille = 400;
+  plan.point_delay_max = 60;
+  check::PctPerturber perturber(plan);
+  if (mode.explore) ex.sched().set_perturber(&perturber);
   ds::SeqCounter counter;
   sync::MpServer<rt::SimCtx> mp(0, &counter, mode.max_inflight);
   sync::MpServerHub<rt::SimCtx> hub(0, mode.max_inflight);
@@ -390,15 +438,28 @@ DelegGold run_delegation(Deleg kind, DelegMode mode) {
       hub.add_op(ds::counter_inc<rt::SimCtx>, &counter);
   sync::VlinkServer<rt::SimCtx> vl(ex.machine().vlink(), /*server_core=*/0,
                                    &counter, mode.max_inflight);
+  ds::SeqCounter counters[kFarm];
+  ds::SeqQueue queues[kFarm];
+  const bool transfers = kind == Deleg::kFleetTransfer;
+  Fleet fl(servers, transfers ? static_cast<void*>(queues) : counters, kFarm,
+           mode.max_inflight,
+           transfers ? Fleet::TransferHooks{&harness::reg::farm_deq,
+                                            &harness::reg::farm_enq}
+                     : Fleet::TransferHooks{});
+  FleetClient fc{fl, transfers};
   Fp fp;
   std::uint32_t done = 0;
-  ex.add_thread([&](rt::SimCtx& ctx) {
-    switch (kind) {
-      case Deleg::kMp: mp.serve(ctx); break;
-      case Deleg::kHub: hub.serve(ctx); break;
-      case Deleg::kVlink: vl.serve(ctx); break;
-    }
-  });
+  for (std::uint32_t s = 0; s < servers; ++s) {
+    ex.add_thread([&, s](rt::SimCtx& ctx) {
+      switch (kind) {
+        case Deleg::kMp: mp.serve(ctx); break;
+        case Deleg::kHub: hub.serve(ctx); break;
+        case Deleg::kVlink: vl.serve(ctx); break;
+        case Deleg::kFleet:
+        case Deleg::kFleetTransfer: fl.serve(ctx, s); break;
+      }
+    });
+  }
   for (std::uint32_t i = 0; i < kClients; ++i) {
     ex.add_thread([&](rt::SimCtx& ctx) {
       const auto fn = ds::counter_inc<rt::SimCtx>;
@@ -406,30 +467,42 @@ DelegGold run_delegation(Deleg kind, DelegMode mode) {
         case Deleg::kMp: drive_client(ctx, mp, fn, mode, kOps, fp); break;
         case Deleg::kHub: drive_client(ctx, hub, opcode, mode, kOps, fp); break;
         case Deleg::kVlink: drive_client(ctx, vl, fn, mode, kOps, fp); break;
+        case Deleg::kFleet:
+        case Deleg::kFleetTransfer:
+          drive_client(ctx, fc, &harness::reg::farm_inc, mode, kOps, fp);
+          break;
       }
       if (++done < kClients) return;
       switch (kind) {
         case Deleg::kMp: mp.request_stop(ctx); break;
         case Deleg::kHub: hub.request_stop(ctx); break;
         case Deleg::kVlink: vl.request_stop(ctx); break;
+        case Deleg::kFleet:
+        case Deleg::kFleetTransfer: fl.request_stop(ctx); break;
       }
     });
   }
   ex.run_until(sim::kCycleMax);
   const Cycle end = ex.sched().now();
   fp.mix(end);
-  fp.mix(counter.value.load());
+  if (fleet) {
+    for (const ds::SeqCounter& c : counters) fp.mix(c.value.load());
+  } else {
+    fp.mix(counter.value.load());
+  }
   const auto& u = ex.machine().udn().counters();
   fp.mix(u.messages);
   fp.mix(u.words);
   fp.mix(u.sender_blocks);
   fp.mix(ex.machine().vlink().counters().frames);
   sync::SyncStats sum;
-  for (Tid t = 0; t <= kClients; ++t) {
+  for (Tid t = 0; t < servers + kClients; ++t) {
     switch (kind) {
       case Deleg::kMp: sum.add(mp.stats(t)); break;
       case Deleg::kHub: sum.add(hub.stats(t)); break;
       case Deleg::kVlink: sum.add(vl.stats(t)); break;
+      case Deleg::kFleet:
+      case Deleg::kFleetTransfer: sum.add(fl.stats(t)); break;
     }
   }
   for (std::uint64_t v : {sum.ops, sum.served, sum.tenures, sum.cas_attempts,
@@ -439,6 +512,24 @@ DelegGold run_delegation(Deleg kind, DelegMode mode) {
     fp.mix(v);
   }
   return DelegGold{fp.h, end};
+}
+
+// Prints a row set in initializer form when it mismatches, so an intended
+// change can be re-pinned from the test log.
+void expect_deleg(const char* what, const std::vector<DelegGold>& got,
+                  const std::vector<DelegGold>& want) {
+  bool same = got.size() == want.size();
+  for (std::size_t i = 0; same && i < got.size(); ++i) {
+    same = got[i].fp == want[i].fp && got[i].end == want[i].end;
+  }
+  EXPECT_TRUE(same) << what << " fingerprints moved";
+  if (same) return;
+  std::printf("%s:\n", what);
+  for (const DelegGold& g : got) {
+    std::printf("      {%lluull, %llu},\n",
+                static_cast<unsigned long long>(g.fp),
+                static_cast<unsigned long long>(g.end));
+  }
 }
 
 TEST(GoldenTrace, DelegationServers) {
@@ -465,6 +556,50 @@ TEST(GoldenTrace, DelegationServers) {
       EXPECT_EQ(got.end, want[k][m].end) << "server " << k << " mode " << m;
     }
   }
+}
+
+// The fleet rows: the counter farm in the three modes, then the queue farm
+// with transfers in the three modes. Captured before the fleet ran on the
+// delegation template.
+TEST(GoldenTrace, ShardedFleet) {
+  std::vector<DelegGold> got;
+  for (const Deleg kind : {Deleg::kFleet, Deleg::kFleetTransfer}) {
+    for (const DelegMode mode : {DelegMode{0, 0}, DelegMode{4, 0},
+                                 DelegMode{6, 2}}) {
+      got.push_back(run_delegation(kind, mode));
+    }
+  }
+  expect_deleg("ShardedFleet", got,
+               {{12776352986764616441ull, 1658},
+                {1771215901919223368ull, 1325},
+                {12035625177796229661ull, 10495},
+                {11897305164362969751ull, 3430},
+                {13946419964670542850ull, 3345},
+                {882933143356150403ull, 11369}});
+}
+
+// Every server with schedule exploration on, sync and guarded trains.
+// Captured before the fleet ran on the delegation template.
+TEST(GoldenTrace, DelegationServersExplored) {
+  std::vector<DelegGold> got;
+  for (const Deleg kind : {Deleg::kMp, Deleg::kHub, Deleg::kVlink,
+                           Deleg::kFleet, Deleg::kFleetTransfer}) {
+    for (const DelegMode mode : {DelegMode{0, 0, true},
+                                 DelegMode{6, 2, true}}) {
+      got.push_back(run_delegation(kind, mode));
+    }
+  }
+  expect_deleg("DelegationServersExplored", got,
+               {{11369954168821577496ull, 5023},
+                {9201812417743502400ull, 16929},
+                {11369954168821577496ull, 5023},
+                {9201812417743502400ull, 16929},
+                {3781602992385818643ull, 6045},
+                {9426103712401512121ull, 17096},
+                {17869143419225310514ull, 3605},
+                {9005778355489743447ull, 13426},
+                {1206754592154941132ull, 7303},
+                {5806096976949204409ull, 14857}});
 }
 
 // ---------------------------------------------------------------------------
