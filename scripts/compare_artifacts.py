@@ -2,8 +2,10 @@
 """Diff two hmps-metrics-v* run artifacts and print per-metric deltas.
 
 Runs are matched by label (the stable row name each bench assigns), and
-every numeric leaf under each run's "results" block — plus the service
-sojourn percentiles when present — is compared:
+every numeric leaf under each run's "results" and "sync_stats" blocks, the
+simulated machine counters (machine.udn, .vlink, .coherence, .noc; not
+machine.engine, which counts host-side event-loop work) and the service
+sojourn percentiles when present is compared:
 
     scripts/compare_artifacts.py old.json new.json
     scripts/compare_artifacts.py old.json new.json --fail-over 5
@@ -12,8 +14,8 @@ With --fail-over PCT the exit status is 1 when any compared metric moved
 by more than PCT percent (relative to the old value; a metric moving away
 from exactly 0 always trips the gate), which makes the script a cheap
 perf-drift tripwire between PRs. Metrics whose old and new values are both
-0 are skipped. v1 and v2 artifacts compare interchangeably — v2 only adds
-blocks (machine.noc, telemetry) that this script does not gate on.
+0 are skipped, and so are metrics present in only one of the two artifacts
+(v1 artifacts have no machine.noc block).
 """
 import argparse
 import json
@@ -41,8 +43,16 @@ def numeric_leaves(obj, prefix=""):
     return out
 
 
+# Simulated machine blocks: moved only by a change to simulated behavior.
+MACHINE_BLOCKS = ("udn", "vlink", "coherence", "noc")
+
+
 def run_metrics(run):
     m = numeric_leaves(run.get("results", {}), "results.")
+    m.update(numeric_leaves(run.get("sync_stats", {}), "sync_stats."))
+    machine = run.get("machine", {})
+    for block in MACHINE_BLOCKS:
+        m.update(numeric_leaves(machine.get(block, {}), f"machine.{block}."))
     soj = run.get("service", {}).get("sojourn")
     if soj:
         m.update(numeric_leaves(soj, "service.sojourn."))

@@ -6,6 +6,7 @@
 #include "arch/coherence.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "sync/sharded.hpp"
 
 namespace hmps::check {
 
@@ -235,6 +236,9 @@ bool repro_from_json(const std::string& text, Scenario* out,
   // exactly (hmps-repro-v1 keeps defaults for missing fields).
   ok &= get_u32(*wl, "shards", &s.cfg.shards);
   if (!ok) return fail("workload: bad field type");
+  if (s.cfg.shards > sync::kMaxShards) {
+    return fail("workload: shards (above the 32-shard fleet bound)");
+  }
 
   if (const JsonValue* m = j.find("machine"); m != nullptr && m->is_object()) {
     if (!machine_from_json(*m, &s.cfg.params, err)) return false;

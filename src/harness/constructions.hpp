@@ -246,33 +246,28 @@ class HubUc : public sync::MpServerHub<SimCtx> {
 };
 
 /// A ShardedServer fleet (docs/SHARDING.md) behind the single-object call:
-/// the object id rides in the argument's high half (farm convention), so
-/// one driver loop serves one server or a fleet.
+/// the object id rides in the argument's high half (farm convention), which
+/// is what the fleet routes by, so one driver loop serves one server or a
+/// fleet.
 class Fleet : public sync::ShardedServer<SimCtx> {
  public:
-  using Sharded = sync::ShardedServer<SimCtx>;
   /// Async trains issue each op as it is added, so one train keeps ops in
   /// flight against several shards at once (sync::AsyncBatcher).
   static constexpr bool kIssueOnAdd = true;
 
   explicit Fleet(const Params& p)
-      : Sharded(std::clamp<std::uint32_t>(p.shards, 1, kMaxShards), p.obj,
-                p.objects, p.max_inflight,
-                p.transfers ? TransferHooks{&farm_deq, &farm_enq}
-                            : TransferHooks{}) {}
+      : ShardedServer(p.shards, p.obj, p.objects, p.max_inflight,
+                      p.transfers ? TransferHooks{&farm_deq, &farm_enq}
+                                  : TransferHooks{}) {}
 
-  std::uint32_t servers() const { return shards(); }
   std::uint64_t apply(SimCtx& ctx, Fn fn, std::uint64_t a) {
-    return fn == &farm_transfer ? queue_transfer(ctx, a >> 32, a & 0xFFFFFFFFu)
-                                : Sharded::apply(ctx, fn, a >> 32, a);
+    return fn == &farm_transfer ? queue_transfer(ctx, a >> 32, a)
+                                : DelegationServer::apply(ctx, fn, a);
   }
   sync::Ticket apply_async(SimCtx& ctx, Fn fn, std::uint64_t a) {
-    return fn == &farm_transfer ? transfer_async(ctx, a >> 32, a & 0xFFFFFFFFu)
-                                : Sharded::apply_async(ctx, fn, a >> 32, a);
+    return fn == &farm_transfer ? transfer_async(ctx, a >> 32, a)
+                                : DelegationServer::apply_async(ctx, fn, a);
   }
-  /// Stats slots: each shard's server counters, then every client slot.
-  std::uint32_t stat_slots() const { return shards() + kMaxClients; }
-  std::uint64_t fleet_inflight() const { return inflight_total(); }
 };
 
 /// A concurrent structure (LCRQ, Treiber, elimination stack) in its own
@@ -449,13 +444,12 @@ sync::SyncStats sum_stats(U& uc) {
 /// credits, or the combiner's queue.
 template <class U>
 void add_backlog_gauge(obs::Telemetry& tel, U& uc) {
-  if constexpr (requires { uc.fleet_inflight(); }) {
-    tel.add_gauge("fleet_inflight", [&uc] { return uc.fleet_inflight(); });
-  } else if constexpr (requires { uc.combiner_inflight(); }) {
+  if constexpr (requires { uc.combiner_inflight(); }) {
     tel.add_gauge("combiner_inflight",
                   [&uc] { return uc.combiner_inflight(); });
   } else if constexpr (requires { uc.inflight(); }) {
-    tel.add_gauge("server_inflight", [&uc] { return uc.inflight(); });
+    tel.add_gauge(MultiServer<U> ? "fleet_inflight" : "server_inflight",
+                  [&uc] { return uc.inflight(); });
   }
 }
 

@@ -16,7 +16,7 @@
 namespace hmps::sync {
 
 template <class Ctx>
-class VlinkWire {
+class VlinkWire : public OneServer<Ctx> {
  public:
   static constexpr std::uint32_t kNoChannel = ~std::uint32_t{0};
   /// Request-channel capacity in words (42 in-flight 3-word frames at the
@@ -41,7 +41,8 @@ class VlinkWire {
       reply_ch_[tid] = fab_.create_channel(ctx.core(), kReplyWords);
     }
   }
-  void send(Ctx& ctx, std::uint64_t id, std::uint64_t fn, std::uint64_t arg) {
+  void send(Ctx& ctx, std::uint32_t, std::uint64_t id, std::uint64_t fn,
+            std::uint64_t arg) {
     ctx.vlink_push(req_ch_, {id, fn, arg});
   }
   std::uint64_t receive_sync(Ctx& ctx, Tid tid) {
@@ -75,7 +76,8 @@ class VlinkWire {
 /// object. Pool CS bodies must therefore be thread-safe (atomic RMWs,
 /// disjoint state, a lock of their own); a plain load/store body loses
 /// updates exactly as it would under direct concurrent access. Send one
-/// request_stop() per serving thread.
+/// request_stop() per serving thread (the pool shares one request channel,
+/// so it is one server to the client: one credit pool, one tag sequence).
 template <class Ctx>
 class VlinkServer
     : public DelegationServer<Ctx, VlinkWire<Ctx>, FnDispatch<Ctx>> {
@@ -86,16 +88,18 @@ class VlinkServer
               std::uint64_t max_inflight = 0,
               std::size_t req_words = VlinkWire<Ctx>::kDefaultReqWords)
       : VlinkServer::DelegationServer(
-            ServerLabels{"VlinkServer", "vlink.request", "vlink.pre_send",
-                         "vlink.async_issue", "vlink.reap", "vlink.serve",
-                         "vlink.cs"},
-            VlinkWire<Ctx>(fab, server_core, req_words), FnDispatch<Ctx>(obj),
-            max_inflight) {}
+            kLabels, VlinkWire<Ctx>(fab, server_core, req_words),
+            FnDispatch<Ctx>(obj), max_inflight) {}
 
   void* object() const { return this->dispatch().object(); }
   std::uint32_t request_channel() const {
     return this->wire().request_channel();
   }
+
+ private:
+  static constexpr ServerLabels kLabels{
+      "VlinkServer", "vlink.request", "vlink.pre_send", "vlink.async_issue",
+      "vlink.reap",  "vlink.serve",   "vlink.cs"};
 };
 
 }  // namespace hmps::sync

@@ -1,7 +1,8 @@
 // Async delegation tickets (docs/MODEL.md §9): apply_async / wait /
-// wait_all across MP-SERVER, MP-SERVER-HUB, SHM-SERVER, HYBCOMB and
-// VLINK-SERVER on the deterministic simulator, and all but the sim-only
-// VLINK-SERVER under real threads via NativeCtx. Exercises
+// wait_all across MP-SERVER, MP-SERVER-HUB, SHM-SERVER, HYBCOMB,
+// VLINK-SERVER and a 2-shard ShardedServer fleet on the deterministic
+// simulator, and all but the sim-only VLINK-SERVER under real threads via
+// NativeCtx. Exercises
 // the demux deliberately: trains are reaped in reverse (and arbitrary)
 // order so replies must flow through the context's staging path, and the
 // Section 6 credit guard is driven with more outstanding tickets than
@@ -24,6 +25,7 @@
 #include "sync/async_batcher.hpp"
 #include "sync/delegation_server.hpp"
 #include "sync/hybcomb.hpp"
+#include "sync/sharded.hpp"
 #include "sync/shm_server.hpp"
 #include "sync/vlink_server.hpp"
 
@@ -60,16 +62,38 @@ enum class AKind {
   kMpServerHub,
   kShmServer,
   kHybComb,
-  kVlinkServer
+  kVlinkServer,
+  kSharded
 };
 
-constexpr AKind kAllAsync[] = {AKind::kMpServer, AKind::kMpServerHub,
-                               AKind::kShmServer, AKind::kHybComb,
-                               AKind::kVlinkServer};
+constexpr AKind kAllAsync[] = {AKind::kMpServer,    AKind::kMpServerHub,
+                               AKind::kShmServer,   AKind::kHybComb,
+                               AKind::kVlinkServer, AKind::kSharded};
 /// The Virtual-Link fabric is a simulator model, so the native suite skips
 /// VLINK-SERVER.
 constexpr AKind kNativeAsync[] = {AKind::kMpServer, AKind::kMpServerHub,
-                                  AKind::kShmServer, AKind::kHybComb};
+                                  AKind::kShmServer, AKind::kHybComb,
+                                  AKind::kSharded};
+
+// The fleet's clients spread their ops over an 8-object farm, which a
+// 2-shard fleet homes on both shards (ids {4, 6, 7} on shard 1).
+constexpr std::uint32_t kShards = 2;
+constexpr std::uint64_t kFarm = 8;
+
+// Fleet CS body over a farm of probes: the object's probe, its value
+// tagged with the object id so returns stay unique across the farm.
+template <class Ctx>
+std::uint64_t farm_probe_cs(Ctx& ctx, void* farm, std::uint64_t a) {
+  const std::uint64_t obj = a >> 32;
+  return obj << 32 | probe_cs(ctx, static_cast<MutexProbe*>(farm) + obj, 0);
+}
+
+// The same over a counter farm.
+template <class Ctx>
+std::uint64_t farm_inc(Ctx& ctx, void* farm, std::uint64_t a) {
+  return ds::counter_inc(ctx, static_cast<ds::SeqCounter*>(farm) + (a >> 32),
+                         0);
+}
 
 struct Result {
   std::uint64_t final_count = 0;
@@ -87,7 +111,8 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
                      std::uint64_t max_inflight = 0,
                      bool use_wait_all = false) {
   SimExecutor ex(arch::MachineParams::tilegx36(), /*seed=*/7);
-  MutexProbe probe;
+  MutexProbe probes[kFarm];  // the single-object servers use probes[0]
+  MutexProbe& probe = probes[0];
   std::vector<std::vector<std::uint64_t>> returns(nclients);
 
   sync::MpServer<SimCtx> mp(0, &probe, max_inflight);
@@ -101,8 +126,9 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
   if (kind == AKind::kVlinkServer) {
     vl.emplace(ex.machine().vlink(), /*server_core=*/0, &probe, max_inflight);
   }
+  sync::ShardedServer<SimCtx> fleet(kShards, probes, kFarm, max_inflight);
 
-  auto issue = [&](SimCtx& ctx) -> sync::Ticket {
+  auto issue = [&](SimCtx& ctx, std::uint64_t k) -> sync::Ticket {
     switch (kind) {
       case AKind::kMpServer: return mp.apply_async(ctx, probe_cs<SimCtx>, 0);
       case AKind::kMpServerHub: return hub.apply_async(ctx, opcode, 0);
@@ -110,6 +136,8 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
       case AKind::kHybComb: return hyb.apply_async(ctx, probe_cs<SimCtx>, 0);
       case AKind::kVlinkServer:
         return vl->apply_async(ctx, probe_cs<SimCtx>, 0);
+      case AKind::kSharded:
+        return fleet.apply_async(ctx, farm_probe_cs<SimCtx>, k % kFarm, 0);
     }
     return {};
   };
@@ -120,6 +148,7 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
       case AKind::kShmServer: return shm.wait(ctx, t);
       case AKind::kHybComb: return hyb.wait(ctx, t);
       case AKind::kVlinkServer: return vl->wait(ctx, t);
+      case AKind::kSharded: return fleet.wait(ctx, t);
     }
     return 0;
   };
@@ -130,17 +159,21 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
       case AKind::kShmServer: shm.wait_all(ctx); break;
       case AKind::kHybComb: hyb.wait_all(ctx); break;
       case AKind::kVlinkServer: vl->wait_all(ctx); break;
+      case AKind::kSharded: fleet.wait_all(ctx); break;
     }
   };
 
   const bool has_server = kind != AKind::kHybComb;
+  const std::uint32_t servers =
+      kind == AKind::kSharded ? kShards : (has_server ? 1 : 0);
   std::uint32_t done = 0;
-  if (has_server) {
-    ex.add_thread([&](SimCtx& ctx) {
+  for (std::uint32_t s = 0; s < servers; ++s) {
+    ex.add_thread([&, s](SimCtx& ctx) {
       switch (kind) {
         case AKind::kMpServer: mp.serve(ctx); break;
         case AKind::kMpServerHub: hub.serve(ctx); break;
         case AKind::kVlinkServer: vl->serve(ctx); break;
+        case AKind::kSharded: fleet.serve(ctx, s); break;
         default: shm.serve(ctx); break;
       }
     });
@@ -152,7 +185,9 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
         const std::uint32_t n = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(train, ops_each - k));
         std::vector<sync::Ticket> ts;
-        for (std::uint32_t j = 0; j < n; ++j, ++k) ts.push_back(issue(ctx));
+        for (std::uint32_t j = 0; j < n; ++j, ++k) {
+          ts.push_back(issue(ctx, k));
+        }
         if (use_wait_all) {
           reap_all(ctx);
           for (std::uint32_t j = 0; j < n; ++j) returns[i].push_back(0);
@@ -169,6 +204,7 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
           case AKind::kMpServer: mp.request_stop(ctx); break;
           case AKind::kMpServerHub: hub.request_stop(ctx); break;
           case AKind::kVlinkServer: vl->request_stop(ctx); break;
+          case AKind::kSharded: fleet.request_stop(ctx); break;
           default: shm.request_stop(ctx); break;
         }
       }
@@ -177,8 +213,10 @@ Result run_sim_async(AKind kind, std::uint32_t nclients,
   ex.run_until(sim::kCycleMax);
 
   Result r;
-  r.final_count = probe.counter.value.load();
-  r.max_inside = probe.max_inside;
+  for (const MutexProbe& p : probes) {
+    r.final_count += p.counter.value.load();
+    r.max_inside = std::max(r.max_inside, p.max_inside);
+  }
   std::vector<std::uint64_t> all;
   for (auto& v : returns) {
     r.total_ops += v.size();
@@ -231,7 +269,7 @@ TEST_P(AsyncSim, CreditGuardWithUnreapedTicketsDoesNotDeadlock) {
 std::string AsyncSimName(
     const ::testing::TestParamInfo<std::tuple<AKind, std::uint32_t>>& info) {
   static const char* names[] = {"MpServer", "MpServerHub", "ShmServer",
-                                "HybComb", "VlinkServer"};
+                                "HybComb",  "VlinkServer", "Sharded"};
   return std::string(names[static_cast<int>(std::get<0>(info.param))]) +
          "_t" + std::to_string(std::get<1>(info.param));
 }
@@ -355,33 +393,36 @@ TEST(AsyncBatcher, FlushReapsPartialTrain) {
 std::uint64_t run_native_async(AKind kind, std::uint32_t nclients,
                                std::uint64_t ops_each) {
   const bool has_server = kind != AKind::kHybComb;
-  const std::uint32_t total = nclients + (has_server ? 1 : 0);
-  NativeEnv env(total);
-  ds::SeqCounter counter;
+  const std::uint32_t servers =
+      kind == AKind::kSharded ? kShards : (has_server ? 1 : 0);
+  NativeEnv env(nclients + servers);
+  ds::SeqCounter counters[kFarm];  // the single-object servers use [0]
+  ds::SeqCounter& counter = counters[0];
 
   sync::MpServer<NativeCtx> mp(0, &counter);
   sync::MpServerHub<NativeCtx> hub(0);
   const std::uint64_t opcode = hub.add_op(ds::counter_inc<NativeCtx>, &counter);
   sync::ShmServer<NativeCtx> shm(0, &counter, 64, 4);
   sync::HybComb<NativeCtx> hyb(&counter, 16);
+  sync::ShardedServer<NativeCtx> fleet(kShards, counters, kFarm);
 
   std::vector<std::thread> threads;
   std::atomic<std::uint32_t> done{0};
-  if (has_server) {
-    threads.emplace_back([&] {
-      NativeCtx ctx(env, 0, 1);
+  for (std::uint32_t s = 0; s < servers; ++s) {
+    threads.emplace_back([&, s] {
+      NativeCtx ctx(env, s, 1 + s);
       switch (kind) {
         case AKind::kMpServer: mp.serve(ctx); break;
         case AKind::kMpServerHub: hub.serve(ctx); break;
+        case AKind::kSharded: fleet.serve(ctx, s); break;
         default: shm.serve(ctx); break;
       }
     });
   }
-  const std::uint32_t base = has_server ? 1 : 0;
   for (std::uint32_t i = 0; i < nclients; ++i) {
     threads.emplace_back([&, i] {
-      NativeCtx ctx(env, base + i, 100 + i);
-      auto issue = [&]() -> sync::Ticket {
+      NativeCtx ctx(env, servers + i, 100 + i);
+      auto issue = [&](std::uint64_t k) -> sync::Ticket {
         switch (kind) {
           case AKind::kMpServer:
             return mp.apply_async(ctx, ds::counter_inc<NativeCtx>, 0);
@@ -391,6 +432,8 @@ std::uint64_t run_native_async(AKind kind, std::uint32_t nclients,
           case AKind::kHybComb:
             return hyb.apply_async(ctx, ds::counter_inc<NativeCtx>, 0);
           case AKind::kVlinkServer: break;  // sim-only
+          case AKind::kSharded:
+            return fleet.apply_async(ctx, farm_inc<NativeCtx>, k % kFarm, 0);
         }
         return {};
       };
@@ -401,6 +444,7 @@ std::uint64_t run_native_async(AKind kind, std::uint32_t nclients,
           case AKind::kShmServer: shm.wait(ctx, t); break;
           case AKind::kHybComb: hyb.wait(ctx, t); break;
           case AKind::kVlinkServer: break;  // sim-only
+          case AKind::kSharded: fleet.wait(ctx, t); break;
         }
       };
       std::uint64_t k = 0;
@@ -408,20 +452,23 @@ std::uint64_t run_native_async(AKind kind, std::uint32_t nclients,
         const std::uint32_t n = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(4, ops_each - k));
         sync::Ticket ts[4];
-        for (std::uint32_t j = 0; j < n; ++j, ++k) ts[j] = issue();
+        for (std::uint32_t j = 0; j < n; ++j, ++k) ts[j] = issue(k);
         for (std::uint32_t j = n; j-- > 0;) reap(ts[j]);
       }
       if (done.fetch_add(1) + 1 == nclients && has_server) {
         switch (kind) {
           case AKind::kMpServer: mp.request_stop(ctx); break;
           case AKind::kMpServerHub: hub.request_stop(ctx); break;
+          case AKind::kSharded: fleet.request_stop(ctx); break;
           default: shm.request_stop(ctx); break;
         }
       }
     });
   }
   for (auto& t : threads) t.join();
-  return counter.value.load();
+  std::uint64_t sum = 0;
+  for (const ds::SeqCounter& c : counters) sum += c.value.load();
+  return sum;
 }
 
 class NativeAsync

@@ -409,7 +409,9 @@ struct FleetClient {
     if (k % 3 == 2) return f.transfer_async(ctx, k % kFarm, (k + 3) % kFarm);
     return f.apply_async(ctx, queue_op(k), k % kFarm, k);
   }
-  std::uint64_t wait(rt::SimCtx& ctx, sync::Ticket& t) { return f.wait(ctx, t); }
+  std::uint64_t wait(rt::SimCtx& ctx, sync::Ticket& t) {
+    return f.wait(ctx, t);
+  }
 
   static harness::reg::Fn queue_op(std::uint64_t k) {
     return k % 3 == 0 ? &harness::reg::farm_enq : &harness::reg::farm_deq;

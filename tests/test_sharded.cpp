@@ -249,7 +249,7 @@ TEST(ShardedCapacity, TwoShardsTimes64ClientsNoCapacityAbort) {
   // Per-shard serve accounting: both shards actually served requests.
   EXPECT_GT(sh.stats(0).served, 0u);
   EXPECT_GT(sh.stats(1).served, 0u);
-  EXPECT_EQ(sh.inflight_total(), 0u);
+  EXPECT_EQ(sh.inflight(), 0u);
 }
 
 // ---- tag-field hard bounds --------------------------------------------
@@ -329,6 +329,18 @@ TEST(ShardedDeathTest, SeqWraparoundWithOutstandingTicketAborts) {
       "recycled tags would collide");
 }
 
+TEST(ShardedDeathTest, RecordedFleetPastMaxShardsAborts) {
+  // A driver's shard count reaches the fleet as given: 33 shards must die
+  // at construction, not silently run 32 while server_threads() reports 33.
+  RecordCfg cfg;
+  cfg.construction = Construction::kSharded;
+  cfg.object = Object::kCounter;
+  cfg.shards = Sharded::kMaxShards + 1;
+  cfg.threads = 2;
+  cfg.ops_each = 2;
+  EXPECT_DEATH(harness::record_history(cfg), "exceed the 32-shard tag field");
+}
+
 // ---- serial vs pooled artifact identity -------------------------------
 
 std::string slurp(const std::string& path) {
@@ -400,6 +412,22 @@ TEST(ShardedRepro, SchemaRoundTripsShardCount) {
   EXPECT_EQ(back.cfg.shards, s.cfg.shards);
   EXPECT_EQ(back.cfg.construction, Construction::kSharded);
   EXPECT_EQ(vback.detail, v.detail);
+}
+
+TEST(ShardedRepro, RejectsShardsPastTheFleetBound) {
+  // A repro file is outside input: an out-of-range shard count is an
+  // error, not an abort at replay.
+  check::Scenario s = sharded_scenario(99, Object::kQueue, 5, 2);
+  s.cfg.shards = Sharded::kMaxShards + 1;
+  check::Scenario back;
+  std::string err;
+  EXPECT_FALSE(check::repro_from_json(check::repro_to_json(s, {}), &back,
+                                      nullptr, &err));
+  EXPECT_NE(err.find("shards"), std::string::npos) << err;
+  s.cfg.shards = Sharded::kMaxShards;
+  EXPECT_TRUE(check::repro_from_json(check::repro_to_json(s, {}), &back,
+                                     nullptr, &err))
+      << err;
 }
 
 }  // namespace
