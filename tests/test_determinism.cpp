@@ -41,7 +41,10 @@
 #include "runtime/sim_executor.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "sync/ccsynch.hpp"
 #include "sync/delegation_server.hpp"
+#include "sync/dsm_synch.hpp"
+#include "sync/hsynch.hpp"
 #include "sync/sharded.hpp"
 #include "sync/vlink_server.hpp"
 
@@ -418,20 +421,25 @@ struct FleetClient {
   }
 };
 
+// The PCT plan every explored GoldenTrace row runs under.
+check::PerturbPlan explore_plan(std::uint32_t nthreads) {
+  check::PerturbPlan plan;
+  plan.seed = 29;
+  plan.nthreads = nthreads;
+  plan.resume_permille = 100;
+  plan.delay_unit = 7;
+  plan.point_permille = 400;
+  plan.point_delay_max = 60;
+  return plan;
+}
+
 DelegGold run_delegation(Deleg kind, DelegMode mode) {
   constexpr std::uint32_t kClients = 5;
   constexpr std::uint64_t kOps = 24;
   const bool fleet = kind == Deleg::kFleet || kind == Deleg::kFleetTransfer;
   const std::uint32_t servers = fleet ? 2 : 1;
   rt::SimExecutor ex(arch::MachineParams::tilegx36(), /*seed=*/11);
-  check::PerturbPlan plan;
-  plan.seed = 29;
-  plan.nthreads = servers + kClients;
-  plan.resume_permille = 100;
-  plan.delay_unit = 7;
-  plan.point_permille = 400;
-  plan.point_delay_max = 60;
-  check::PctPerturber perturber(plan);
+  check::PctPerturber perturber(explore_plan(servers + kClients));
   if (mode.explore) ex.sched().set_perturber(&perturber);
   ds::SeqCounter counter;
   sync::MpServer<rt::SimCtx> mp(0, &counter, mode.max_inflight);
@@ -602,6 +610,94 @@ TEST(GoldenTrace, DelegationServersExplored) {
                 {9005778355489743447ull, 13426},
                 {1206754592154941132ull, 7303},
                 {5806096976949204409ull, 14857}});
+}
+
+// The list combiners: 13 threads on the 6x6 TILE-Gx (three H-Synch
+// clusters) each apply 24 counter increments with random think time between
+// them. Every return value, the end cycle, the coherence counters and the
+// summed SyncStats fold into the fingerprint.
+struct ListCombRun {
+  DelegGold gold;
+  std::uint64_t cas_failures;
+};
+
+template <class Uc>
+ListCombRun run_list_combiner(std::uint32_t max_ops, bool explore,
+                              bool trace) {
+  constexpr std::uint32_t kThreads = 13;
+  constexpr std::uint64_t kOps = 24;
+  rt::SimExecutor ex(arch::MachineParams::tilegx36(), /*seed=*/11);
+  if (trace) ex.machine().tracer().enable();
+  check::PctPerturber perturber(explore_plan(kThreads));
+  if (explore) ex.sched().set_perturber(&perturber);
+  ds::SeqCounter counter;
+  Uc uc(&counter, max_ops);
+  Fp fp;
+  for (std::uint32_t i = 0; i < kThreads; ++i) {
+    ex.add_thread([&](rt::SimCtx& ctx) {
+      for (std::uint64_t k = 0; k < kOps; ++k) {
+        fp.mix(uc.apply(ctx, ds::counter_inc<rt::SimCtx>, k));
+        ctx.compute(ctx.rand_below(20));
+      }
+    });
+  }
+  ex.run_until(sim::kCycleMax);
+  const Cycle end = ex.sched().now();
+  fp.mix(end);
+  fp.mix(counter.value.load());
+  const auto& c = ex.machine().coherence().counters();
+  for (std::uint64_t v : {c.hits, c.rmr_reads, c.rmr_writes, c.atomics,
+                          c.invalidations, c.ctrl_wait_total}) {
+    fp.mix(v);
+  }
+  sync::SyncStats sum;
+  for (Tid t = 0; t < kThreads; ++t) sum.add(uc.stats(t));
+  for (std::uint64_t v : {sum.ops, sum.served, sum.tenures, sum.cas_attempts,
+                          sum.cas_failures, sum.throttle_waits,
+                          sum.stall_timeouts, sum.async_issued,
+                          sum.async_batched, sum.shed_ops}) {
+    fp.mix(v);
+  }
+  return {DelegGold{fp.h, end}, sum.cas_failures};
+}
+
+// Rows per construction (CC-Synch, H-Synch, DSM-Synch): max_ops 1 and 200,
+// each plain and explored. Captured before the three shared one core. The
+// same rows with the tracer on must match too: spans have no observer
+// effect.
+TEST(GoldenTrace, ListCombiners) {
+  for (const bool trace : {false, true}) {
+    std::vector<DelegGold> got;
+    std::uint64_t dsm_cas_failures = 0;
+    auto rows = [&](auto run) {
+      for (const std::uint32_t max_ops : {1u, 200u}) {
+        for (const bool explore : {false, true}) {
+          const ListCombRun r = run(max_ops, explore, trace);
+          got.push_back(r.gold);
+          dsm_cas_failures += r.cas_failures;  // only DSM-Synch CASes
+        }
+      }
+    };
+    rows(run_list_combiner<sync::CcSynch<rt::SimCtx>>);
+    rows(run_list_combiner<sync::HSynch<rt::SimCtx>>);
+    rows(run_list_combiner<sync::DsmSynch<rt::SimCtx>>);
+    // DSM-Synch's termination race (a successor swaps itself in between
+    // the combiner's last next-load and its CAS) is among the pinned paths.
+    EXPECT_GT(dsm_cas_failures, 0u) << "trace " << trace;
+    expect_deleg(trace ? "ListCombiners (traced)" : "ListCombiners", got,
+                 {{2726260398939653574ull, 41466},
+                  {12377291013255021163ull, 72754},
+                  {16357149045321898392ull, 15687},
+                  {2376871118808661759ull, 27553},
+                  {11364274915701800863ull, 54212},
+                  {11670885769221172830ull, 88072},
+                  {10394485476704911540ull, 21318},
+                  {16851672304230573960ull, 41847},
+                  {18202861370003340699ull, 42476},
+                  {17624699319659277707ull, 73189},
+                  {11019558587528232292ull, 21185},
+                  {6318856639443356795ull, 42395}});
+  }
 }
 
 // ---------------------------------------------------------------------------
