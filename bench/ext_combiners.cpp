@@ -15,9 +15,7 @@
 #include "harness/report.hpp"
 #include "runtime/sim_executor.hpp"
 #include "sync/ccsynch.hpp"
-#include "sync/dsm_synch.hpp"
 #include "sync/flat_combining.hpp"
-#include "sync/hsynch.hpp"
 #include "sync/hybcomb.hpp"
 #include "sync/oyama.hpp"
 
@@ -36,7 +34,7 @@ double run(C kind, std::uint32_t threads, sim::Cycle window,
   sync::FlatCombining<SimCtx> fc(&c);
   sync::CcSynch<SimCtx> cc(&c, 200);
   sync::DsmSynch<SimCtx> dsm(&c, 200);
-  sync::HSynch<SimCtx> hs(&c, 200, 6);
+  sync::HSynch<SimCtx> hs(&c, 200);
   sync::HybComb<SimCtx> hyb(&c, 200);
   std::vector<std::uint64_t> ops(threads, 0);
   for (std::uint32_t i = 0; i < threads; ++i) {

@@ -16,16 +16,13 @@ namespace hmps::ds {
 template <class Ctx>
 class ElimStack {
  public:
-  /// The collision slots and per-thread stats are fixed arrays.
-  static constexpr std::uint32_t kMaxThreads = 64;
-
   explicit ElimStack(std::uint32_t per_thread_nodes = 256,
                      std::uint32_t slots = 8, sim::Cycle wait = 64)
       : core_(per_thread_nodes), nslots_(slots), wait_(wait) {}
 
   /// Values are 32-bit (they share a slot word with protocol state).
   void push(Ctx& ctx, std::uint32_t v) {
-    sync::check_tid(ctx.tid(), kMaxThreads, "ElimStack::push");
+    sync::check_tid(ctx.tid(), sync::kMaxThreads, "ElimStack::push");
     for (;;) {
       if (try_push_top(ctx, v)) return;
       if (eliminate_push(ctx, v)) {
@@ -38,7 +35,7 @@ class ElimStack {
 
   /// Returns the popped value or kStackEmpty.
   std::uint64_t pop(Ctx& ctx) {
-    sync::check_tid(ctx.tid(), kMaxThreads, "ElimStack::pop");
+    sync::check_tid(ctx.tid(), sync::kMaxThreads, "ElimStack::pop");
     for (;;) {
       std::uint64_t v;
       if (try_pop_top(ctx, &v)) return v;  // value, or observed empty
@@ -55,7 +52,7 @@ class ElimStack {
     std::uint64_t eliminations = 0;
   };
   Stats& stats(std::uint32_t t) {
-    sync::check_tid(t, kMaxThreads, "ElimStack::stats");
+    sync::check_tid(t, sync::kMaxThreads, "ElimStack::stats");
     return stats_[t];
   }
 
@@ -132,8 +129,8 @@ class ElimStack {
   Core core_;
   std::uint32_t nslots_;
   sim::Cycle wait_;
-  Slot slots_[kMaxThreads];
-  PaddedStats stats_[kMaxThreads];
+  Slot slots_[sync::kMaxThreads];
+  PaddedStats stats_[sync::kMaxThreads];
 };
 
 }  // namespace hmps::ds

@@ -97,15 +97,14 @@ class UcStack {
 template <class Ctx>
 class TreiberStack {
  public:
-  static constexpr std::uint32_t kMaxThreads = 64;
   static constexpr std::uint32_t kNullIdx = 0xFFFFFFFFu;
 
   /// `per_thread_nodes` nodes are pre-assigned to every thread's free list.
   explicit TreiberStack(std::uint32_t per_thread_nodes = 256)
       : per_thread_(per_thread_nodes),
-        arena_(static_cast<std::size_t>(kMaxThreads) * per_thread_nodes) {
+        arena_(static_cast<std::size_t>(sync::kMaxThreads) * per_thread_nodes) {
     top_.store(pack(0, kNullIdx), std::memory_order_relaxed);
-    for (std::uint32_t t = 0; t < kMaxThreads; ++t) {
+    for (std::uint32_t t = 0; t < sync::kMaxThreads; ++t) {
       const std::uint32_t base = t * per_thread_;
       for (std::uint32_t i = 0; i + 1 < per_thread_; ++i) {
         arena_[base + i].next.store(base + i + 1, std::memory_order_relaxed);
@@ -203,8 +202,8 @@ class TreiberStack {
   std::uint32_t per_thread_;
   rt::AlignedArray<Node> arena_;  // line packing independent of the heap
   alignas(rt::kCacheLine) Word top_{0};
-  FreeList free_[kMaxThreads];
-  PaddedStats stats_[kMaxThreads];
+  FreeList free_[sync::kMaxThreads];
+  PaddedStats stats_[sync::kMaxThreads];
 };
 
 }  // namespace hmps::ds

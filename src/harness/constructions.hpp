@@ -39,9 +39,7 @@
 #include "sync/async_batcher.hpp"
 #include "sync/ccsynch.hpp"
 #include "sync/delegation_server.hpp"
-#include "sync/dsm_synch.hpp"
 #include "sync/flat_combining.hpp"
-#include "sync/hsynch.hpp"
 #include "sync/hybcomb.hpp"
 #include "sync/locks.hpp"
 #include "sync/oyama.hpp"
@@ -336,15 +334,14 @@ decltype(auto) visit(Kind k, const Params& p, SimExecutor* ex, F&& f) {
                                            hyb));
     case Kind::kShmServer:
       return f(make<sync::ShmServer<SimCtx>>(
-          0, p.obj, sync::ShmServer<SimCtx>::kMaxThreads, p.shm_depth));
+          0, p.obj, sync::kMaxThreads, p.shm_depth));
     case Kind::kCcSynch:
       return f(make<sync::CcSynch<SimCtx>>(p.obj, mo32, p.fixed_combiner));
     case Kind::kDsmSynch:
       return f(make<sync::DsmSynch<SimCtx>>(p.obj, mo32));
     case Kind::kFlatCombining:
       return f(make<sync::FlatCombining<SimCtx>>(
-          p.obj, sync::FlatCombining<SimCtx>::kMaxThreads,
-          std::max<std::uint32_t>(1, mo32 / 2)));
+          p.obj, sync::kMaxThreads, std::max<std::uint32_t>(1, mo32 / 2)));
     case Kind::kHSynch:
       return f(make<sync::HSynch<SimCtx>>(p.obj, mo32));
     case Kind::kOyama: return f(make<sync::OyamaComb<SimCtx>>(p.obj));

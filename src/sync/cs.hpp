@@ -188,9 +188,12 @@ inline void explore_point(Ctx& ctx, const char* where) {
   }
 }
 
-/// Hard capacity check for the fixed per-thread pools every construction
-/// keeps (nodes, channels, stats). A run configured with more threads than
-/// kMaxThreads used to index silently past those arrays; now it dies with a
+/// Thread-id capacity of the fixed per-thread pools (nodes, channels,
+/// stats) every construction, lock and data structure keeps.
+inline constexpr std::uint32_t kMaxThreads = 64;
+
+/// Hard capacity check for those pools. A run configured with more threads
+/// than kMaxThreads used to index silently past them; now it dies with a
 /// diagnosis instead of corrupting memory.
 inline void check_tid(Tid tid, std::uint32_t capacity, const char* cls,
                       const char* method = "") {

@@ -42,9 +42,6 @@
 
 namespace hmps::sync {
 
-/// Thread-id capacity of every delegation server's per-thread state.
-inline constexpr std::uint32_t kDelegationMaxThreads = 64;
-
 /// Names one public server stamps on its spans, exploration points and
 /// capacity diagnostics (static storage duration, like every span name).
 struct ServerLabels {
@@ -59,7 +56,7 @@ struct ServerLabels {
 
 /// Routing of a wire with one server (one buffer or one shared request
 /// channel): every request goes to server 0, whose tid is one of the
-/// kDelegationMaxThreads client tids, and routing costs nothing.
+/// kMaxThreads client tids, and routing costs nothing.
 template <class Ctx>
 struct OneServer {
   static constexpr std::uint32_t kMaxServers = 1;
@@ -166,7 +163,7 @@ class DelegationServer {
   using Op = typename Dispatch::Op;
 
   /// Client slots (tid - first_client()) per server or fleet.
-  static constexpr std::uint32_t kMaxThreads = kDelegationMaxThreads;
+  static constexpr std::uint32_t kMaxThreads = sync::kMaxThreads;
 
   // Tag layout: the server index above kSeqBits, below it a per-(client,
   // server) sequence number in [1, 2^kSeqBits) (nonzero, wrapping). One

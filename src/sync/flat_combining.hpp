@@ -20,8 +20,6 @@ class FlatCombining {
  public:
   using Fn = CsFn<Ctx>;
 
-  static constexpr std::uint32_t kMaxThreads = 64;
-
   /// `max_passes`: combining passes per lock tenure.
   FlatCombining(void* obj, std::uint32_t max_threads = kMaxThreads,
                 std::uint32_t max_passes = 4)

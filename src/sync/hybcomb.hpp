@@ -37,7 +37,7 @@ class HybComb {
  public:
   using Fn = CsFn<Ctx>;
 
-  static constexpr std::uint32_t kMaxThreads = 64;
+  static constexpr std::uint32_t kMaxThreads = sync::kMaxThreads;
   static constexpr std::uint64_t kNoThread = ~std::uint64_t{0};
 
   /// Design-space options discussed in Section 4.2 ("additional comments");

@@ -13,8 +13,6 @@
 
 namespace hmps::sync {
 
-inline constexpr std::uint32_t kMaxLockThreads = 64;
-
 /// Test-and-set spinlock (SWAP-based).
 template <class Ctx>
 class TasLock {
@@ -49,13 +47,13 @@ template <class Ctx>
 class TicketLock {
  public:
   void lock(Ctx& ctx) {
-    check_tid(ctx.tid(), kMaxLockThreads, "TicketLock::lock");
+    check_tid(ctx.tid(), kMaxThreads, "TicketLock::lock");
     const std::uint64_t t = ctx.faa(&next_, 1);
     tickets_[ctx.tid()].v = t;
     ctx.spin_until(&serving_, [t](std::uint64_t v) { return v == t; });
   }
   void unlock(Ctx& ctx) {
-    check_tid(ctx.tid(), kMaxLockThreads, "TicketLock::unlock");
+    check_tid(ctx.tid(), kMaxThreads, "TicketLock::unlock");
     ctx.store(&serving_, tickets_[ctx.tid()].v + 1);
   }
 
@@ -65,7 +63,7 @@ class TicketLock {
   };
   alignas(rt::kCacheLine) Word next_{0};
   alignas(rt::kCacheLine) Word serving_{0};
-  PerThread tickets_[kMaxLockThreads];
+  PerThread tickets_[kMaxThreads];
 };
 
 /// MCS queue lock: local spinning on a per-thread queue node.
@@ -73,7 +71,7 @@ template <class Ctx>
 class McsLock {
  public:
   void lock(Ctx& ctx) {
-    check_tid(ctx.tid(), kMaxLockThreads, "McsLock::lock");
+    check_tid(ctx.tid(), kMaxThreads, "McsLock::lock");
     QNode* my = &nodes_[ctx.tid()];
     ctx.store(&my->next, std::uint64_t{0});
     QNode* pred = rt::from_word<QNode>(ctx.exchange(&tail_, rt::to_word(my)));
@@ -85,7 +83,7 @@ class McsLock {
   }
 
   void unlock(Ctx& ctx) {
-    check_tid(ctx.tid(), kMaxLockThreads, "McsLock::unlock");
+    check_tid(ctx.tid(), kMaxThreads, "McsLock::unlock");
     QNode* my = &nodes_[ctx.tid()];
     if (ctx.load(&my->next) == 0) {
       if (ctx.cas(&tail_, rt::to_word(my), std::uint64_t{0})) return;
@@ -101,7 +99,7 @@ class McsLock {
     Word locked{0};
   };
   alignas(rt::kCacheLine) Word tail_{0};
-  QNode nodes_[kMaxLockThreads];
+  QNode nodes_[kMaxThreads];
 };
 
 /// CLH queue lock: local spinning on the predecessor's node.
@@ -110,19 +108,19 @@ class ClhLock {
  public:
   ClhLock() {
     // One spare node; each thread starts owning its own node.
-    for (std::uint32_t t = 0; t <= kMaxLockThreads; ++t) {
+    for (std::uint32_t t = 0; t <= kMaxThreads; ++t) {
       pool_[t].locked.store(0, std::memory_order_relaxed);
     }
-    tail_.store(rt::to_word(&pool_[kMaxLockThreads]),
+    tail_.store(rt::to_word(&pool_[kMaxThreads]),
                 std::memory_order_relaxed);
-    for (std::uint32_t t = 0; t < kMaxLockThreads; ++t) {
+    for (std::uint32_t t = 0; t < kMaxThreads; ++t) {
       mine_[t].node = &pool_[t];
     }
   }
 
   void lock(Ctx& ctx) {
     const Tid tid = ctx.tid();
-    check_tid(tid, kMaxLockThreads, "ClhLock::lock");
+    check_tid(tid, kMaxThreads, "ClhLock::lock");
     QNode* my = mine_[tid].node;
     ctx.store(&my->locked, std::uint64_t{1});
     QNode* pred = rt::from_word<QNode>(ctx.exchange(&tail_, rt::to_word(my)));
@@ -132,7 +130,7 @@ class ClhLock {
 
   void unlock(Ctx& ctx) {
     const Tid tid = ctx.tid();
-    check_tid(tid, kMaxLockThreads, "ClhLock::unlock");
+    check_tid(tid, kMaxThreads, "ClhLock::unlock");
     ctx.store(&mine_[tid].node->locked, std::uint64_t{0});
     mine_[tid].node = mine_[tid].pred;  // recycle the predecessor's node
   }
@@ -146,8 +144,8 @@ class ClhLock {
     QNode* pred = nullptr;
   };
   alignas(rt::kCacheLine) Word tail_{0};
-  QNode pool_[kMaxLockThreads + 1];
-  PerThread mine_[kMaxLockThreads];
+  QNode pool_[kMaxThreads + 1];
+  PerThread mine_[kMaxThreads];
 };
 
 }  // namespace hmps::sync

@@ -21,8 +21,6 @@ class OyamaComb {
  public:
   using Fn = CsFn<Ctx>;
 
-  static constexpr std::uint32_t kMaxThreads = 64;
-
   explicit OyamaComb(void* obj) : obj_(obj) {}
 
   std::uint64_t apply(Ctx& ctx, Fn fn, std::uint64_t arg) {

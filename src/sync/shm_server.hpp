@@ -30,8 +30,6 @@ class ShmServer {
  public:
   using Fn = CsFn<Ctx>;
 
-  static constexpr std::uint32_t kMaxThreads = 64;
-
   /// `max_clients` fixes the channel array size; client thread ids must be
   /// < max_clients (and <= kMaxThreads: the per-thread seq/stats slots are
   /// fixed arrays). `async_depth` > 0 adds that many private async channel

@@ -26,8 +26,6 @@ class LockUc {
  public:
   using Fn = CsFn<Ctx>;
 
-  static constexpr std::uint32_t kMaxThreads = 64;
-
   explicit LockUc(void* obj) : obj_(obj) {}
 
   /// A thread id past the per-thread pools dies in the lock's own check

@@ -68,7 +68,7 @@ class VlinkWire : public OneServer<Ctx> {
  private:
   arch::VlinkFabric& fab_;
   std::uint32_t req_ch_;
-  std::uint32_t reply_ch_[kDelegationMaxThreads];
+  std::uint32_t reply_ch_[kMaxThreads];
 };
 
 /// With a server pool, CS bodies run CONCURRENTLY across the serving

@@ -43,8 +43,6 @@
 #include "sim/scheduler.hpp"
 #include "sync/ccsynch.hpp"
 #include "sync/delegation_server.hpp"
-#include "sync/dsm_synch.hpp"
-#include "sync/hsynch.hpp"
 #include "sync/sharded.hpp"
 #include "sync/vlink_server.hpp"
 

@@ -15,9 +15,8 @@
 #include "harness/record.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
-#include "sync/dsm_synch.hpp"
+#include "sync/ccsynch.hpp"
 #include "sync/flat_combining.hpp"
-#include "sync/hsynch.hpp"
 #include "sync/oyama.hpp"
 
 namespace hmps {

@@ -205,7 +205,16 @@ TEST(MpscChannel, InterleavedMultiWordFrames) {
 
 // ---- universal constructions, native ----
 
-enum class Kind { kCcSynch, kHybComb, kMpServer, kShmServer, kMcs, kTicket };
+enum class Kind {
+  kCcSynch,
+  kHybComb,
+  kMpServer,
+  kShmServer,
+  kMcs,
+  kTicket,
+  kHSynch,
+  kDsmSynch,
+};
 
 std::uint64_t run_native_counter(Kind kind, std::uint32_t nthreads,
                                  std::uint64_t ops_each) {
@@ -215,6 +224,8 @@ std::uint64_t run_native_counter(Kind kind, std::uint32_t nthreads,
   ds::SeqCounter counter;
 
   sync::CcSynch<NativeCtx> cc(&counter, 16);
+  sync::HSynch<NativeCtx> hs(&counter, 16);
+  sync::DsmSynch<NativeCtx> dsm(&counter, 16);
   sync::HybComb<NativeCtx> hyb(&counter, 16);
   sync::MpServer<NativeCtx> mp(0, &counter);
   sync::ShmServer<NativeCtx> shm(0, &counter);
@@ -258,6 +269,12 @@ std::uint64_t run_native_counter(Kind kind, std::uint32_t nthreads,
           case Kind::kTicket:
             ticket.apply(ctx, ds::counter_inc<NativeCtx>, 0);
             break;
+          case Kind::kHSynch:
+            hs.apply(ctx, ds::counter_inc<NativeCtx>, 0);
+            break;
+          case Kind::kDsmSynch:
+            dsm.apply(ctx, ds::counter_inc<NativeCtx>, 0);
+            break;
         }
       }
       if (done.fetch_add(1) + 1 == nthreads &&
@@ -290,8 +307,8 @@ TEST_P(NativeUc, CounterIsExact) {
 
 std::string NativeUcName(
     const ::testing::TestParamInfo<std::tuple<Kind, std::uint32_t>>& info) {
-  static const char* names[] = {"CcSynch", "HybComb", "MpServer",
-                                "ShmServer", "Mcs", "Ticket"};
+  static const char* names[] = {"CcSynch", "HybComb", "MpServer", "ShmServer",
+                                "Mcs",     "Ticket",  "HSynch",   "DsmSynch"};
   return std::string(names[static_cast<int>(std::get<0>(info.param))]) +
          "_t" + std::to_string(std::get<1>(info.param));
 }
@@ -300,7 +317,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllKinds, NativeUc,
     ::testing::Combine(::testing::Values(Kind::kCcSynch, Kind::kHybComb,
                                          Kind::kMpServer, Kind::kShmServer,
-                                         Kind::kMcs, Kind::kTicket),
+                                         Kind::kMcs, Kind::kTicket,
+                                         Kind::kHSynch, Kind::kDsmSynch),
                        ::testing::Values(1u, 2u, 4u)),
     NativeUcName);
 

@@ -28,8 +28,6 @@
 #include "sim/perturb.hpp"
 #include "sim/rng.hpp"
 #include "sync/ccsynch.hpp"
-#include "sync/dsm_synch.hpp"
-#include "sync/hsynch.hpp"
 #include "sync/hybcomb.hpp"
 #include "sync/locks.hpp"
 #include "sync/shm_server.hpp"
