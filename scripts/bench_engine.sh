@@ -3,7 +3,8 @@
 # BENCH_engine.json at the repo root.
 #
 # Usage: scripts/bench_engine.sh [--smoke]
-#   --smoke  1% iteration counts and no fig3a timing (fast CI sanity check)
+#   --smoke  1% iteration counts, no fig3a and no check_explore timing (fast
+#            CI sanity check)
 #
 # The seed_baseline block holds the same four workloads measured with this
 # exact benchmark source compiled against the pre-overhaul engine (commit
@@ -11,6 +12,13 @@
 # deque-based UDN queues, per-hop NoC routing), g++ -O2 -DNDEBUG, single-core
 # x86-64 VM, 2026-08-05. Absolute rates are machine-specific; the speedup
 # ratios are the durable result.
+#
+# check_explore_2000_wall_seconds is fixed checking work: the wall time of
+# `check_explore --schedules 2000 --seed 7 --fuzz-machines --jobs 1` (record
+# and check 2,000 drawn schedules on one host thread; the complete search
+# dominates it). The checker_baseline block holds the same row measured at
+# commit a13b9eb, the last commit before the typed linearizability search,
+# on the host named in "host", alternated with the current tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +30,7 @@ done
 
 cmake -S . -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD" -j"$(nproc)" \
-  --target engine_micro fig3a_counter_throughput >/dev/null
+  --target engine_micro fig3a_counter_throughput check_explore >/dev/null
 
 TMP_JSON="$(mktemp)"
 trap 'rm -f "$TMP_JSON"' EXIT
@@ -54,6 +62,15 @@ if [ "$SMOKE" = 0 ]; then
   FIG3A=$(awk -v ns=$((T1 - T0)) 'BEGIN { printf "%.2f", ns / 1e9 }')
 fi
 
+CHECK_EXPLORE="null"
+if [ "$SMOKE" = 0 ]; then
+  T0=$(date +%s%N)
+  "$BUILD"/src/check/check_explore --schedules 2000 --seed 7 --fuzz-machines \
+    --jobs 1 >/dev/null
+  T1=$(date +%s%N)
+  CHECK_EXPLORE=$(awk -v ns=$((T1 - T0)) 'BEGIN { printf "%.2f", ns / 1e9 }')
+fi
+
 # Steady-state heap growths of the pre-sized event queue (engine_micro's
 # probe workload; the binary itself exits 1 when this is nonzero).
 HEAP_GROWS=$(grep -o '"heap_grows": [0-9]*' "$TMP_JSON" | awk '{print $2}')
@@ -67,6 +84,7 @@ HEAP_GROWS="${HEAP_GROWS:-null}"
   echo '  "engine_micro":'
   sed 's/^/  /' "$TMP_JSON" | sed '$ s/$/,/'
   echo '  "fig3a_default_wall_seconds": '"$FIG3A"','
+  echo '  "check_explore_2000_wall_seconds": '"$CHECK_EXPLORE"','
   echo '  "steady_state_heap_grows": '"$HEAP_GROWS"','
   echo '  "seed_baseline": {'
   echo '    "commit": "dc9de22",'
@@ -76,6 +94,10 @@ HEAP_GROWS="${HEAP_GROWS:-null}"
   echo '    "udn_pingpong": 294410,'
   echo '    "udn_flood": 528906,'
   echo '    "fig3a_default_wall_seconds": 56.19'
+  echo '  },'
+  echo '  "checker_baseline": {'
+  echo '    "commit": "a13b9eb",'
+  echo '    "check_explore_2000_wall_seconds": 3.67'
   echo '  },'
   echo '  "speedup_vs_seed": {'
   printf '%s\n' "$SPEEDUPS"

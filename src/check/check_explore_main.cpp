@@ -248,9 +248,11 @@ int main(int argc, char** argv) {
   if (selftest) return do_selftest(cfg.budget_seconds, cfg.seed, cfg.verbose);
 
   const check::ExploreResult r = check::explore(cfg);
-  std::printf("explored %llu schedules (%llu ops checked)\n",
+  std::printf("explored %llu schedules (%llu ops checked, %llu searches "
+              "inconclusive)\n",
               static_cast<unsigned long long>(r.schedules_run),
-              static_cast<unsigned long long>(r.ops_checked));
+              static_cast<unsigned long long>(r.ops_checked),
+              static_cast<unsigned long long>(r.inconclusive));
   if (!r.violation_found) {
     std::printf("no violation found\n");
     return 0;

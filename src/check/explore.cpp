@@ -23,8 +23,11 @@ using harness::Object;
 constexpr std::size_t kCompleteMax = 48;
 constexpr std::uint64_t kCompleteNodeBudget = 400'000;
 
-Violation check_history(const Scenario& s,
-                        const harness::RecordResult& res) {
+/// Checks one run's history. Adds to `*inconclusive` (if non-null) the
+/// complete searches that ran out of node budget: those histories passed
+/// the fast checks but were not fully validated.
+Violation check_history(const Scenario& s, const harness::RecordResult& res,
+                        std::uint64_t* inconclusive = nullptr) {
   using harness::CheckResult;
   if (!res.completed) {
     return {true, "hang",
@@ -84,6 +87,7 @@ Violation check_history(const Scenario& s,
       if (!full.ok) {
         return {true, "lin", "obj " + std::to_string(id) + ": " + full.reason};
       }
+      if (full.inconclusive && inconclusive != nullptr) ++*inconclusive;
     }
   }
   return {};
@@ -311,6 +315,7 @@ ExploreResult explore(const ExploreCfg& ecfg) {
   struct Slot {
     Violation v;
     std::uint64_t ops = 0;
+    std::uint64_t inconclusive = 0;
     sim::Cycle end_time = 0;
     double seconds = 0;
   };
@@ -347,7 +352,7 @@ ExploreResult explore(const ExploreCfg& ecfg) {
         Slot& slot = slots[i];
         slot.ops = res.history.size();
         slot.end_time = res.end_time;
-        slot.v = check_history(s, res);
+        slot.v = check_history(s, res, &slot.inconclusive);
         slot.seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - rt0)
                            .count();
@@ -361,6 +366,7 @@ ExploreResult explore(const ExploreCfg& ecfg) {
       const Slot& slot = slots[i];
       ++out.schedules_run;
       out.ops_checked += slot.ops;
+      out.inconclusive += slot.inconclusive;
       if (ecfg.verbose && slot.seconds > 0.5) {
         std::fprintf(stderr,
                      "check: slow schedule (%.1fs): %s on %s, %u thr x %u "

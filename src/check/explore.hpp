@@ -60,6 +60,9 @@ struct ExploreCfg {
 struct ExploreResult {
   std::uint64_t schedules_run = 0;
   std::uint64_t ops_checked = 0;
+  /// Complete searches that exhausted their node budget: the history
+  /// passed the fast checks but was not fully validated.
+  std::uint64_t inconclusive = 0;
   bool violation_found = false;
   Scenario failing;   ///< first failing scenario (valid iff violation_found)
   Violation violation;

@@ -12,12 +12,15 @@
 //
 // Nodes come from a fixed ring arena recycled in FIFO order (a dequeue
 // retires the old dummy exactly one arena step behind the enqueue cursor),
-// so the hot path performs no dynamic allocation; capacity bounds the
-// number of live elements.
+// so the hot path performs no dynamic allocation. A queue of capacity c
+// holds at most c - 1 values (the dummy takes one node); one more enqueue
+// aborts instead of overwriting the dummy.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 #include "runtime/aligned.hpp"
 #include "runtime/context.hpp"
@@ -39,6 +42,13 @@ class SeqQueue {
 
   explicit SeqQueue(std::size_t capacity = 8192)
       : cap_(capacity), arena_(capacity) {
+    if (capacity < 2) {
+      std::fprintf(stderr,
+                   "hmps fatal: SeqQueue: capacity %zu leaves no node for a "
+                   "value\n",
+                   capacity);
+      std::abort();
+    }
     // Dummy node: arena slot 0.
     head_.store(rt::to_word(&arena_[0]), std::memory_order_relaxed);
     tail_.store(rt::to_word(&arena_[0]), std::memory_order_relaxed);
@@ -47,9 +57,19 @@ class SeqQueue {
 
   /// Next arena node for an enqueue. Only the enqueue CS calls this, so a
   /// plain bump-and-wrap through ctx suffices (it is lock-protected state).
+  /// The full-ring check reads the head on the host, so it costs no
+  /// simulated access.
   template <class Ctx>
   Node* alloc(Ctx& ctx) {
     const std::uint64_t i = ctx.load(&alloc_);
+    if (rt::to_word(&arena_[i]) == head_.load(std::memory_order_relaxed))
+        [[unlikely]] {
+      std::fprintf(stderr,
+                   "hmps fatal: SeqQueue: all %zu nodes are in use (%zu "
+                   "values queued); raise capacity\n",
+                   cap_, cap_ - 1);
+      std::abort();
+    }
     ctx.store(&alloc_, (i + 1) % cap_);
     return &arena_[i];
   }

@@ -9,6 +9,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 #include "runtime/aligned.hpp"
 #include "runtime/context.hpp"
@@ -53,7 +55,13 @@ template <class Ctx>
 std::uint64_t s_push(Ctx& ctx, void* obj, std::uint64_t v) {
   auto* s = static_cast<SeqStack*>(obj);
   auto* n = rt::from_word<SeqStack::Node>(ctx.load(&s->free_));
-  assert(n != nullptr && "SeqStack arena exhausted; raise capacity");
+  if (n == nullptr) [[unlikely]] {
+    std::fprintf(stderr,
+                 "hmps fatal: SeqStack: all %zu nodes hold values; raise "
+                 "capacity\n",
+                 s->capacity());
+    std::abort();
+  }
   ctx.store(&s->free_, ctx.load(&n->next));
   ctx.store(&n->val, v);
   ctx.store(&n->next, ctx.load(&s->top_));
@@ -91,28 +99,24 @@ class UcStack {
 };
 
 /// Treiber's nonblocking stack (Treiber 1986). The top-of-stack word packs
-/// {tag:32 | node index:32} so CAS retries cannot suffer ABA; nodes come
-/// from a shared arena and are recycled through per-thread free lists
-/// (allocation itself is uncontended).
+/// {tag:32 | node index:32} so CAS retries cannot suffer ABA. Each thread
+/// owns a block of the shared arena: it reuses the nodes it released (a
+/// LIFO free list) and otherwise takes its block's next never-used node.
+/// The free lists and the bump cursors are host-only bookkeeping, so
+/// allocation costs no simulated access.
 template <class Ctx>
 class TreiberStack {
  public:
   static constexpr std::uint32_t kNullIdx = 0xFFFFFFFFu;
 
-  /// `per_thread_nodes` nodes are pre-assigned to every thread's free list.
+  /// Every thread may hold up to `per_thread_nodes` nodes at once. A node
+  /// is built when its thread first needs it, so a run pays for the nodes
+  /// it touches, not for kMaxThreads times the capacity.
   explicit TreiberStack(std::uint32_t per_thread_nodes = 256)
       : per_thread_(per_thread_nodes),
-        arena_(static_cast<std::size_t>(sync::kMaxThreads) * per_thread_nodes) {
+        arena_(static_cast<std::size_t>(sync::kMaxThreads) * per_thread_nodes,
+               rt::kUnbuilt) {
     top_.store(pack(0, kNullIdx), std::memory_order_relaxed);
-    for (std::uint32_t t = 0; t < sync::kMaxThreads; ++t) {
-      const std::uint32_t base = t * per_thread_;
-      for (std::uint32_t i = 0; i + 1 < per_thread_; ++i) {
-        arena_[base + i].next.store(base + i + 1, std::memory_order_relaxed);
-      }
-      arena_[base + per_thread_ - 1].next.store(kNullIdx,
-                                                std::memory_order_relaxed);
-      free_[t].head = base;
-    }
   }
 
   void push(Ctx& ctx, std::uint64_t v) {
@@ -172,7 +176,8 @@ class TreiberStack {
     Word next{0};  // node index (kNullIdx terminates)
   };
   struct alignas(rt::kCacheLine) FreeList {
-    std::uint32_t head = kNullIdx;  // thread-private
+    std::uint32_t head = kNullIdx;  ///< released nodes, thread-private
+    std::uint32_t used = 0;         ///< nodes of the block built so far
   };
   struct alignas(rt::kCacheLine) PaddedStats : Stats {};
 
@@ -185,11 +190,24 @@ class TreiberStack {
   static constexpr std::uint64_t tag(std::uint64_t w) { return w >> 32; }
 
   std::uint32_t alloc(Ctx& ctx) {
-    FreeList& f = free_[ctx.tid()];
-    assert(f.head != kNullIdx && "Treiber arena exhausted for this thread");
-    const std::uint32_t ni = f.head;
-    f.head = static_cast<std::uint32_t>(
-        arena_[ni].next.load(std::memory_order_relaxed));
+    const std::uint32_t t = ctx.tid();
+    sync::check_tid(t, sync::kMaxThreads, "TreiberStack", "push");
+    FreeList& f = free_[t];
+    if (f.head != kNullIdx) {
+      const std::uint32_t ni = f.head;
+      f.head = static_cast<std::uint32_t>(
+          arena_[ni].next.load(std::memory_order_relaxed));
+      return ni;
+    }
+    if (f.used == per_thread_) [[unlikely]] {
+      std::fprintf(stderr,
+                   "hmps fatal: TreiberStack: thread %u holds all %u of its "
+                   "nodes\n",
+                   static_cast<unsigned>(t), per_thread_);
+      std::abort();
+    }
+    const std::uint32_t ni = t * per_thread_ + f.used++;
+    arena_.build(ni);
     return ni;
   }
 

@@ -144,13 +144,18 @@ struct Params {
 // the low half.
 
 /// An owned farm, type-erased for Params::obj.
-using FarmPtr = std::unique_ptr<void, void (*)(void*)>;
+using FarmPtr = std::shared_ptr<void>;
 
-/// `n` objects built in place (queue and stack nodes self-reference, so
-/// farm objects never move).
-template <class T>
-FarmPtr make_farm(std::uint64_t n) {
-  return FarmPtr(new T[n], [](void* f) { delete[] static_cast<T*>(f); });
+/// `n` objects built in place, each from `args` (queue and stack nodes
+/// self-reference, so farm objects never move).
+template <class T, class... Args>
+FarmPtr make_farm(std::uint64_t n, const Args&... args) {
+  T* f = std::allocator<T>().allocate(n);
+  for (std::uint64_t i = 0; i < n; ++i) new (f + i) T(args...);
+  return FarmPtr(f, [n](void* p) {
+    for (std::uint64_t i = n; i-- > 0;) static_cast<T*>(p)[i].~T();
+    std::allocator<T>().deallocate(static_cast<T*>(p), n);
+  });
 }
 
 template <class T>

@@ -6,14 +6,13 @@
 //  1. Fast partial checks (sound, not complete): value uniqueness,
 //     no-loss/no-dup, and the FIFO/real-time-order axioms that catch the
 //     common linearizability bugs in queues and counters at any scale.
-//  2. A complete Wing & Gong-style search (`linearizable()`), generic over
-//     a sequential specification, with memoization on (linearized-set,
-//     spec-state) — exponential in the worst case, intended for the small
-//     windows used by the property tests.
+//  2. A complete Wing & Gong-style search (`linearizable()`) against a
+//     queue, stack or counter specification, with memoization on
+//     (linearized-set, spec-state) — exponential in the worst case, and
+//     node-bounded where it runs inside exploration loops.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,15 +61,22 @@ class HistoryRecorder {
   std::vector<OpRecord> ops_;
 };
 
-/// Sequential specification: clone-free functional interface over an
-/// explicit state vector (so the checker can hash/compare states).
+/// Sequential specification of one of the three object kinds the
+/// harness records. The complete checker runs a search specialised to the
+/// kind; `apply()` is the same specification over an explicit state vector,
+/// for callers that run the object sequentially (generators, reference
+/// checkers).
 struct SeqSpec {
-  /// Applies `op` (kind/arg) to `state`; returns the expected result, or
-  /// nullopt if the op is not enabled... all ops here are total, so this
-  /// returns the result the sequential object would produce.
-  std::function<std::uint64_t(std::vector<std::uint64_t>& state,
-                              const OpRecord& op)>
-      apply;
+  enum class Object : std::uint8_t { kQueue, kStack, kCounter };
+  Object object = Object::kCounter;
+
+  /// Applies `op` (kind/arg) to `state` and returns the result the
+  /// sequential object produces; every op is total. A queue treats any op
+  /// but kEnq as a dequeue, a stack any op but kPush as a pop, a counter
+  /// any op but kRead as an increment; a consumer on an empty object
+  /// returns kNothing.
+  std::uint64_t apply(std::vector<std::uint64_t>& state,
+                      const OpRecord& op) const;
 };
 
 SeqSpec queue_spec();
@@ -107,10 +113,13 @@ CheckResult check_counter_fast(const std::vector<OpRecord>& history);
 CheckResult check_stack_fast(const std::vector<OpRecord>& history);
 
 /// Complete linearizability check against `spec` (Wing & Gong with
-/// memoization). History sizes beyond ~20 concurrent ops get slow; use for
-/// property tests on small windows. `max_nodes` bounds the DFS (0 =
+/// memoization), for histories of at most 63 ops. The search is
+/// exponential in the number of mutually overlapping ops: a few thousand
+/// nodes settle most recorded windows, but async trains whose ops share
+/// one response can need millions. `max_nodes` bounds the DFS (0 =
 /// unlimited); an exhausted budget returns ok with `inconclusive` set
-/// rather than guessing either way.
+/// rather than guessing either way. Every node the DFS enters counts
+/// against the budget, memo hits included.
 CheckResult linearizable(const std::vector<OpRecord>& history,
                          const SeqSpec& spec, std::uint64_t max_nodes = 0);
 

@@ -211,10 +211,15 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
   if (!fleet && cfg.object == Object::kLcrq) kind = Kind::kLcrq;
   if (!fleet && cfg.object == Object::kElimStack) kind = Kind::kElimStack;
   const std::uint32_t n_obj = fleet ? kFarmObjects : 1;
+  // No object ever holds more values than the run has ops; a queue's ring
+  // needs one node more, for its dummy, and at least two.
+  const std::size_t nodes = std::max<std::size_t>(
+      2, static_cast<std::size_t>(cfg.threads) * cfg.ops_each + 1);
   const reg::FarmPtr farm =
-      cfg.object == Object::kQueue   ? reg::make_farm<ds::SeqQueue>(n_obj)
-      : cfg.object == Object::kStack ? reg::make_farm<ds::SeqStack>(n_obj)
-                                     : reg::make_farm<ds::SeqCounter>(n_obj);
+      cfg.object == Object::kQueue ? reg::make_farm<ds::SeqQueue>(n_obj, nodes)
+      : cfg.object == Object::kStack
+          ? reg::make_farm<ds::SeqStack>(n_obj, nodes)
+          : reg::make_farm<ds::SeqCounter>(n_obj);
   reg::Params p;
   p.obj = farm.get();
   p.max_ops = cfg.max_ops;

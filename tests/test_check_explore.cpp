@@ -194,6 +194,24 @@ TEST(Explore, CleanSubsetStaysClean) {
   EXPECT_GT(r.ops_checked, 0u);
 }
 
+// A complete search that runs out of its node budget passes the history
+// without validating it; explore counts those searches. With random
+// machines, seed 7's third schedule records a history whose search
+// exhausts the 400k-node budget.
+TEST(Explore, CountsInconclusiveSearches) {
+  check::ExploreCfg cfg;
+  cfg.seed = 7;
+  cfg.budget_seconds = 0;
+  cfg.max_schedules = 3;
+  cfg.fuzz_machines = true;
+  cfg.jobs = 1;
+  const check::ExploreResult r = check::explore(cfg);
+  EXPECT_EQ(r.schedules_run, 3u);
+  EXPECT_FALSE(r.violation_found)
+      << "[" << r.violation.kind << "] " << r.violation.detail;
+  EXPECT_EQ(r.inconclusive, 1u);
+}
+
 // ---- hmps-repro-v1 ----
 
 TEST(Repro, RoundTripPreservesScenario) {

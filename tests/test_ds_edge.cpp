@@ -116,6 +116,71 @@ TEST(LcrqDeathTest, RingPoolExhaustionAborts) {
   EXPECT_DEATH(fill(9), "hmps fatal: Lcrq: ring pool of 4 rings exhausted");
 }
 
+// The sequential queue, the sequential stack and the Treiber stack hold
+// their nodes in fixed arenas. One value past each arena's capacity must
+// abort loudly in every build type: the queue's ring used to wrap onto the
+// live dummy node, the stack dereferenced a null free list and the Treiber
+// stack read past its arena.
+using ArenaDeathTest = ::testing::Test;
+
+TEST(ArenaDeathTest, SeqQueueRingFullAborts) {
+  // A ring of 8 nodes: the dummy plus at most 7 queued values.
+  const auto fill = [](std::uint64_t values) {
+    SimExecutor ex(arch::MachineParams::tilegx_small(), 1);
+    ds::SeqQueue q(8);
+    ex.add_thread([&](SimCtx& ctx) {
+      for (std::uint64_t v = 0; v < values; ++v) {
+        ds::q_enqueue<SimCtx>(ctx, &q, v);
+      }
+      for (std::uint64_t v = 0; v < values; ++v) {
+        EXPECT_EQ(ds::q_dequeue<SimCtx>(ctx, &q, 0), v);
+      }
+    });
+    ex.run_until(sim::kCycleMax);
+  };
+  fill(7);
+  EXPECT_DEATH(fill(8),
+               "hmps fatal: SeqQueue: all 8 nodes are in use \\(7 values "
+               "queued\\)");
+}
+
+TEST(ArenaDeathTest, SeqStackFullAborts) {
+  const auto fill = [](std::uint64_t values) {
+    SimExecutor ex(arch::MachineParams::tilegx_small(), 1);
+    ds::SeqStack s(8);
+    ex.add_thread([&](SimCtx& ctx) {
+      for (std::uint64_t v = 0; v < values; ++v) {
+        ds::s_push<SimCtx>(ctx, &s, v);
+      }
+      for (std::uint64_t v = values; v-- > 0;) {
+        EXPECT_EQ(ds::s_pop<SimCtx>(ctx, &s, 0), v);
+      }
+    });
+    ex.run_until(sim::kCycleMax);
+  };
+  fill(8);
+  EXPECT_DEATH(fill(9), "hmps fatal: SeqStack: all 8 nodes hold values");
+}
+
+TEST(ArenaDeathTest, TreiberThreadOutOfNodesAborts) {
+  // Four nodes per thread; thread 0 may hold four values at once, and
+  // nodes it popped are reused before the bump cursor moves.
+  const auto fill = [](std::uint32_t values) {
+    SimExecutor ex(arch::MachineParams::tilegx_small(), 1);
+    ds::TreiberStack<SimCtx> st(4);
+    ex.add_thread([&](SimCtx& ctx) {
+      for (int round = 0; round < 3; ++round) {
+        for (std::uint32_t v = 0; v < values; ++v) st.push(ctx, v);
+        for (std::uint32_t v = values; v-- > 0;) EXPECT_EQ(st.pop(ctx), v);
+      }
+    });
+    ex.run_until(sim::kCycleMax);
+  };
+  fill(4);
+  EXPECT_DEATH(fill(5),
+               "hmps fatal: TreiberStack: thread 0 holds all 4 of its nodes");
+}
+
 TEST(LcrqEdge, AlternatingNearEmpty) {
   // The empty-transition path (dequeuers overshooting tail) is the
   // trickiest part of CRQ; hammer it.

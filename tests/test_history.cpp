@@ -283,6 +283,135 @@ TEST(Complete, SearchMatchesReferenceOnRandomHistories) {
   EXPECT_GT(inconclusive, 100);
 }
 
+// An async-train history of `n` ops on one object: four threads each keep
+// a train of 2-4 ops out at once and reap it at one time, so every op of a
+// train shares the train's response. Trains of different threads
+// interleave, which gives the wide, mutually overlapping windows where the
+// complete search runs out of budget in explore. Ops follow a sequential
+// run of the spec; with `corrupt`, one op's return is changed.
+std::vector<OpRecord> train_history(int object, std::size_t n, bool corrupt,
+                                    sim::Xoshiro256& rng) {
+  static const OpKind kinds[3][2] = {{OpKind::kEnq, OpKind::kDeq},
+                                     {OpKind::kPush, OpKind::kPop},
+                                     {OpKind::kInc, OpKind::kRead}};
+  const SeqSpec spec = object == 0   ? queue_spec()
+                       : object == 1 ? stack_spec()
+                                     : counter_spec();
+  std::vector<std::uint64_t> state;
+  std::vector<OpRecord> h;
+  std::vector<std::size_t> train[4];  // open train of each thread
+  std::size_t train_len[4] = {};
+  Cycle point = 0;
+  const auto reap = [&](std::uint32_t t) {
+    const Cycle response = point + rng.below(40);
+    for (const std::size_t i : train[t]) h[i].response = response;
+    train[t].clear();
+  };
+  while (h.size() < n) {
+    const auto t = static_cast<std::uint32_t>(rng.below(4));
+    if (train[t].empty()) train_len[t] = 2 + rng.below(3);
+    OpRecord o;
+    o.thread = t;
+    o.kind = kinds[object][rng.below(2)];
+    o.arg = 100 + h.size();
+    o.ret = spec.apply(state, o);
+    point += 1 + rng.below(20);
+    o.invoke = point - rng.below(point < 40 ? point : 40);
+    train[t].push_back(h.size());
+    h.push_back(o);
+    if (train[t].size() == train_len[t]) reap(t);
+  }
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    if (!train[t].empty()) reap(t);
+  }
+  if (corrupt) h[rng.below(n)].ret += 1 + rng.below(2);
+  for (std::size_t i = n; i > 1; --i) std::swap(h[i - 1], h[rng.below(i)]);
+  return h;
+}
+
+// The same comparison on the shapes that exhaust explore's budgets:
+// async-train histories of 13-20 ops, under budgets of 50 and 20,000
+// nodes.
+TEST(Complete, SearchMatchesReferenceOnTrainHistories) {
+  const std::uint64_t budgets[] = {50, 20000};
+  const SeqSpec specs[] = {queue_spec(), stack_spec(), counter_spec()};
+  sim::Xoshiro256 rng(2026);
+  int rejected = 0, inconclusive = 0;
+  for (int round = 0; round < 120; ++round) {
+    const int object = round % 3;
+    const std::size_t n = 13 + rng.below(8);
+    for (const bool corrupt : {false, true}) {
+      const std::vector<OpRecord> h = train_history(object, n, corrupt, rng);
+      for (const std::uint64_t budget : budgets) {
+        const CheckResult want = oracle_linearizable(h, specs[object], budget);
+        const CheckResult got = linearizable(h, specs[object], budget);
+        ASSERT_EQ(got.ok, want.ok) << "round " << round << " budget " << budget;
+        ASSERT_EQ(got.inconclusive, want.inconclusive)
+            << "round " << round << " budget " << budget;
+        ASSERT_EQ(got.reason, want.reason)
+            << "round " << round << " budget " << budget;
+        rejected += !got.ok;
+        inconclusive += got.inconclusive && budget == 20000;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 10);
+  EXPECT_GT(inconclusive, 0);
+}
+
+// A queue window recorded by explore: eight overlapping enqueues of small
+// values and one dequeue of 0. Every order that starts with another value
+// fails, and the reference needs 27,409 nodes to find one that starts with
+// 0, so explore's 20k budget runs out. A memo key that mixed the mask and
+// the values the same way gave (mask 2, holding 1) the key of (mask 1,
+// holding 2), skipped the second subtree and answered within budget.
+TEST(Complete, QueueSearchKeepsMasksAndValuesApart) {
+  const std::uint64_t t1 = std::uint64_t{1} << 32, t2 = std::uint64_t{2} << 32;
+  const std::vector<OpRecord> h = {
+      op(0, OpKind::kEnq, 2, 0, 260, 3995),
+      op(0, OpKind::kEnq, 1, 0, 157, 4042),
+      op(0, OpKind::kEnq, 0, 0, 1, 4095),
+      op(1, OpKind::kEnq, t1 | 2, 0, 186, 5644),
+      op(1, OpKind::kEnq, t1 | 1, 0, 92, 5695),
+      op(1, OpKind::kDeq, 0, 0, 2, 5744),
+      op(2, OpKind::kEnq, t2 | 2, 0, 203, 7666),
+      op(2, OpKind::kEnq, t2 | 1, 0, 105, 7719),
+      op(2, OpKind::kEnq, t2, 0, 3, 7776),
+  };
+  for (const std::uint64_t budget : {0, 20000, 27408, 27409}) {
+    const CheckResult want = oracle_linearizable(h, queue_spec(), budget);
+    const CheckResult got = linearizable(h, queue_spec(), budget);
+    EXPECT_EQ(got.ok, want.ok) << "budget " << budget;
+    EXPECT_EQ(got.inconclusive, want.inconclusive) << "budget " << budget;
+  }
+  EXPECT_TRUE(linearizable(h, queue_spec(), 20000).inconclusive);
+  EXPECT_FALSE(linearizable(h, queue_spec(), 27409).inconclusive);
+}
+
+// The search pops in place and undoes the pop by restoring the size. A
+// push nested below the pop writes into the popped slot, so the undo must
+// also write the popped value back. Here the search first tries pop->7
+// (op 1) after push(7) (op 3), then push(9) into the same slot, and that
+// branch fails; the linearization that exists (push 7, pop 7 by op 2,
+// push 9, push 7, pop 7 by op 1) must still find 7 under op 2.
+TEST(Complete, StackPopUndoneAfterNestedPush) {
+  const std::vector<OpRecord> h = {
+      op(0, OpKind::kPush, 7, 0, 6, 8),  op(1, OpKind::kPop, 0, 7, 2, 8),
+      op(2, OpKind::kPop, 0, 7, 0, 4),   op(3, OpKind::kPush, 7, 0, 0, 1),
+      op(4, OpKind::kPush, 9, 0, 4, 6),
+  };
+  EXPECT_TRUE(oracle_linearizable(h, stack_spec(), 0).ok);
+  const CheckResult r = linearizable(h, stack_spec());
+  EXPECT_TRUE(r.ok) << r.reason;
+  // The node count along the way matches the reference's as well.
+  for (const std::uint64_t budget : {1, 2, 3, 4, 5, 6, 7, 8}) {
+    const CheckResult want = oracle_linearizable(h, stack_spec(), budget);
+    const CheckResult got = linearizable(h, stack_spec(), budget);
+    EXPECT_EQ(got.ok, want.ok) << "budget " << budget;
+    EXPECT_EQ(got.inconclusive, want.inconclusive) << "budget " << budget;
+  }
+}
+
 // ---- histories recorded from the real constructions ----
 
 enum class Kind { kMp, kHyb, kShm, kCc };
