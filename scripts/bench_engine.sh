@@ -19,6 +19,10 @@
 # dominates it). The checker_baseline block holds the same row measured at
 # commit a13b9eb, the last commit before the typed linearizability search,
 # on the host named in "host", alternated with the current tree.
+#
+# engine_code_lines is the size of the engine fast path: the non-blank lines
+# that are not // comments in the event queue, the scheduler, the simulated
+# execution context, the core model and the coherence model.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,6 +80,11 @@ fi
 HEAP_GROWS=$(grep -o '"heap_grows": [0-9]*' "$TMP_JSON" | awk '{print $2}')
 HEAP_GROWS="${HEAP_GROWS:-null}"
 
+ENGINE_FILES=(src/sim/event_queue.hpp src/sim/scheduler.hpp
+  src/sim/scheduler.cpp src/runtime/sim_context.hpp src/arch/core.hpp
+  src/arch/coherence.hpp src/arch/coherence.cpp)
+ENGINE_CODE_LINES=$(cat "${ENGINE_FILES[@]}" | grep -cvE '^[[:space:]]*($|//)')
+
 {
   echo '{'
   echo '  "generated_by": "scripts/bench_engine.sh",'
@@ -86,6 +95,7 @@ HEAP_GROWS="${HEAP_GROWS:-null}"
   echo '  "fig3a_default_wall_seconds": '"$FIG3A"','
   echo '  "check_explore_2000_wall_seconds": '"$CHECK_EXPLORE"','
   echo '  "steady_state_heap_grows": '"$HEAP_GROWS"','
+  echo '  "engine_code_lines": '"$ENGINE_CODE_LINES"','
   echo '  "seed_baseline": {'
   echo '    "commit": "dc9de22",'
   echo '    "flags": "g++ -std=c++20 -O2 -DNDEBUG",'

@@ -21,7 +21,7 @@ Cycle CoherenceModel::inval_cost(std::uint64_t sharers, Tid except) {
 
 AccessCost CoherenceModel::read(Tid c, std::uint64_t addr, Cycle now) {
   const std::uint64_t ln = line_of(addr);
-  Line& l = slots_[slot_of(ln)];
+  Line& l = lines_[id_of(ln)];
   if (hit(c, l, ln)) return {p_.l_hit, false};
   ++counters_.rmr_reads;
   const Cycle wait = acquire_line(l, now);
@@ -46,7 +46,7 @@ AccessCost CoherenceModel::read(Tid c, std::uint64_t addr, Cycle now) {
 
 AccessCost CoherenceModel::write(Tid c, std::uint64_t addr, Cycle now) {
   const std::uint64_t ln = line_of(addr);
-  Line& l = slots_[slot_of(ln)];
+  Line& l = lines_[id_of(ln)];
   notify(l, ln);
   if (l.state == State::kModified && l.owner == c) {
     ++counters_.hits;

@@ -12,7 +12,6 @@
 // what bounds the throughput of ping-ponging flags and contended CAS words.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -64,10 +63,6 @@ class CoherenceModel {
     return std::has_single_bit(b) && b >= kMinLineBytes && b <= kMaxLineBytes;
   }
 
-  /// Entries of the direct-mapped lookup memo in front of the line table
-  /// (line number modulo kMemoLines picks the entry).
-  static constexpr std::size_t kMemoLines = 64;
-
   CoherenceModel(const MachineParams& p, const MeshTopology& topo)
       : p_(p), topo_(topo), combining_(p, topo) {
     if (p.n_mem_ctrls < 1 || p.n_mem_ctrls > kMaxCtrls) [[unlikely]] {
@@ -88,26 +83,23 @@ class CoherenceModel {
       std::abort();
     }
     line_shift_ = static_cast<std::uint32_t>(std::countr_zero(p.line_bytes));
-    keys_.assign(kInitialCap, kEmptyKey);
-    slots_.resize(kInitialCap);
+    index_.assign(kInitialCap, Entry{});
+    lines_.reserve(kInitialCap / 2);
     mask_ = kInitialCap - 1;
   }
 
-  /// A line's cached position in the line table, for a caller that tests
-  /// the same line over and over (a parked spin's poller). It stays valid
-  /// until the table grows; read_hit() checks that through `gen` and
-  /// refreshes a stale hint in place.
+  /// A line and its id, for a caller that tests the same line over and
+  /// over (a parked spin's poller): it reaches the line's state without a
+  /// lookup. Ids never change, so a hint stays valid for the model's life.
   struct LineHint {
     std::uint64_t line = 0;  ///< line_of() of the address
-    std::uint32_t slot = 0;  ///< table index of the line
-    std::uint32_t gen = 0;   ///< table generation `slot` belongs to
+    std::uint32_t id = 0;    ///< the line's id (see id_of)
   };
 
   /// A hint for the line covering `addr` (creating the line if untouched).
   LineHint hint(std::uint64_t addr) {
     const std::uint64_t ln = line_of(addr);
-    const std::size_t i = slot_of(ln);
-    return {ln, static_cast<std::uint32_t>(i), gen_};
+    return {ln, id_of(ln)};
   }
 
   /// Core `c` reads the line at address `addr` at time `now`.
@@ -118,31 +110,25 @@ class CoherenceModel {
   /// nothing and returns false. Costs l_hit when it hits.
   bool read_hit(Tid c, std::uint64_t addr) {
     const std::uint64_t ln = line_of(addr);
-    return hit(c, slots_[slot_of(ln)], ln);
+    return hit(c, lines_[id_of(ln)], ln);
   }
 
-  /// read_hit() for the line of hint `h`, reached through its cached slot
-  /// instead of a lookup; a hint from before the last table growth is
-  /// refreshed first.
-  bool read_hit(Tid c, LineHint& h) {
-    refresh(h);
-    return hit(c, slots_[h.slot], h.line);
+  /// read_hit() for the line of hint `h`, reached by its id instead of a
+  /// lookup.
+  bool read_hit(Tid c, const LineHint& h) {
+    return hit(c, lines_[h.id], h.line);
   }
 
   /// Whether core `c` holds the line of hint `h` readable, counting
   /// nothing: the state a hit test would find.
-  bool readable(Tid c, LineHint& h) {
-    refresh(h);
-    return readable(c, slots_[h.slot]);
+  bool readable(Tid c, const LineHint& h) const {
+    return readable(c, lines_[h.id]);
   }
 
   /// Marks the line of hint `h` watched: from now on every write, atomic,
   /// silent ownership and prefetch of it calls the attached scheduler's
   /// notify(line) (see attach_watchers), until one finds no watcher left.
-  void watch(LineHint& h) {
-    refresh(h);
-    slots_[h.slot].watched = true;
-  }
+  void watch(const LineHint& h) { lines_[h.id].watched = true; }
 
   /// The scheduler whose parked pollers watch lines (Scheduler::notify).
   void attach_watchers(sim::Scheduler* s) { watchers_ = s; }
@@ -188,6 +174,9 @@ class CoherenceModel {
     return addr >> line_shift_;
   }
 
+  /// Lines touched so far.
+  std::size_t lines() const { return lines_.size(); }
+
   // --- event counters (global; reset per measurement window) ---
   struct Counters {
     std::uint64_t hits = 0;
@@ -227,69 +216,59 @@ class CoherenceModel {
     std::uint32_t ctrl = 0;       ///< memory controller, fixed at first touch
   };
 
-  /// Looks up (or creates) the line covering `addr`. Home tile and memory
-  /// controller are hashed from a *dense first-touch id*, not from the raw
+  /// Looks up (or creates) the line covering `addr`.
+  Line& line_at(std::uint64_t addr) { return lines_[id_of(line_of(addr))]; }
+
+  /// Id of line `ln`, assigned on first touch: lines are numbered densely
+  /// in first-touch order and never move, and the id indexes lines_. Home
+  /// tile and memory controller are hashed from the id, not from the raw
   /// line address: simulated addresses are host pointer addresses, so
   /// hashing them directly would let ASLR move lines between homes and make
   /// simulated timings vary run to run. First-touch order is fixed by the
   /// (deterministic) simulation itself, so this keeps the TILE-Gx
   /// hash-for-home spread while making coherence timing reproducible across
-  /// processes.
-  Line& line_at(std::uint64_t addr) { return slots_[slot_of(line_of(addr))]; }
-
-  /// Table index of line `ln`, inserting it on first touch. Storage is an
-  /// insert-only open-addressing table (linear probing over a flat key
-  /// array, values in a parallel array) behind a direct-mapped memo of
-  /// recent lookups — this runs once per simulated memory operation, and
-  /// the std::unordered_map it replaced was one of the hottest functions
-  /// of a full sweep. The memo holds one line per entry, so a scan over up
-  /// to kMemoLines consecutive lines (a server polling its clients'
-  /// channels) hits it on every access. Lines are never erased, so probing
-  /// needs no tombstones; slot indices change only in grow(), which clears
-  /// the memo and bumps the generation that LineHint checks.
-  std::size_t slot_of(std::uint64_t ln) {
-    Memo& m = memo_[ln & (kMemoLines - 1)];
-    if (m.line == ln) return m.slot;
+  /// processes. The index is an insert-only open-addressing table (linear
+  /// probing over flat {line, id} entries) — this runs once per simulated
+  /// memory operation, and the std::unordered_map it replaced was one of
+  /// the hottest functions of a full sweep. Lines are never erased, so
+  /// probing needs no tombstones.
+  std::uint32_t id_of(std::uint64_t ln) {
     std::size_t i = probe(ln);
-    if (keys_[i] != ln) {  // first touch
-      if ((count_ + 1) * 2 > keys_.size()) {
+    if (index_[i].key != ln) {  // first touch
+      if ((lines_.size() + 1) * 2 > index_.size()) {
         grow();
         i = probe(ln);
       }
-      keys_[i] = ln;
-      slots_[i] = Line{};
-      slots_[i].home = topo_.home_tile(next_line_id_);
-      slots_[i].ctrl = topo_.home_ctrl(next_line_id_);
-      ++next_line_id_;
-      ++count_;
+      const auto id = static_cast<std::uint32_t>(lines_.size());
+      index_[i] = {ln, id};
+      Line& l = lines_.emplace_back();
+      l.home = topo_.home_tile(id);
+      l.ctrl = topo_.home_ctrl(id);
     }
-    m = {ln, i};
-    return i;
+    return index_[i].id;
   }
 
-  /// First slot holding `key`, or the empty slot where it would insert.
+  /// First entry holding `key`, or the empty entry where it would insert.
   std::size_t probe(std::uint64_t key) const {
     std::size_t i =
         static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> 32) & mask_;
-    while (keys_[i] != key && keys_[i] != kEmptyKey) i = (i + 1) & mask_;
+    while (index_[i].key != key && index_[i].key != kEmptyKey) {
+      i = (i + 1) & mask_;
+    }
     return i;
   }
 
+  /// Doubles the index (rehashing its entries; no line moves) and reserves
+  /// lines_ up to the new load limit, so first touches between two growths
+  /// allocate nothing.
   void grow() {
-    std::vector<std::uint64_t> old_keys = std::move(keys_);
-    std::vector<Line> old_slots = std::move(slots_);
-    const std::size_t cap = old_keys.size() * 2;
-    keys_.assign(cap, kEmptyKey);
-    slots_.assign(cap, Line{});
-    mask_ = cap - 1;
-    memo_.fill(Memo{});
-    ++gen_;
-    for (std::size_t j = 0; j < old_keys.size(); ++j) {
-      if (old_keys[j] == kEmptyKey) continue;
-      const std::size_t i = probe(old_keys[j]);
-      keys_[i] = old_keys[j];
-      slots_[i] = old_slots[j];
+    std::vector<Entry> old = std::move(index_);
+    index_.assign(old.size() * 2, Entry{});
+    mask_ = index_.size() - 1;
+    for (const Entry& e : old) {
+      if (e.key != kEmptyKey) index_[probe(e.key)] = e;
     }
+    lines_.reserve(index_.size() / 2);
   }
 
   static bool readable(Tid c, const Line& l) {
@@ -306,14 +285,6 @@ class CoherenceModel {
       return true;
     }
     return false;
-  }
-
-  /// Points a hint from before the last table growth at its line's slot.
-  void refresh(LineHint& h) {
-    if (h.gen != gen_) [[unlikely]] {
-      h.slot = static_cast<std::uint32_t>(slot_of(h.line));
-      h.gen = gen_;
-    }
   }
 
   /// Tells the watchers of line `ln` (state `l`) that it changes, if it is
@@ -338,12 +309,12 @@ class CoherenceModel {
 
   static constexpr std::size_t kInitialCap = 1024;  ///< power of two
   /// Host pointers are never within a line of the address-space top, so no
-  /// real line number collides with the empty-slot sentinel.
+  /// real line number collides with the empty-entry sentinel.
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
-  struct Memo {
-    std::uint64_t line = kEmptyKey;  ///< kEmptyKey when unused
-    std::size_t slot = 0;
+  struct Entry {
+    std::uint64_t key = kEmptyKey;  ///< a line number, or kEmptyKey
+    std::uint32_t id = 0;
   };
 
   static_assert(sizeof(Line) == 32);
@@ -352,14 +323,10 @@ class CoherenceModel {
   const MeshTopology& topo_;
   CoherenceProfiler* prof_ = nullptr;
   sim::Scheduler* watchers_ = nullptr;
-  std::vector<std::uint64_t> keys_;  ///< open-addressing key array
-  std::vector<Line> slots_;          ///< values, parallel to keys_
+  std::vector<Entry> index_;  ///< line number -> id (see id_of)
+  std::vector<Line> lines_;   ///< by id, in first-touch order
   std::size_t mask_ = 0;
-  std::size_t count_ = 0;
-  std::array<Memo, kMemoLines> memo_;
-  std::uint32_t gen_ = 1;  ///< bumped by grow(); a LineHint's 0 is never current
   std::uint32_t line_shift_ = 0;  ///< log2(line_bytes)
-  std::uint64_t next_line_id_ = 0;
   Cycle ctrl_busy_until_[kMaxCtrls] = {};
   CombiningFabric combining_;
   Counters counters_;

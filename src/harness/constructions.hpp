@@ -184,6 +184,9 @@ inline std::uint64_t farm_pop(SimCtx& c, void* f, std::uint64_t a) {
 /// Names a fleet's queue_transfer(src = a >> 32, dst = low half); the fleet
 /// routes it to its transfer path, so it never runs as a CS.
 inline std::uint64_t farm_transfer(SimCtx&, void*, std::uint64_t) {
+  std::fprintf(stderr,
+               "hmps fatal: reg::farm_transfer: a transfer reached a "
+               "critical section (only a sharded fleet routes transfers)\n");
   std::abort();
 }
 
@@ -435,7 +438,7 @@ template <class U>
 sync::SyncStats sum_stats(U& uc) {
   sync::SyncStats sum;
   if constexpr (requires { uc.stats(0); }) {
-    std::uint32_t slots = 64;
+    std::uint32_t slots = sync::kMaxThreads;
     if constexpr (requires { uc.stat_slots(); }) slots = uc.stat_slots();
     for (std::uint32_t t = 0; t < slots; ++t) sum.add(uc.stats(t));
   }

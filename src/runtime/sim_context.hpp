@@ -432,7 +432,7 @@ class SimCtx {
 
   /// A spin_until() parked behind its poller. The scheduler keeps it in
   /// the fiber's slot (Scheduler::kPollRecordBytes), so a poll step reads
-  /// this record, the core's state and the line's table slot, and nothing
+  /// this record, the core's state and the line's state, and nothing
   /// of the SimCtx. The part that does not depend on T comes first: the
   /// poll group hooks read only that.
   struct SpinState {

@@ -259,9 +259,9 @@ class EventQueue {
     return joined;
   }
 
-  /// schedule_poll() for a run of `n` members of a popped poll block, first
-  /// member `first` (the caller has threaded the rest), all due at `t`. Only
-  /// a single member may be bound for the overflow heap. Moves the entries
+  /// schedule_poll() for `n` members of a popped poll block, first member
+  /// `first` (the caller has threaded the rest), all due at `t`. Only a
+  /// single member may be bound for the overflow heap. Moves the entries
   /// only: the members' counts go through account_polls().
   std::uint32_t place_polls(Cycle t, std::uint32_t first, std::uint32_t n,
                             std::uint8_t phase) {
@@ -287,8 +287,9 @@ class EventQueue {
   /// Reschedules a whole popped poll block of `n` >= 2 members, first
   /// member `first`, at `t` (a wheel time) without stepping its members:
   /// the queue work and the counts of a pop whose members all took one step
-  /// of the same length and stayed parked (run_members' runs, then its last
-  /// member's schedule_poll, which could not fast-forward past the others).
+  /// of the same length and stayed parked (run_members' placements, then
+  /// its last member's schedule_poll, which could not fast-forward past the
+  /// others).
   /// Returns what place_polls() returns.
   std::uint32_t move_polls(Cycle t, std::uint32_t first, std::uint32_t n,
                            std::uint8_t phase) {
@@ -342,16 +343,6 @@ class EventQueue {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// Time of the earliest pending event. Precondition: !empty().
-  Cycle next_time() const {
-    Cycle t = kCycleMax;
-    if (wheel_count_ > 0) t = buckets_[locate_min_bucket()].time;
-    if (!overflow_.empty() && overflow_.front().time < t) {
-      t = overflow_.front().time;
-    }
-    return t;
-  }
-
   /// If no pending event fires at or before `t`, advances the queue's time
   /// floor to `t` and returns true: the caller may move the clock straight
   /// to `t` without a schedule/pop round trip, because nothing could have
@@ -380,7 +371,7 @@ class EventQueue {
   /// see is_resume/claim). Returns kNoEvent (leaving `*now` untouched and
   /// the queue unchanged) when the earliest event lies past the horizon.
   /// Precondition: !empty(). One bucket locate per call — this is the hot
-  /// pop path; next_time()+pop would locate twice per event.
+  /// pop path.
   std::uint32_t pop_entry(Cycle horizon, Cycle* now) {
     return pop_entry_impl<false>(horizon, now);
   }

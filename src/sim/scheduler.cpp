@@ -98,32 +98,10 @@ Scheduler::FiberId Scheduler::run_polls(FiberId id, std::uint8_t phase) {
 
 Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last,
                                           std::uint8_t phase, bool dirty) {
-  // Members that stayed parked, by wait: each run is threaded through its
-  // members' `next` links and joins bucket now + d in one operation. Waits
-  // too long for the wheel are placed one by one, as lone pollers.
-  struct Run {
-    Cycle d;
-    FiberId first, last;
-    std::uint32_t n;
-    bool pinned;
-  };
-  constexpr std::size_t kMaxRuns = 4;
-  Run runs[kMaxRuns];
-  std::size_t nruns = 0;
   std::uint32_t stepped = 0;  // members that stepped and stay parked
   const std::uint32_t members = fibers_[id].n;
   const std::uint8_t next_phase = flip(phase);
-  const bool run_dirty = dirty && phase != kPhaseCheck;
-  const auto place_runs = [&] {
-    for (std::size_t r = 0; r < nruns; ++r) {
-      const Run& x = runs[r];
-      const Cycle t = now_ + x.d;
-      link_polls(queue_.place_polls(t, x.first, x.n, next_phase), x.first,
-                 x.last, x.n, t, run_dirty, x.pinned);
-    }
-    nruns = 0;
-  };
-
+  const bool step_dirty = dirty && phase != kPhaseCheck;
   while (id != last) {
     Slot& s = fibers_[id];
     const FiberId next = s.next;
@@ -132,7 +110,6 @@ Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last,
     const Cycle d = s.poll(s.rec);
     if (d == kHandBack) [[unlikely]] {
       release(id);
-      place_runs();
       queue_.account_polls(stepped);
       // The unrun rest becomes a block of its own, its members' group.
       Slot& rest = fibers_[next];
@@ -151,27 +128,12 @@ Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last,
     }
     assert(d > 0);
     ++stepped;
-    s.from = now_ + d;
-    std::size_t r = 0;
-    while (r < nruns && runs[r].d != d) ++r;
-    if (r < nruns) {
-      fibers_[runs[r].last].next = id;
-      runs[r].last = id;
-      ++runs[r].n;
-      runs[r].pinned |= s.shared;
-      s.up = runs[r].first;
-    } else if (d >= EventQueue::kWheel) [[unlikely]] {
-      const Cycle t = now_ + d;
-      link_polls(queue_.place_polls(t, id, 1, next_phase), id, id, 1, t,
-                 run_dirty, s.shared);
-    } else {
-      if (nruns == kMaxRuns) place_runs();
-      runs[nruns++] = Run{d, id, id, 1, s.shared};
-      s.up = id;
-    }
+    const Cycle t = now_ + d;
+    s.from = t;
+    link_polls(queue_.place_polls(t, id, 1, next_phase), id, id, 1, t,
+               step_dirty, s.shared);
     id = next;
   }
-  place_runs();  // before the last member's wait looks at the queue
   queue_.account_polls(stepped);
   return kNoFiber;
 }

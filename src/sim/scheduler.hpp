@@ -41,7 +41,6 @@ class Scheduler {
   /// Requests run() to return after the current event completes. Callable
   /// from inside fibers or callbacks.
   void stop() { stop_requested_ = true; }
-  bool stop_requested() const { return stop_requested_; }
 
   Cycle now() const { return now_; }
 
@@ -188,11 +187,6 @@ class Scheduler {
   }
   bool in_fiber() const { return current_ != kNoFiber; }
 
-  bool fiber_finished(FiberId id) const {
-    return fibers_[id].fiber->finished();
-  }
-  std::size_t fiber_count() const { return fibers_.size(); }
-
   static constexpr FiberId kNoFiber = ~FiberId{0};
 
  private:
@@ -291,9 +285,9 @@ class Scheduler {
   }
 
   /// Links the `n` members `first`..`last` (threaded through `next`, each
-  /// one's `up` leading to `first`), just placed at `t` as one run, into
-  /// the poll block that `joined` (a first member, or kNoEvent for a new
-  /// block) names. `dirty` and `pinned` are the run's.
+  /// one's `up` leading to `first`), just placed at `t` together, into the
+  /// poll block that `joined` (a first member, or kNoEvent for a new block)
+  /// names. `dirty` and `pinned` are theirs.
   void link_polls(std::uint32_t joined, FiberId first, FiberId last,
                   std::uint32_t n, Cycle t, bool dirty, bool pinned) {
     if (joined == EventQueue::kNoEvent) {
@@ -344,12 +338,11 @@ class Scheduler {
   /// Steps the members of a popped poll block from `id` up to, not
   /// including, `last`. Each takes exactly one step: the rest of its block
   /// is still pending this cycle, so its wait could never fast-forward.
-  /// Members that stay parked are scheduled again in runs of equal wait,
-  /// one queue operation per run, all before `last` steps; a run is dirty
-  /// if the block was (`dirty`) and its step was not a check. If a member
-  /// hands back, the members that ran are placed and the ones after it go
-  /// back to the head of the bucket, to run after its fiber in this same
-  /// cycle; that member is returned. Otherwise kNoFiber.
+  /// Each member that stays parked is placed again right after its step,
+  /// so all are placed before `last` steps; it is dirty if the block was
+  /// (`dirty`) and its step was not a check. If a member hands back, the
+  /// members after it go back to the head of the bucket, to run after its
+  /// fiber in this same cycle; that member is returned. Otherwise kNoFiber.
   FiberId run_members(FiberId id, FiberId last, std::uint8_t phase,
                       bool dirty);
 

@@ -253,14 +253,13 @@ TEST_F(CoherenceTest, CountersTrackEvents) {
   EXPECT_EQ(c.atomics, 1u);
 }
 
-// Lines whose numbers differ by the memo size share one entry of the
-// direct-mapped lookup memo, and table growth moves every line to a new
-// slot. Neither may mix up two lines' states, and a hint taken before the
-// growth must find its line again.
-TEST_F(CoherenceTest, MemoAliasingAndGrowthKeepLineState) {
+// Two lines' states stay apart through a sequence of reads and writes, and
+// through the growth of the line index, which rehashes every line number.
+// A hint taken before the growth equals one taken after and still reads
+// its line.
+TEST_F(CoherenceTest, GrowthKeepsLineStateAndHints) {
   const std::uint64_t a = 0x9000;
-  const std::uint64_t b = a + CoherenceModel::kMemoLines * p_.line_bytes;
-  ASSERT_EQ(coh_.line_of(b) - coh_.line_of(a), CoherenceModel::kMemoLines);
+  const std::uint64_t b = a + 64 * p_.line_bytes;
   coh_.reset_counters();
   EXPECT_TRUE(coh_.read(0, a, 0).remote);      // a: S{0}
   EXPECT_TRUE(coh_.write(1, b, 100).remote);   // b: M(1)
@@ -277,23 +276,25 @@ TEST_F(CoherenceTest, MemoAliasingAndGrowthKeepLineState) {
   EXPECT_EQ(coh_.counters().rmr_writes, 3u);
   EXPECT_EQ(coh_.counters().invalidations, 2u);
 
-  // Enough first touches to grow the table (it starts at 1024 slots and
+  // Enough first touches to grow the index (it starts at 1024 entries and
   // grows at half load).
-  CoherenceModel::LineHint ha = coh_.hint(a);
-  CoherenceModel::LineHint hb = coh_.hint(b);
+  const CoherenceModel::LineHint ha = coh_.hint(a);
+  const CoherenceModel::LineHint hb = coh_.hint(b);
   for (std::uint64_t i = 0; i < 600; ++i) {
     coh_.read(2, 0x100000 + i * p_.line_bytes, 1000);
   }
-  EXPECT_NE(coh_.hint(a).gen, ha.gen);
+  ASSERT_GT(coh_.lines(), 512u);
+  EXPECT_EQ(coh_.hint(a).line, ha.line);
+  EXPECT_EQ(coh_.hint(a).id, ha.id);
+  EXPECT_EQ(coh_.hint(b).id, hb.id);
+  EXPECT_NE(ha.id, hb.id);
   coh_.reset_counters();
   EXPECT_TRUE(coh_.read_hit(0, a));
   EXPECT_FALSE(coh_.read_hit(1, a));
   EXPECT_TRUE(coh_.read_hit(1, b));
   EXPECT_FALSE(coh_.read_hit(0, b));
-  EXPECT_TRUE(coh_.read_hit(0, ha));  // stale hints are refreshed
+  EXPECT_TRUE(coh_.read_hit(0, ha));  // hints from before the growth
   EXPECT_FALSE(coh_.read_hit(0, hb));
-  EXPECT_EQ(ha.gen, coh_.hint(a).gen);
-  EXPECT_EQ(ha.slot, coh_.hint(a).slot);
   EXPECT_EQ(coh_.counters().hits, 3u);
   EXPECT_EQ(coh_.counters().rmr_reads, 0u);
   // The owners still write without a transaction.

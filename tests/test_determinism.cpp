@@ -47,9 +47,11 @@
 #include "sync/vlink_server.hpp"
 
 // ---------------------------------------------------------------------------
-// Allocation-counting hook: global operator new/delete tally every heap
-// allocation in the binary. Tests read the delta across a steady-state
-// window to prove the engine allocates nothing per event/message.
+// Allocation-counting hook: global operator new/delete, in every form
+// (plain, nothrow, aligned; scalar and array), tally every heap allocation
+// in the binary, including the over-aligned ones (scheduler slots, simulated
+// arenas). Tests read the delta across a steady-state window to prove the
+// engine allocates nothing per event/message.
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -60,6 +62,13 @@ std::atomic<std::uint64_t> g_allocs{0};
 [[gnu::noinline]] void* counted_malloc(std::size_t n) {
   ++g_allocs;
   return std::malloc(n ? n : 1);
+}
+[[gnu::noinline]] void* counted_aligned_malloc(std::size_t n,
+                                               std::align_val_t a) {
+  ++g_allocs;
+  // aligned_alloc wants a nonzero multiple of the alignment.
+  const auto al = static_cast<std::size_t>(a);
+  return std::aligned_alloc(al, n == 0 ? al : (n + al - 1) / al * al);
 }
 [[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
 }  // namespace
@@ -73,6 +82,49 @@ void operator delete(void* p) noexcept { counted_free(p); }
 void operator delete[](void* p) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
 void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void* operator new(std::size_t n, std::align_val_t a) {
+  if (void* p = counted_aligned_malloc(n, a)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return ::operator new(n, a);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return counted_aligned_malloc(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return counted_aligned_malloc(n, a);
+}
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace hmps {
 namespace {

@@ -289,25 +289,24 @@ TEST(ParkedSpin, SharedCoreMatchesPlainLoop) {
   EXPECT_GT(got.polled, 0u);
 }
 
-// ---- the line-slot hint across table growth ----
+// ---- the line hint across index growth ----
 //
-// A parked poller finds its line through a cached table slot. Here the
-// line table grows under parked spinners: a toucher on core 0 first-touches
-// 900 fresh lines (the table starts at 1024 slots and grows at half load),
-// which moves about half the lines to a new slot. Then a writer on core 1
-// stores to the other word of each watched line, which takes the line from
-// a spinner on core 0 without changing the word it watches, and finally
-// flips the watched words. A poller that kept a slot from before the
-// growth would test whatever line now sits there, most often one that is
-// readable on core 0, and take its next load for a hit. The lines are
-// picked at random from a pool so that their table slots collide as often
-// as random keys do.
+// A parked poller reaches its line by the line's id. Here the line index
+// grows under parked spinners: a toucher on core 0 first-touches 900 fresh
+// lines (the index starts at 1024 entries and grows at half load), which
+// rehashes every line number. Then a writer on core 1 stores to the other
+// word of each watched line, which takes the line from a spinner on core 0
+// without changing the word it watches, and finally flips the watched
+// words. A poller whose hint led to another line after the growth would
+// most often test one that is readable on core 0, and take its next load
+// for a hit. The lines are picked at random from a pool so that their
+// index entries collide as often as random keys do.
 
 struct GrowthRun {
   Snapshot snap;
   std::vector<Cycle> done_at;
-  std::uint32_t gen_before = 0;
-  std::uint32_t gen_after = 0;
+  std::size_t lines_before = 0;
+  std::size_t lines_after = 0;
 };
 
 constexpr std::uint32_t kGrowthSpinners = 64;
@@ -344,14 +343,13 @@ GrowthRun run_table_growth(sim::Perturber* perturber,
   r.done_at.assign(kGrowthSpinners, 0);
   ex.add_thread([&](SimCtx& ctx) {  // toucher, core 0
     ctx.compute(500);
-    arch::CoherenceModel& coh = ctx.machine().coherence();
-    const std::uint64_t w0 = reinterpret_cast<std::uint64_t>(&watched(0));
-    r.gen_before = coh.hint(w0).gen;
+    const arch::CoherenceModel& coh = ctx.machine().coherence();
+    r.lines_before = coh.lines();
     for (std::uint32_t i = 0; i < kGrowthFresh; ++i) {
       ctx.load(&pool[picks[kGrowthSpinners + i]].watched);
       ctx.compute(ctx.rand_below(4));
     }
-    r.gen_after = coh.hint(w0).gen;
+    r.lines_after = coh.lines();
   });
   ex.add_thread([&](SimCtx& ctx) {  // writer, core 1
     ctx.compute(200'000);
@@ -383,9 +381,10 @@ TEST(ParkedSpin, HintSurvivesLineTableGrowth) {
   const GrowthRun got = run_table_growth(nullptr, picks);
   expect_same(got.snap, ref.snap);
   EXPECT_EQ(got.done_at, ref.done_at);
-  // The table grew while the spinners were parked, and every spinner saw
-  // its flip.
-  EXPECT_NE(got.gen_after, got.gen_before);
+  // The line index grew (it starts at 1024 entries and grows past 512
+  // lines) while the spinners were parked, and every spinner saw its flip.
+  EXPECT_LE(got.lines_before, 512u);
+  EXPECT_GT(got.lines_after, 512u);
   for (const Cycle t : ref.done_at) EXPECT_GT(t, 200'000u);
   EXPECT_GT(got.snap.polled, 0u);
 }
