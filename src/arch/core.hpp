@@ -1,5 +1,5 @@
-// Per-core execution accounting: busy/stall cycle attribution, the posted
-// write buffer, and the non-binding prefetch slot.
+// Per-core execution accounting: the cycle account with its busy/stall
+// view, the posted write buffer, and the non-binding prefetch slot.
 //
 // The split between busy and stalled cycles is what reproduces Fig. 4a of
 // the paper; the write buffer and prefetch slot provide the RMR/CS overlap
@@ -22,16 +22,17 @@ struct CoreState {
   // updates: Machine::core() tests it on each access.
   std::uint32_t parked = ~std::uint32_t{0};
 
-  // Cycle attribution. busy + stall + idle ~= elapsed window time for a
-  // saturated core (idle = blocked in message receive with an empty queue).
+  // The unclipped busy/stall view of the account's buckets, booked by
+  // book(): every cycle an operation occupies the core counts, also where
+  // the account clips it (fibers sharing the core, a settle inside a
+  // receive). The closed loop's per-op server cost reads these.
   sim::Cycle busy = 0;
   sim::Cycle stall = 0;
-  sim::Cycle idle = 0;
 
   // Exact per-cause attribution of the core's timeline (obs layer): after
   // Machine::settle_accounts() the buckets sum to the elapsed simulated
-  // cycles. The coarse busy/stall/idle trio above is kept as the legacy
-  // fast-glance view; SimCtx charges both.
+  // cycles. Message waits (udn-recv-wait, udn-async-wait) reach only the
+  // account.
   obs::CycleAccount account;
 
   // Single-entry posted-write buffer (weakly ordered stores). A store miss
@@ -45,22 +46,26 @@ struct CoreState {
   std::uint64_t prefetch_line = ~std::uint64_t{0};
   sim::Cycle prefetch_ready = 0;
 
-  // Event counts (per measurement window).
+  // Event counts (per measurement window): memory operations, and the
+  // injected preemption windows this core hit (sim/fault.hpp; zero unless
+  // a FaultPlan with preemption is installed).
   std::uint64_t mem_ops = 0;
-  std::uint64_t atomics = 0;
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t msgs_received = 0;
-  std::uint64_t rmr_loads = 0;   ///< loads that missed (RMR on this core)
-  std::uint64_t rmr_stores = 0;  ///< stores that missed
-  sim::Cycle load_stall = 0;     ///< stall cycles attributed to loads
-  sim::Cycle wb_stall = 0;       ///< stalls waiting on the write buffer
-  sim::Cycle atomic_stall = 0;   ///< stalls in atomic round trips
-
-  // Fault injection (sim/fault.hpp): cycles this core sat in injected
-  // preemption windows, and how many windows it hit. Zero unless a
-  // FaultPlan with preemption is installed.
-  sim::Cycle preempt_stall = 0;
   std::uint64_t preemptions = 0;
+
+  /// Books [t, t+n) to `b`: charges it on the account and adds n to busy
+  /// (compute, spin, udn-send-block) or to stall (CycleAccount::kStalled).
+  /// The one place that mapping lives.
+  void book(obs::CycleAccount::Bucket b, sim::Cycle t, sim::Cycle n) {
+    using B = obs::CycleAccount;
+    constexpr unsigned kBusy =
+        1u << B::kCompute | 1u << B::kSpin | 1u << B::kUdnSendBlock;
+    account.charge(b, t, t + n);
+    if (kBusy >> b & 1u) {
+      busy += n;
+    } else if (B::kStalled >> b & 1u) {
+      stall += n;
+    }
+  }
 
   /// Zeroes the window counters. The cycle account restarts at `now` (its
   /// watermark must track simulated time, not snap back to zero).
@@ -78,12 +83,10 @@ struct CoreState {
     using B = obs::CycleAccount;
     if (load) {
       ++mem_ops;
-      busy += load_cycles;
-      account.charge(B::kCompute, t, t + load_cycles);
+      book(B::kCompute, t, load_cycles);
       return load_cycles;
     }
-    busy += 1;
-    account.charge(B::kSpin, t, t + 1);
+    book(B::kSpin, t, 1);
     return 1;
   }
 

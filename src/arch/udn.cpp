@@ -17,6 +17,15 @@ void UdnModel::bad_queue(Tid core, std::uint32_t queue,
   std::abort();
 }
 
+void UdnModel::bad_frame(std::size_t n) const {
+  std::fprintf(stderr,
+               "hmps fatal: UdnModel: send: a %zu-word message does not fit "
+               "a %u-word buffer (udn_buf_words); its sender would block "
+               "forever\n",
+               n, static_cast<unsigned>(p_.udn_buf_words));
+  std::abort();
+}
+
 UdnModel::UdnModel(const MachineParams& p, const MeshTopology& topo,
                    sim::Scheduler& sched)
     : p_(p), topo_(topo), noc_(p, topo), sched_(sched), nq_(p.udn_queues),
@@ -47,7 +56,7 @@ void UdnModel::attach_faults(sim::FaultInjector* f) {
 void UdnModel::send(Tid src, Tid dst, std::uint32_t queue,
                     const std::uint64_t* words, std::size_t n) {
   const std::size_t qi = queue_index(dst, queue, "send");
-  assert(n <= p_.udn_buf_words && "message larger than a whole buffer");
+  if (n > p_.udn_buf_words) [[unlikely]] bad_frame(n);
   Buffer& b = bufs_[dst];
 
   // Credit check: messages are never dropped, so if the destination buffer

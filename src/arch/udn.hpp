@@ -96,13 +96,41 @@ class WordRing {
   std::uint64_t staged_ = 0;  ///< end of staged (in-flight) words
 };
 
+/// FIFO of blocked fibers (UDN senders and receivers, vlink producers and
+/// consumers). An index-fronted vector rather than a deque: the vector's
+/// capacity is the pool, so steady-state block/wake cycles allocate
+/// nothing (a deque allocates/frees map nodes periodically even when its
+/// size just oscillates around zero).
+template <class W>
+class WaiterFifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  const W& front() const { return items_[head_]; }
+  void push_back(W w) { items_.push_back(w); }
+  void pop_front() {
+    if (++head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<W> items_;
+  std::size_t head_ = 0;
+};
+
 class UdnModel {
  public:
   UdnModel(const MachineParams& p, const MeshTopology& topo,
            sim::Scheduler& sched);
 
+  /// The largest frame any construction sends (a request: id, fn, arg).
+  /// A buffer must hold it: repro_from_json rejects smaller udn_buf_words.
+  static constexpr std::uint32_t kMaxFrameWords = 3;
+
   /// Sends `n` words to (dst core, dst queue). Blocks the calling fiber on
-  /// backpressure; otherwise costs inject + per-word serialization.
+  /// backpressure; otherwise costs inject + per-word serialization. Aborts
+  /// when `n` exceeds the whole buffer (no credit could ever admit it).
   void send(Tid src, Tid dst, std::uint32_t queue, const std::uint64_t* words,
             std::size_t n);
 
@@ -169,31 +197,12 @@ class UdnModel {
     std::size_t need;
   };
 
-  /// FIFO of blocked fibers. An index-fronted vector rather than a deque:
-  /// the vector's capacity is the pool, so steady-state block/wake cycles
-  /// allocate nothing (a deque allocates/frees map nodes periodically even
-  /// when its size just oscillates around zero).
-  struct WaiterFifo {
-    std::vector<Waiter> items;
-    std::size_t head = 0;
-
-    bool empty() const { return head == items.size(); }
-    const Waiter& front() const { return items[head]; }
-    void push_back(Waiter w) { items.push_back(w); }
-    void pop_front() {
-      if (++head == items.size()) {
-        items.clear();
-        head = 0;
-      }
-    }
-  };
-
   /// Per-core credit state. The core's queues are rings_/recv_waiters_
   /// entries core * nq_ .. core * nq_ + nq_ - 1.
   struct Buffer {
     std::size_t reserved = 0;  ///< words in flight or resident (credits)
     Cycle port_busy = 0;       ///< ingress port serialization
-    WaiterFifo send_waiters;  ///< senders blocked on credits
+    WaiterFifo<Waiter> send_waiters;  ///< senders blocked on credits
   };
 
   void try_release_senders(Buffer& b);
@@ -225,13 +234,14 @@ class UdnModel {
   }
   [[noreturn]] void bad_queue(Tid core, std::uint32_t queue,
                               const char* where) const;
+  [[noreturn]] void bad_frame(std::size_t n) const;
 
   std::size_t nq_;
   // Flat per-machine storage: a Machine costs the same few allocations at
   // every mesh shape (docs/ENGINE.md "Set-up cost").
   std::vector<Buffer> bufs_;
   std::vector<WordRing> rings_;             ///< [core * nq_ + queue]
-  std::vector<WaiterFifo> recv_waiters_;    ///< [core * nq_ + queue]
+  std::vector<WaiterFifo<Waiter>> recv_waiters_;  ///< [core * nq_ + queue]
   std::unique_ptr<std::uint64_t[]> words_;  ///< every ring's words
   Counters counters_;
 };

@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <vector>
 
 #include "arch/noc.hpp"
 #include "arch/params.hpp"
@@ -106,22 +105,6 @@ class VlinkFabric {
     std::uint64_t* out = nullptr;
   };
 
-  /// Index-fronted FIFO, same zero-steady-state-allocation shape as the
-  /// UDN's waiter pool.
-  struct WaiterFifo {
-    std::vector<Waiter> items;
-    std::size_t head = 0;
-    bool empty() const { return head == items.size(); }
-    const Waiter& front() const { return items[head]; }
-    void push_back(Waiter w) { items.push_back(w); }
-    void pop_front() {
-      if (++head == items.size()) {
-        items.clear();
-        head = 0;
-      }
-    }
-  };
-
   struct Channel {
     Tid home = 0;
     std::size_t cap = 0;       ///< credit capacity in words
@@ -130,8 +113,8 @@ class VlinkFabric {
     std::size_t reserved = 0;  ///< words staged, in flight, or resident
     Cycle enq_busy = 0;        ///< ingress-port serialization at the home
     Cycle deq_busy = 0;        ///< egress-port serialization at the home
-    WaiterFifo push_waiters;
-    WaiterFifo pop_waiters;
+    WaiterFifo<Waiter> push_waiters;
+    WaiterFifo<Waiter> pop_waiters;
   };
 
   /// Hands whole frames to blocked consumers in FIFO order (copying the

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "arch/coherence.hpp"
+#include "arch/udn.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sync/sharded.hpp"
@@ -122,6 +123,9 @@ bool machine_from_json(const JsonValue& j, arch::MachineParams* p,
   }
   if (!arch::CoherenceModel::valid_line_bytes(p->line_bytes)) {
     return fail("line_bytes (not a power of two in [8, 64])");
+  }
+  if (p->udn_buf_words < arch::UdnModel::kMaxFrameWords) {
+    return fail("udn_buf_words (below the 3-word largest message)");
   }
   return true;
 }

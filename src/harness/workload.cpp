@@ -188,7 +188,7 @@ RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
   RunResult r;
   std::vector<double> rep_mops;
   double lat_n = 0, lat_sum = 0;
-  double serv_busy = 0, serv_stall = 0, serv_ops = 0;
+  double serv_ops = 0;
   double fair_max = 0, fair_min = 0;
   SyncStats stat_delta{};
   std::uint64_t msgs = 0;
@@ -218,8 +218,6 @@ RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
     fair_max += static_cast<double>(dmax);
     fair_min += static_cast<double>(dmin == ~std::uint64_t{0} ? 0 : dmin);
 
-    serv_busy += static_cast<double>(cur.core0_busy - prev.core0_busy);
-    serv_stall += static_cast<double>(cur.core0_stall - prev.core0_stall);
     const SyncStats d = cur.stats.since(prev.stats);
     serv_ops += static_cast<double>(d.served ? d.served : dops);
     stat_delta.add(d);
@@ -245,6 +243,11 @@ RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
   r.lat_mean = lat_n > 0 ? lat_sum / lat_n : 0;
   r.lat_p50 = static_cast<double>(tally.lat_hist.quantile(0.50));
   r.lat_p99 = static_cast<double>(tally.lat_hist.quantile(0.99));
+  // `prev` is the last snapshot: the servicing core's cycles over the reps.
+  const auto serv_busy =
+      static_cast<double>(prev.core0_busy - first.core0_busy);
+  const auto serv_stall =
+      static_cast<double>(prev.core0_stall - first.core0_stall);
   r.serv_total_per_op = serv_ops > 0 ? (serv_busy + serv_stall) / serv_ops : 0;
   r.serv_stall_per_op = serv_ops > 0 ? serv_stall / serv_ops : 0;
   r.combining_rate = stat_delta.combining_rate();

@@ -129,10 +129,19 @@ class CycleAccount {
     return t;
   }
 
-  /// Memory-system stall share (what Fig. 4a calls "stalled").
+  /// The memory-system stall buckets (what Fig. 4a calls "stalled"), one
+  /// bit per bucket.
+  static constexpr unsigned kStalled = 1u << kCoherenceRead |
+                                       1u << kCoherenceWrite | 1u << kAtomic |
+                                       1u << kPreempted;
+
+  /// Memory-system stall share: the kStalled buckets' sum.
   Cycle stalled() const {
-    return b_[kCoherenceRead] + b_[kCoherenceWrite] + b_[kAtomic] +
-           b_[kPreempted];
+    Cycle t = 0;
+    for (int i = 0; i < kNumBuckets; ++i) {
+      if (kStalled >> i & 1u) t += b_[i];
+    }
+    return t;
   }
 
   /// Everything but idle.

@@ -31,6 +31,8 @@
 #include <atomic>
 #include <concepts>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "sim/types.hpp"
 
@@ -80,5 +82,40 @@ inline T* from_word(std::uint64_t w) {
 }
 
 inline constexpr std::size_t kCacheLine = 64;
+
+/// Async replies a thread popped while waiting for a different tag; each
+/// waits here until its ticket is reaped (tagged-receive demux,
+/// docs/MODEL.md §9). Both contexts keep one (`ctx.replies()`).
+class ReplyStash {
+ public:
+  void stage(std::uint64_t tag, std::uint64_t val) {
+    items_.emplace_back(tag, val);
+  }
+
+  /// Takes the reply staged under `tag`, if any.
+  bool take(std::uint64_t tag, std::uint64_t* val) {
+    for (auto& it : items_) {
+      if (it.first == tag) {
+        *val = it.second;
+        it = items_.back();
+        items_.pop_back();
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Takes the most recently staged reply, if any.
+  bool take_any(std::uint64_t* tag, std::uint64_t* val) {
+    if (items_.empty()) return false;
+    *tag = items_.back().first;
+    *val = items_.back().second;
+    items_.pop_back();
+    return true;
+  }
+
+ private:
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> items_;
+};
 
 }  // namespace hmps::rt

@@ -118,34 +118,9 @@ class NativeCtx {
 
   bool queue_empty() { return staged_.empty() && env_.chan(tid_).empty(); }
 
-  // ---- async reply staging (tagged-receive demux, docs/MODEL.md §9) ----
-  // Replies popped while waiting for a different tag park here until their
-  // ticket is reaped; complements the staged-word queue above, which keeps
-  // whole frames in arrival order.
-
-  void stage_reply(std::uint64_t tag, std::uint64_t val) {
-    staged_replies_.emplace_back(tag, val);
-  }
-
-  bool take_staged_reply(std::uint64_t tag, std::uint64_t* val) {
-    for (std::size_t i = 0; i < staged_replies_.size(); ++i) {
-      if (staged_replies_[i].first == tag) {
-        *val = staged_replies_[i].second;
-        staged_replies_[i] = staged_replies_.back();
-        staged_replies_.pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool take_any_staged_reply(std::uint64_t* tag, std::uint64_t* val) {
-    if (staged_replies_.empty()) return false;
-    *tag = staged_replies_.back().first;
-    *val = staged_replies_.back().second;
-    staged_replies_.pop_back();
-    return true;
-  }
+  /// Async replies popped while waiting for a different tag (ReplyStash);
+  /// the staged-word queue above keeps whole frames in arrival order.
+  ReplyStash& replies() { return replies_; }
 
   // ---- execution ----
 
@@ -201,7 +176,7 @@ class NativeCtx {
   Tid tid_;
   sim::Xoshiro256 rng_;
   std::deque<std::uint64_t> staged_;  // words popped but not yet consumed
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> staged_replies_;
+  ReplyStash replies_;
   std::uint32_t relax_spins_ = 0;
 };
 

@@ -4,8 +4,8 @@
 // Functional effects apply at the instant the fiber executes the call
 // (a legal linearization point inside the operation's latency interval,
 // valid because the whole simulation runs on one host thread); the fiber
-// then sleeps for the modeled latency, with cycles attributed to busy /
-// stall / idle per the core model.
+// then sleeps for the modeled latency, its cycles booked on the core
+// (arch::CoreState::book).
 #pragma once
 
 #include <atomic>
@@ -107,12 +107,10 @@ class SimCtx {
     Cycle wait = 0;
     if (c.wb_ready > t) {
       wait = c.wb_ready - t;
-      c.stall += wait;
-      charge(Bucket::kCoherenceWrite, t, t + wait);  // write-buffer drain
+      c.book(Bucket::kCoherenceWrite, t, wait);  // write-buffer drain
       m_.sched().wait_until(c.wb_ready);
     }
-    c.busy += m_.params().fence_cost;
-    charge(Bucket::kCompute, t + wait, t + wait + m_.params().fence_cost);
+    book(Bucket::kCompute, t + wait, m_.params().fence_cost);
     m_.sched().wait_for(m_.params().fence_cost);
   }
 
@@ -123,8 +121,7 @@ class SimCtx {
     const std::uint64_t addr = reinterpret_cast<std::uint64_t>(p);
     c.prefetch_line = m_.coherence().line_of(addr);
     c.prefetch_ready = m_.coherence().prefetch(core_, addr, now());
-    c.busy += 1;
-    charge(Bucket::kCompute, now(), now() + 1);
+    c.book(Bucket::kCompute, now(), 1);
     m_.sched().wait_for(1);
   }
 
@@ -132,21 +129,10 @@ class SimCtx {
 
   void send(Tid dst_thread, const std::uint64_t* words, std::size_t n) {
     fault_stall();
-    auto& c = m_.core(core_);
-    ++c.msgs_sent;
     const Cycle t0 = now();
     m_.udn().send(core_, core_of_thread(dst_thread),
                   queue_of_thread(dst_thread), words, n);
-    const Cycle dt = now() - t0;
-    c.busy += dt;  // injection cost; backpressure counts as busy-wait
-    // The injection tail is fixed; anything beyond it was credit
-    // backpressure (the sender suspended before reserving space).
-    const Cycle inject = m_.params().udn_inject +
-                         m_.params().udn_per_word_wire * static_cast<Cycle>(n);
-    const Cycle block = dt > inject ? dt - inject : 0;
-    charge(Bucket::kUdnSendBlock, t0, t0 + block);
-    charge(Bucket::kCompute, t0 + block, t0 + dt);
-    m_.tracer().event(core_, "send", t0, dt);
+    m_.tracer().event(core_, "send", t0, book_send(t0, n));
   }
 
   void send(Tid dst_thread, std::initializer_list<std::uint64_t> words) {
@@ -172,41 +158,12 @@ class SimCtx {
     return w;
   }
 
-  // ---- async reply staging (tagged-receive demux, docs/MODEL.md §9) ----
-  // Replies popped while waiting for a different tag park here until their
-  // ticket is reaped. Pure register-file bookkeeping: no cycles are
-  // charged, matching NativeCtx's staged-word queue.
-
-  void stage_reply(std::uint64_t tag, std::uint64_t val) {
-    staged_replies_.emplace_back(tag, val);
-  }
-
-  bool take_staged_reply(std::uint64_t tag, std::uint64_t* val) {
-    for (std::size_t i = 0; i < staged_replies_.size(); ++i) {
-      if (staged_replies_[i].first == tag) {
-        *val = staged_replies_[i].second;
-        staged_replies_[i] = staged_replies_.back();
-        staged_replies_.pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool take_any_staged_reply(std::uint64_t* tag, std::uint64_t* val) {
-    if (staged_replies_.empty()) return false;
-    *tag = staged_replies_.back().first;
-    *val = staged_replies_.back().second;
-    staged_replies_.pop_back();
-    return true;
-  }
+  /// Async replies popped while waiting for a different tag (ReplyStash).
+  /// Register-file bookkeeping: no cycles are booked.
+  ReplyStash& replies() { return replies_; }
 
   bool queue_empty() {
-    fault_stall();
-    auto& c = m_.core(core_);
-    c.busy += 1;
-    charge(Bucket::kCompute, now(), now() + 1);
-    m_.sched().wait_for(1);
+    probe();
     return m_.udn().queue_empty(core_, queue_);
   }
 
@@ -218,18 +175,9 @@ class SimCtx {
   void vlink_push(std::uint32_t ch, const std::uint64_t* words,
                   std::size_t n) {
     fault_stall();
-    auto& c = m_.core(core_);
-    ++c.msgs_sent;
     const Cycle t0 = now();
     m_.vlink().push(core_, ch, words, n);
-    const Cycle dt = now() - t0;
-    c.busy += dt;  // injection cost; backpressure counts as busy-wait
-    const Cycle inject = m_.params().udn_inject +
-                         m_.params().udn_per_word_wire * static_cast<Cycle>(n);
-    const Cycle block = dt > inject ? dt - inject : 0;
-    charge(Bucket::kUdnSendBlock, t0, t0 + block);
-    charge(Bucket::kCompute, t0 + block, t0 + dt);
-    m_.tracer().event(core_, "vlink-push", t0, dt);
+    m_.tracer().event(core_, "vlink-push", t0, book_send(t0, n));
   }
 
   void vlink_push(std::uint32_t ch, std::initializer_list<std::uint64_t> w) {
@@ -247,11 +195,7 @@ class SimCtx {
   }
 
   bool vlink_empty(std::uint32_t ch) {
-    fault_stall();
-    auto& c = m_.core(core_);
-    c.busy += 1;
-    charge(Bucket::kCompute, now(), now() + 1);
-    m_.sched().wait_for(1);
+    probe();
     return m_.vlink().empty(ch);
   }
 
@@ -313,10 +257,7 @@ class SimCtx {
     if (p == nullptr) [[likely]] return;
     const Cycle d = p->point_delay(tid_, core_, where, now());
     if (d > 0) {
-      auto& c = m_.core(core_);
-      c.stall += d;
-      c.preempt_stall += d;
-      charge(Bucket::kPreempted, now(), now() + d);
+      book(Bucket::kPreempted, now(), d);
       m_.tracer().event(core_, "explore-preempt", now(), d);
       m_.sched().wait_for(d);
     }
@@ -350,84 +291,68 @@ class SimCtx {
   void vlink_pop_impl(std::uint32_t ch, std::uint64_t* out, std::size_t n,
                       Bucket wait_bucket, const char* name) {
     fault_stall();
-    auto& c = m_.core(core_);
-    ++c.msgs_received;
     const Cycle t0 = now();
     m_.vlink().pop(core_, ch, out, n);
-    const Cycle dt = now() - t0;
-    m_.tracer().event(core_, name, t0, dt);
-    // The register reads trail; everything before them — the home-ring
-    // round trip plus any empty-channel block — is wait, not compute.
-    const Cycle pop_cost = m_.params().udn_recv_word * static_cast<Cycle>(n);
-    const Cycle wait = dt > pop_cost ? dt - pop_cost : 0;
-    c.busy += pop_cost;
-    c.idle += wait;
-    charge(wait_bucket, t0, t0 + wait);
-    charge(Bucket::kCompute, t0 + wait, t0 + dt);
+    m_.tracer().event(core_, name, t0, book_receive(t0, n, wait_bucket));
   }
 
   void receive_impl(std::uint64_t* out, std::size_t n, Bucket wait_bucket,
                     const char* wait_name) {
     fault_stall();
-    auto& c = m_.core(core_);
-    ++c.msgs_received;
     const Cycle t0 = now();
     const bool had = m_.udn().words_pending(core_, queue_) >= n;
     m_.udn().receive(core_, queue_, out, n);
-    const Cycle dt = now() - t0;
-    m_.tracer().event(core_, had ? "receive" : wait_name, t0, dt);
-    const Cycle pop_cost =
-        m_.params().udn_recv_word * static_cast<Cycle>(n);
-    if (had) {
-      c.busy += dt;
-      charge(Bucket::kCompute, t0, t0 + dt);
-    } else {
-      // Waiting for a message is idle time, not a pipeline stall. The pop
-      // happens after the words arrive, so the wait leads and the register
-      // reads trail.
-      c.busy += pop_cost;
-      c.idle += dt > pop_cost ? dt - pop_cost : 0;
-      const Cycle wait = dt > pop_cost ? dt - pop_cost : 0;
-      charge(wait_bucket, t0, t0 + wait);
-      charge(Bucket::kCompute, t0 + wait, t0 + dt);
-    }
+    m_.tracer().event(core_, had ? "receive" : wait_name, t0,
+                      book_receive(t0, n, wait_bucket));
   }
 
-  /// Charges [start, end) on this core's cycle account (obs layer). Pure
-  /// bookkeeping: never advances simulated time.
-  void charge(Bucket b, Cycle start, Cycle end) {
-    m_.core(core_).account.charge(b, start, end);
+  /// Books [t, t+n) to `b` on this core (arch::CoreState::book). Pure
+  /// bookkeeping: never advances simulated time. Reads the core through
+  /// Machine::core(), which first settles core-mates' parked spins, so it
+  /// is what an operation books with after it waited; one that has not
+  /// waited since it read its CoreState books on that directly.
+  void book(Bucket b, Cycle t, Cycle n) { m_.core(core_).book(b, t, n); }
+
+  /// Books a send or vlink push of `n` words that began at `t0` and
+  /// returns its cycles. The injection tail is fixed; anything before it
+  /// was credit backpressure (the sender suspended before reserving space).
+  Cycle book_send(Cycle t0, std::size_t n) {
+    const Cycle dt = now() - t0;
+    const Cycle inject = m_.params().udn_inject +
+                         m_.params().udn_per_word_wire * static_cast<Cycle>(n);
+    const Cycle block = dt > inject ? dt - inject : 0;
+    book(Bucket::kUdnSendBlock, t0, block);
+    book(Bucket::kCompute, t0 + block, dt - block);
+    return dt;
+  }
+
+  /// Books a receive or vlink pop of `n` words that began at `t0` and
+  /// returns its cycles. The register reads trail; everything before them
+  /// (an empty-queue wait, a vlink pop's home round trip) is a wait on
+  /// `wait_bucket`, neither busy nor stalled.
+  Cycle book_receive(Cycle t0, std::size_t n, Bucket wait_bucket) {
+    const Cycle dt = now() - t0;
+    const Cycle pop = m_.params().udn_recv_word * static_cast<Cycle>(n);
+    assert(dt >= pop);
+    book(wait_bucket, t0, dt - pop);
+    book(Bucket::kCompute, t0 + dt - pop, pop);
+    return dt;
+  }
+
+  /// A one-cycle queue probe (queue_empty, vlink_empty).
+  void probe() {
+    fault_stall();
+    book(Bucket::kCompute, now(), 1);
+    m_.sched().wait_for(1);
   }
 
   /// Occupies the core for `cycles`, attributed to `bucket`.
   void busy_wait(Cycle cycles, Bucket bucket, const char* name) {
     if (cycles == 0) return;
     fault_stall();
-    m_.sched().wait_for(charge_busy(cycles, bucket, name));
-  }
-
-  /// busy_wait()'s bookkeeping, without the wait. Returns `cycles`.
-  Cycle charge_busy(Cycle cycles, Bucket bucket, const char* name) {
-    return charge_step(m_.tracer(), core_, m_.core(core_), name, now(), bucket,
-                       cycles);
-  }
-
-  /// The bookkeeping of one operation that core `core` (state `c`) starts
-  /// at `t`: `busy` cycles charged to `b`, then `stall` stalled cycles
-  /// charged to `stall_b`, and a tracer event over both. Returns busy +
-  /// stall. Shared by charge_busy() and charge_load().
-  static Cycle charge_step(sim::Tracer& tr, Tid core, arch::CoreState& c,
-                           const char* name, Cycle t, Bucket b, Cycle busy,
-                           Bucket stall_b = Bucket::kCompute,
-                           Cycle stall = 0) {
-    tr.event(core, name, t, busy + stall);
-    c.busy += busy;
-    c.account.charge(b, t, t + busy);
-    if (stall != 0) {
-      c.stall += stall;
-      c.account.charge(stall_b, t + busy, t + busy + stall);
-    }
-    return busy + stall;
+    m_.tracer().event(core_, name, now(), cycles);
+    book(bucket, now(), cycles);
+    m_.sched().wait_for(cycles);
   }
 
   /// A spin_until() parked behind its poller. The scheduler keeps it in
@@ -520,11 +445,8 @@ class SimCtx {
     const Cycle until = m_.faults().preempt_until(core_);
     const Cycle t = now();
     if (until > t) {
-      auto& c = m_.core(core_);
-      c.preempt_stall += until - t;
-      c.stall += until - t;
-      ++c.preemptions;
-      charge(Bucket::kPreempted, t, until);
+      ++m_.core(core_).preemptions;
+      book(Bucket::kPreempted, t, until - t);
       m_.tracer().event(core_, "preempt", t, until - t);
       m_.sched().wait_until(until);
     }
@@ -543,21 +465,17 @@ class SimCtx {
       c.prefetch_line = ~std::uint64_t{0};
     }
     const auto ac = m_.coherence().read(core_, addr, now() + extra_wait);
-    if (ac.remote) ++c.rmr_loads;
-    m_.sched().wait_for(charge_load(extra_wait + ac.latency, ac.remote));
-  }
-
-  /// account_load()'s bookkeeping for a load whose value is usable `lat`
-  /// cycles after issue, without the wait. Returns the cycles it occupies.
-  Cycle charge_load(Cycle lat, bool remote) {
+    // The value is usable `lat` cycles after issue; up to l_hit of them
+    // are the pipeline's, the rest wait for remote data.
     const auto& p = m_.params();
-    auto& c = m_.core(core_);
-    const Cycle busy_part = lat < p.l_hit ? lat : p.l_hit;
-    c.load_stall += lat - busy_part;
-    return charge_step(m_.tracer(), core_, c,
-                       remote ? "load-miss" : "load-hit", now(),
-                       Bucket::kCompute, p.issue_cost + busy_part,
-                       Bucket::kCoherenceRead, lat - busy_part);
+    const Cycle lat = extra_wait + ac.latency;
+    const Cycle busy = p.issue_cost + (lat < p.l_hit ? lat : p.l_hit);
+    const Cycle t = now();
+    m_.tracer().event(core_, ac.remote ? "load-miss" : "load-hit", t,
+                      p.issue_cost + lat);
+    c.book(Bucket::kCompute, t, busy);
+    c.book(Bucket::kCoherenceRead, t + busy, p.issue_cost + lat - busy);
+    m_.sched().wait_for(p.issue_cost + lat);
   }
 
   void account_store(std::uint64_t addr) {
@@ -572,37 +490,27 @@ class SimCtx {
       // drain rather than splitting one upgrade into two.
       m_.coherence().own_silently(core_, addr);
       m_.tracer().event(core_, "store-coalesced", now(), p.issue_cost);
-      c.busy += p.issue_cost;
-      charge(Bucket::kCompute, now(), now() + p.issue_cost);
+      c.book(Bucket::kCompute, now(), p.issue_cost);
       m_.sched().wait_for(p.issue_cost);
       return;
     }
     const auto ac = m_.coherence().write(core_, addr, now());
-    if (ac.remote) ++c.rmr_stores;
+    const Cycle t = now();
     if (ac.remote && p.posted_writes) {
-      // Posted store: retires through the write buffer in the background.
-      const Cycle t = now();
-      Cycle wait = 0;
-      if (c.wb_ready > t) {  // single-entry buffer still draining
-        wait = c.wb_ready - t;
-        c.stall += wait;
-        c.wb_stall += wait;
-      }
+      // Posted store: retires through the write buffer in the background;
+      // it waits only while the single-entry buffer is still draining.
+      const Cycle wait = c.wb_ready > t ? c.wb_ready - t : 0;
       c.wb_ready = t + wait + ac.latency;
       c.wb_line = line;
-      m_.tracer().event(core_, "store-posted", now(), p.issue_cost + wait);
-      c.busy += p.issue_cost;
-      charge(Bucket::kCoherenceWrite, t, t + wait);  // buffer-full drain
-      charge(Bucket::kCompute, t + wait, t + wait + p.issue_cost);
+      m_.tracer().event(core_, "store-posted", t, p.issue_cost + wait);
+      c.book(Bucket::kCoherenceWrite, t, wait);  // buffer-full drain
+      c.book(Bucket::kCompute, t + wait, p.issue_cost);
       m_.sched().wait_for(p.issue_cost + wait);
     } else {
       const Cycle busy_part = ac.latency < p.l_hit ? ac.latency : p.l_hit;
-      c.busy += p.issue_cost + busy_part;
-      c.stall += ac.latency - busy_part;
-      const Cycle t = now();
-      charge(Bucket::kCompute, t, t + p.issue_cost + busy_part);
-      charge(Bucket::kCoherenceWrite, t + p.issue_cost + busy_part,
-             t + p.issue_cost + ac.latency);
+      c.book(Bucket::kCompute, t, p.issue_cost + busy_part);
+      c.book(Bucket::kCoherenceWrite, t + p.issue_cost + busy_part,
+             ac.latency - busy_part);
       m_.sched().wait_for(p.issue_cost + ac.latency);
     }
   }
@@ -610,17 +518,13 @@ class SimCtx {
   void account_atomic(std::uint64_t addr, arch::AtomicKind kind) {
     auto& c = m_.core(core_);
     ++c.mem_ops;
-    ++c.atomics;
     const auto& p = m_.params();
     const auto ac = m_.coherence().atomic(core_, addr, now(), kind);
     m_.tracer().event(core_, "atomic", now(), p.issue_cost + ac.latency);
     // Atomics block the core for their full round trip.
-    c.busy += p.issue_cost;
-    c.stall += ac.latency;
-    c.atomic_stall += ac.latency;
     const Cycle t = now();
-    charge(Bucket::kCompute, t, t + p.issue_cost);
-    charge(Bucket::kAtomic, t + p.issue_cost, t + p.issue_cost + ac.latency);
+    c.book(Bucket::kCompute, t, p.issue_cost);
+    c.book(Bucket::kAtomic, t + p.issue_cost, ac.latency);
     m_.sched().wait_for(p.issue_cost + ac.latency);
   }
 
@@ -631,7 +535,7 @@ class SimCtx {
   Tid core_;
   std::uint32_t queue_;
   sim::Xoshiro256 rng_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> staged_replies_;
+  ReplyStash replies_;
 };
 
 static_assert(ExecutionContext<SimCtx>);

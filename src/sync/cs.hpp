@@ -243,9 +243,9 @@ inline void release_credit(Ctx& ctx, Word& credits) {
 template <class Ctx, class Pop>
 inline std::uint64_t reap_ticket(Ctx& ctx, Ticket& t, Pop&& pop) {
   std::uint64_t val;
-  if (!ctx.take_staged_reply(t.tag, &val)) {
+  if (!ctx.replies().take(t.tag, &val)) {
     for (std::uint64_t got; (got = pop(&val)) != t.tag;) {
-      ctx.stage_reply(got, val);
+      ctx.replies().stage(got, val);
     }
   }
   t.completed = ctx.now();

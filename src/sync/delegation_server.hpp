@@ -222,7 +222,7 @@ class DelegationServer {
     explore_point(ctx, labels_.reap);
     std::uint64_t tag, val;
     while (c.outstanding > 0) {
-      if (!ctx.take_any_staged_reply(&tag, &val)) {
+      if (!ctx.replies().take_any(&tag, &val)) {
         tag = pop_reply(ctx, ctx.tid(), &val);
       }
       complete(c, tag);
@@ -331,7 +331,7 @@ class DelegationServer {
         if (c.outstanding > 0 && wire_.reply_ready(ctx, tid)) {
           std::uint64_t val;
           const std::uint64_t got = pop_reply(ctx, tid, &val);
-          ctx.stage_reply(got, val);
+          ctx.replies().stage(got, val);
         } else {
           ctx.cpu_relax();
         }

@@ -181,7 +181,7 @@ class HybComb {
     explore_point(ctx, "hyb.reap");
     std::uint64_t tag, val;
     for (; a.outstanding > 0; --a.outstanding) {
-      if (!ctx.take_any_staged_reply(&tag, &val)) pop_reply(ctx, &val);
+      if (!ctx.replies().take_any(&tag, &val)) pop_reply(ctx, &val);
     }
   }
 
@@ -354,7 +354,7 @@ class HybComb {
     std::uint64_t m[3];  // {sender_id|tag, fptr, fargs} — lines 26/35
     ctx.receive(m, 3);
     if (is_reply_frame(m[0])) {
-      ctx.stage_reply(reply_tag(m[0]), m[1]);
+      ctx.replies().stage(reply_tag(m[0]), m[1]);
       return false;
     }
     // The request no longer occupies this combiner's hardware queue:
@@ -416,7 +416,7 @@ class HybComb {
       if (a.outstanding > 0 && !ctx.queue_empty()) {
         std::uint64_t val;
         const std::uint64_t got = pop_reply(ctx, &val);
-        ctx.stage_reply(got, val);
+        ctx.replies().stage(got, val);
       } else {
         ctx.cpu_relax();
       }

@@ -97,6 +97,22 @@ TEST(UdnDeathTest, DemuxQueuePastUdnQueuesAborts) {
                "outside the machine's 2 cores x 1 demux queues");
 }
 
+// No credit window admits a message larger than the whole buffer, so its
+// sender would block forever: a 3-word request on a 2-word buffer must
+// abort in every build instead of hanging the run.
+TEST(UdnDeathTest, MessageLargerThanTheBufferAborts) {
+  harness::RunCfg cfg;
+  cfg.machine = MachineParams::tilegx_small(2, 1);
+  cfg.machine.udn_buf_words = 2;
+  cfg.app_threads = 1;
+  cfg.warmup = 2'000;
+  cfg.window = 2'000;
+  cfg.reps = 1;
+  EXPECT_DEATH(harness::run_counter(cfg, harness::Approach::kMpServer),
+               "hmps fatal: UdnModel: send: a 3-word message does not fit "
+               "a 2-word buffer");
+}
+
 // line_of() is a shift, and simulated arenas are aligned to 64 bytes only:
 // a line size that is not a power of two in [8, 64] must abort instead of
 // dividing by zero or packing lines by the host allocation base.

@@ -327,6 +327,27 @@ TEST(Repro, RejectsLineSizeOutsideModel) {
   }
 }
 
+// A UDN buffer smaller than the largest message (a 3-word request) would
+// block that message's sender forever, so such a machine is rejected.
+TEST(Repro, RejectsUdnBufferBelowTheLargestMessage) {
+  check::Scenario base = base_scenario();
+  for (std::uint32_t w : {0u, 2u, 3u, 118u}) {
+    base.cfg.params.udn_buf_words = w;
+    const std::string json = check::repro_to_json(base, check::Violation{});
+    check::Scenario s;
+    check::Violation expect;
+    std::string err;
+    const bool ok = check::repro_from_json(json, &s, &expect, &err);
+    if (w >= 3) {
+      EXPECT_TRUE(ok) << w << ": " << err;
+      EXPECT_EQ(s.cfg.params.udn_buf_words, w);
+    } else {
+      EXPECT_FALSE(ok) << w;
+      EXPECT_NE(err.find("udn_buf_words"), std::string::npos) << err;
+    }
+  }
+}
+
 // ---- workload clamping (shared generator rules) ----
 
 TEST(ClampCfg, ServerKindsKeepServerCoreUniprogrammed) {

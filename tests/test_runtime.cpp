@@ -8,11 +8,14 @@
 #include "arch/params.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
+#include "sim/fault.hpp"
+#include "sim/perturb.hpp"
 
 namespace hmps::rt {
 namespace {
 
 using sim::Cycle;
+using B = obs::CycleAccount;
 
 struct alignas(kCacheLine) Line {
   Word a{0};
@@ -110,7 +113,7 @@ TEST(PostedWrites, SecondMissStallsOnFullBuffer) {
   });
   ex.run_until(sim::kCycleMax);
   EXPECT_GT(second_cost, 10u);
-  EXPECT_GT(ex.machine().core(1).wb_stall, 0u);
+  EXPECT_GT(ex.machine().core(1).account.bucket(B::kCoherenceWrite), 0u);
 }
 
 TEST(PostedWrites, SameLineCoalesces) {
@@ -173,7 +176,7 @@ TEST(Messaging, ReceiveWaitIsIdleNotStall) {
   });
   ex.run_until(sim::kCycleMax);
   const auto& c0 = ex.machine().core(0);
-  EXPECT_GT(c0.idle, 500u);
+  EXPECT_GT(c0.account.bucket(B::kUdnRecvWait), 500u);
   EXPECT_EQ(c0.stall, 0u);
 }
 
@@ -239,8 +242,8 @@ TEST(Accounting, AtomicStallCounted) {
     for (int i = 0; i < 10; ++i) (void)ctx.faa(&x, 1);
   });
   ex.run_until(sim::kCycleMax);
-  EXPECT_GT(ex.machine().core(0).atomic_stall, 100u);
-  EXPECT_EQ(ex.machine().core(0).atomics, 10u);
+  EXPECT_GT(ex.machine().core(0).account.bucket(B::kAtomic), 100u);
+  EXPECT_EQ(ex.machine().coherence().counters().atomics, 10u);
 }
 
 TEST(Accounting, CasFailureCheaperThanSuccess) {
@@ -274,6 +277,124 @@ TEST(Accounting, XeonAtomicsStayLocal) {
   ex.run_until(sim::kCycleMax);
   const auto& p = arch::MachineParams::xeon10();
   EXPECT_LE(second, p.l_hit + p.atomic_local_extra + 2 * p.issue_cost);
+}
+
+// busy and stall are CoreState::book()'s unclipped view of the account:
+// with one fiber per core nothing clips, so every op kind, run once, must
+// leave busy equal to the compute, spin and udn-send-block buckets and
+// stall equal to the stalled buckets on every core.
+TEST(Accounting, BusyStallMatchTheBucketsOnSingleFiberCores) {
+  struct PointDelay final : sim::Perturber {
+    Cycle resume_delay(std::uint32_t, Cycle) override { return 0; }
+    Cycle point_delay(std::uint32_t, std::uint32_t, const char*,
+                      Cycle) override {
+      return 40;
+    }
+  } perturber;
+  arch::MachineParams p = arch::MachineParams::tilegx36();
+  p.udn_buf_words = 6;  // two 3-word frames fill a buffer
+  SimExecutor ex(p, 1);
+  ex.sched().set_perturber(&perturber);
+  sim::FaultPlan fp;
+  fp.preempt_period = 200;
+  fp.preempt_duration = 50;
+  fp.preempt_cores = {4};
+  ex.machine().install_faults(fp);
+  const auto ch = ex.machine().vlink().create_channel(/*home=*/5, 6);
+  Line x, y, z, w;
+  Word flag{0};
+  int finished = 0;
+  ex.add_thread([&](SimCtx& ctx) {  // core 0: memory ops
+    ctx.compute(300);                // core 1 shares y and z first
+    (void)ctx.load(&x.a);
+    ctx.store(&y.a, std::uint64_t{1});  // posted miss
+    ctx.store(&y.b, std::uint64_t{2});  // coalesces
+    ctx.store(&z.a, std::uint64_t{3});  // waits for the buffer to drain
+    ctx.store(&w.a, std::uint64_t{4});
+    ctx.fence();                         // drains
+    ctx.store(&w.b, std::uint64_t{5});  // owned: a hit
+    (void)ctx.faa(&x.a, 1);
+    (void)ctx.exchange(&x.a, std::uint64_t{9});
+    (void)ctx.cas(&x.a, std::uint64_t{9}, std::uint64_t{10});
+    (void)ctx.cas(&x.a, std::uint64_t{9}, std::uint64_t{11});
+    ctx.prefetch(&z.b);
+    (void)ctx.load(&z.b);
+    (void)ctx.spin_until(&flag, [](std::uint64_t v) { return v != 0; });
+    ctx.cpu_relax();
+    ctx.explore_point("book");
+    ++finished;
+  });
+  ex.add_thread([&](SimCtx& ctx) {  // core 1
+    (void)ctx.load(&y.a);
+    (void)ctx.load(&z.a);
+    ctx.compute(3000);
+    ctx.store(&flag, std::uint64_t{1});
+    ++finished;
+  });
+  ex.add_thread([&](SimCtx& ctx) {  // core 2: sender
+    for (std::uint64_t i = 0; i < 3; ++i) ctx.send(3, {i, i, i});
+    for (std::uint64_t i = 0; i < 3; ++i) ctx.vlink_push(ch, {i, i, i});
+    ctx.compute(2000);
+    ctx.send(3, {7});
+    ctx.vlink_push(ch, {8});
+    ++finished;
+  });
+  ex.add_thread([&](SimCtx& ctx) {  // core 3: receiver
+    ctx.compute(500);
+    std::uint64_t m[3];
+    for (int i = 0; i < 3; ++i) ctx.receive(m, 3);
+    for (int i = 0; i < 3; ++i) ctx.vlink_pop(ch, m, 3);
+    (void)ctx.queue_empty();
+    (void)ctx.vlink_empty(ch);
+    ctx.receive_async(m, 1);
+    ctx.vlink_pop_async(ch, m, 1);
+    ++finished;
+  });
+  ex.add_thread([&](SimCtx& ctx) {  // core 4: preempted by the fault plan
+    for (int i = 0; i < 100; ++i) ctx.compute(10);
+    ++finished;
+  });
+  ex.run_until(100'000);  // preemption windows recur forever
+  arch::Machine& m = ex.machine();
+  m.settle_accounts();
+
+  // Every thread finished and every path ran.
+  EXPECT_EQ(finished, 5);
+  EXPECT_GT(m.udn().counters().sender_blocks, 0u);
+  EXPECT_GT(m.vlink().counters().producer_blocks, 0u);
+  EXPECT_GT(m.core(0).account.bucket(B::kCoherenceRead), 0u);
+  EXPECT_GT(m.core(0).account.bucket(B::kCoherenceWrite), 0u);
+  EXPECT_GT(m.core(0).account.bucket(B::kAtomic), 0u);
+  EXPECT_GT(m.core(0).account.bucket(B::kSpin), 0u);
+  EXPECT_EQ(m.core(0).account.bucket(B::kPreempted), 40u);
+  EXPECT_GT(m.core(2).account.bucket(B::kUdnSendBlock), 0u);
+  EXPECT_GT(m.core(3).account.bucket(B::kUdnRecvWait), 0u);
+  EXPECT_GT(m.core(3).account.bucket(B::kUdnAsyncWait), 0u);
+  EXPECT_GT(m.core(4).preemptions, 0u);
+  EXPECT_GT(m.core(4).account.bucket(B::kPreempted), 0u);
+
+  for (rt::Tid c = 0; c < m.cores(); ++c) {
+    const arch::CoreState& cs = m.core(c);
+    const obs::CycleAccount& a = cs.account;
+    EXPECT_EQ(cs.busy, a.bucket(B::kCompute) + a.bucket(B::kSpin) +
+                           a.bucket(B::kUdnSendBlock))
+        << "core " << c;
+    EXPECT_EQ(cs.stall, a.stalled()) << "core " << c;
+    EXPECT_EQ(a.total(), a.mark() - a.origin()) << "core " << c;
+  }
+}
+
+// Two fibers computing at once on one core: the account clips the overlap,
+// busy counts every cycle either occupies the core for.
+TEST(Accounting, BusyCountsWhatTheComputeBucketClips) {
+  SimExecutor ex(arch::MachineParams::tilegx_small(1, 1), 1);
+  ex.add_thread([](SimCtx& ctx) { ctx.compute(100); });  // starts at 0
+  ex.add_thread([](SimCtx& ctx) { ctx.compute(100); });  // starts at 1
+  ex.run_until(sim::kCycleMax);
+  const arch::CoreState& cs = ex.machine().core(0);
+  EXPECT_EQ(cs.busy, 200u);
+  EXPECT_EQ(cs.account.bucket(B::kCompute), 101u);
+  EXPECT_EQ(cs.stall, 0u);
 }
 
 }  // namespace
