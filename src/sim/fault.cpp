@@ -23,27 +23,30 @@ void FaultInjector::install(const FaultPlan& plan, std::uint32_t ncores) {
 
   if (plan_.credit_period > 0 && plan_.credit_duration > 0 &&
       plan_.credit_pct < 100) {
-    sched_.at(sched_.now() + next_gap(rng_credit_, plan_.credit_period),
-              [this] { schedule_credit_window(); });
+    arm(next_gap(rng_credit_, plan_.credit_period),
+        [this] { schedule_credit_window(); });
   }
   if (plan_.preempt_period > 0 && plan_.preempt_duration > 0) {
-    sched_.at(sched_.now() + next_gap(rng_preempt_, plan_.preempt_period),
-              [this] { schedule_preemption(); });
+    arm(next_gap(rng_preempt_, plan_.preempt_period),
+        [this] { schedule_preemption(); });
   }
 }
 
 void FaultInjector::schedule_credit_window() {
   // Window opens now; close it after the configured duration, then arrange
-  // the next one. Senders already blocked keep waiting (they re-check the
-  // shrunk limit); the close callback releases them.
+  // the next one while anything else is pending. Senders already blocked
+  // keep waiting (they re-check the shrunk limit); the close callback
+  // releases them.
   credit_shrunk_ = true;
   ++counters_.credit_windows;
   if (credit_changed_) credit_changed_();
-  sched_.at(sched_.now() + plan_.credit_duration, [this] {
+  arm(plan_.credit_duration, [this] {
     credit_shrunk_ = false;
     if (credit_changed_) credit_changed_();
-    sched_.at(sched_.now() + next_gap(rng_credit_, plan_.credit_period),
-              [this] { schedule_credit_window(); });
+    if (others_pending()) {
+      arm(next_gap(rng_credit_, plan_.credit_period),
+          [this] { schedule_credit_window(); });
+    }
   });
 }
 
@@ -54,8 +57,10 @@ void FaultInjector::schedule_preemption() {
   // Overlapping windows on the same core extend, never shorten.
   if (until > preempt_until_[core]) preempt_until_[core] = until;
   ++counters_.preemptions;
-  sched_.at(sched_.now() + next_gap(rng_preempt_, plan_.preempt_period),
-            [this] { schedule_preemption(); });
+  if (others_pending()) {
+    arm(next_gap(rng_preempt_, plan_.preempt_period),
+        [this] { schedule_preemption(); });
+  }
 }
 
 }  // namespace hmps::sim

@@ -151,6 +151,23 @@ class FaultInjector {
   void schedule_credit_window();
   void schedule_preemption();
 
+  /// Schedules `cb` `delay` cycles from now as one of the injector's own
+  /// events.
+  template <class F>
+  void arm(Cycle delay, F cb) {
+    ++armed_;
+    sched_.at(sched_.now() + delay, [this, cb] {
+      --armed_;
+      cb();
+    });
+  }
+
+  /// True while the queue holds an event that is not the injector's own. A
+  /// window is re-armed only then: once every fiber has finished or waits
+  /// forever, a further window could meet no one and would only keep the
+  /// run from draining.
+  bool others_pending() const { return sched_.pending() > armed_; }
+
   /// Next window start: half the period plus a uniform draw, so windows are
   /// aperiodic but the mean gap is ~`period`.
   static Cycle next_gap(Xoshiro256& rng, Cycle period) {
@@ -165,6 +182,7 @@ class FaultInjector {
   std::function<void()> credit_changed_;
   Xoshiro256 rng_credit_, rng_delay_, rng_jitter_, rng_preempt_;
   Counters counters_;
+  std::size_t armed_ = 0;  ///< the injector's own events in the queue
 };
 
 }  // namespace hmps::sim

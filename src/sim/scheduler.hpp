@@ -44,6 +44,9 @@ class Scheduler {
 
   Cycle now() const { return now_; }
 
+  /// Events waiting in the queue; a poll block counts each member.
+  std::size_t pending() const { return queue_.size(); }
+
   /// Schedules an arbitrary callback at absolute time t (>= now). Small
   /// callables (<= EventFn::kInlineBytes of captures) are stored inline in
   /// the event record — no heap allocation.

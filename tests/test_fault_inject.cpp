@@ -89,8 +89,7 @@ TEST(FaultDeterminism, SameSeedSameTimeline) {
         if (++done == nclients) mp.request_stop(ctx);
       });
     }
-    // Bounded horizon: fault events recur forever, so the event queue never
-    // drains; the workload finishes well before this.
+    // Bounded horizon as a backstop; the workload finishes well before it.
     ex.run_until(3'000'000);
     std::uint64_t throttle = 0;
     for (rt::Tid t = 0; t < sync::MpServer<SimCtx>::kMaxThreads; ++t) {
@@ -374,6 +373,64 @@ TEST(Sec6Overflow, HarnessReportsRobustnessCounters) {
     EXPECT_GT(r.total_ops, 0u) << harness::approach_name(a);
     EXPECT_GT(r.preemptions, 0u) << harness::approach_name(a);
     EXPECT_GT(r.throttle_waits, 0u) << harness::approach_name(a);
+  }
+}
+
+// ---- fault windows stop once nothing else is pending ----
+
+// One fault category each: a preemption plan and a credit-pressure plan.
+std::vector<sim::FaultPlan> single_category_plans() {
+  sim::FaultPlan preempt;
+  preempt.preempt_period = 6'000;
+  preempt.preempt_duration = 1'500;
+  sim::FaultPlan credit;
+  credit.credit_period = 8'000;
+  credit.credit_duration = 3'000;
+  return {preempt, credit, pressure_plan(5)};
+}
+
+TEST(FaultWindows, RunDrainsOnceTheWorkloadFinishes) {
+  // A window that found every fiber finished used to arm the next one
+  // anyway, so a run under a plan only ever ended at its horizon.
+  constexpr sim::Cycle kHorizon = 20'000'000;
+  for (const sim::FaultPlan& plan : single_category_plans()) {
+    SimExecutor ex(arch::MachineParams::tilegx_small(4, 2), 13);
+    ex.machine().install_faults(plan);
+    ds::SeqCounter c;
+    sync::MpServer<SimCtx> mp(0, &c);
+    std::uint32_t done = 0;
+    ex.add_thread([&](SimCtx& ctx) { mp.serve(ctx); });
+    for (int i = 0; i < 3; ++i) {
+      ex.add_thread([&](SimCtx& ctx) {
+        for (int k = 0; k < 200; ++k) {
+          mp.apply(ctx, ds::counter_inc<SimCtx>, 0);
+          ctx.compute(ctx.rand_below(40));
+        }
+        if (++done == 3) mp.request_stop(ctx);
+      });
+    }
+    ex.run_until(kHorizon);
+    EXPECT_EQ(c.value.load(), 600u);
+    EXPECT_GT(ex.machine().faults().counters().preemptions +
+                  ex.machine().faults().counters().credit_windows,
+              0u);
+    EXPECT_LT(ex.sched().now(), kHorizon);
+  }
+}
+
+TEST(FaultWindows, RecordedRunEndsBeforeItsHorizon) {
+  harness::RecordCfg cfg;
+  cfg.construction = harness::Construction::kMpServer;
+  cfg.object = harness::Object::kQueue;
+  cfg.threads = 4;
+  cfg.ops_each = 6;
+  cfg.horizon = 20'000'000;
+  for (const sim::FaultPlan& plan : single_category_plans()) {
+    cfg.faults = plan;
+    const harness::RecordResult r = harness::record_history(cfg);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.history.size(), 24u);
+    EXPECT_LT(r.end_time, cfg.horizon);
   }
 }
 
