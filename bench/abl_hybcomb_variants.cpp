@@ -7,97 +7,60 @@
 //   A2  The opportunistic drain loop (lines 25-28) before closing
 //       registration. Not needed for correctness; removing it shortens
 //       combining rounds and costs throughput.
-#include <cstdio>
+#include <string>
 #include <vector>
 
-#include "arch/params.hpp"
-#include "ds/counter.hpp"
+#include "harness/artifact.hpp"
 #include "harness/report.hpp"
-#include "runtime/sim_executor.hpp"
-#include "sync/hybcomb.hpp"
+#include "harness/run_pool.hpp"
+#include "harness/workload.hpp"
 
 using namespace hmps;
-using rt::SimCtx;
-
-namespace {
-
-struct Outcome {
-  double mops = 0;
-  double rate = 0;
-};
-
-Outcome run(std::uint32_t threads, sync::HybComb<SimCtx>::Options opts,
-            sim::Cycle window, std::uint64_t seed) {
-  rt::SimExecutor ex(arch::MachineParams::tilegx36(), seed);
-  ds::SeqCounter c;
-  sync::HybComb<SimCtx> hyb(&c, 200, false, opts);
-  std::vector<std::uint64_t> ops(threads, 0);
-  for (std::uint32_t i = 0; i < threads; ++i) {
-    ex.add_thread([&, i](SimCtx& ctx) {
-      for (;;) {
-        hyb.apply(ctx, ds::counter_inc<SimCtx>, 0);
-        ++ops[i];
-        ctx.compute(2 * ctx.rand_below(51));
-      }
-    });
-  }
-  ex.run_until(60'000);
-  std::uint64_t o0 = 0;
-  for (auto o : ops) o0 += o;
-  sync::SyncStats s0;
-  for (std::uint32_t t = 0; t < 64; ++t) {
-    s0.served += hyb.stats(t).served;
-    s0.tenures += hyb.stats(t).tenures;
-  }
-  ex.run_until(60'000 + window);
-  std::uint64_t o1 = 0;
-  for (auto o : ops) o1 += o;
-  sync::SyncStats s1;
-  for (std::uint32_t t = 0; t < 64; ++t) {
-    s1.served += hyb.stats(t).served;
-    s1.tenures += hyb.stats(t).tenures;
-  }
-  Outcome out;
-  out.mops = static_cast<double>(o1 - o0) / static_cast<double>(window) *
-             1200.0;
-  const std::uint64_t dten = s1.tenures - s0.tenures;
-  out.rate = dten ? static_cast<double>(s1.served - s0.served) /
-                        static_cast<double>(dten)
-                  : 0;
-  return out;
-}
-
-}  // namespace
+using harness::Approach;
 
 int main(int argc, char** argv) {
   const auto args = harness::BenchArgs::parse(argc, argv);
-  const sim::Cycle window = args.window ? args.window : 200'000;
+  harness::RunArtifacts art(args, "abl_hybcomb_variants", argc, argv);
 
   std::vector<std::uint32_t> threads =
       args.full ? std::vector<std::uint32_t>{5, 10, 15, 20, 25, 30, 35}
                 : std::vector<std::uint32_t>{10, 20, 35};
   if (args.threads) threads = {args.threads};
 
+  // The paper's HybComb (CAS + eager drain), then A1 and A2.
+  const Approach order[] = {Approach::kHybComb, Approach::kHybCombSwap,
+                            Approach::kHybCombNoDrain};
+  harness::RunCfg base;
+  base.reps = 1;
+  base = args.run_cfg(base);
+
+  harness::RunPool pool(art, args.jobs);
+  for (std::uint32_t t : threads) {
+    harness::RunCfg cfg = base;
+    cfg.app_threads = t;
+    for (Approach a : order) {
+      pool.run(std::string(harness::approach_name(a)) + "/t" +
+                   std::to_string(t),
+               cfg, [a](const auto& c) { return harness::run_counter(c, a); });
+    }
+  }
+  const auto& results = pool.drain();
+
   harness::Table table({"threads", "CAS Mops/s", "CAS rate", "SWAP Mops/s",
                         "SWAP rate", "no-drain Mops/s", "no-drain rate"});
+  std::size_t idx = 0;
   for (std::uint32_t t : threads) {
-    sync::HybComb<SimCtx>::Options paper{};  // CAS + eager drain
-    sync::HybComb<SimCtx>::Options swap{};
-    swap.swap_registration = true;
-    sync::HybComb<SimCtx>::Options nodrain{};
-    nodrain.eager_drain = false;
-
-    const Outcome a = run(t, paper, window, args.seed);
-    const Outcome b = run(t, swap, window, args.seed);
-    const Outcome c = run(t, nodrain, window, args.seed);
-    table.add_row({std::to_string(t), harness::fmt(a.mops),
-                   harness::fmt(a.rate, 1), harness::fmt(b.mops),
-                   harness::fmt(b.rate, 1), harness::fmt(c.mops),
-                   harness::fmt(c.rate, 1)});
-    std::fprintf(stderr, "[abl-hybcomb] threads=%u done\n", t);
+    std::vector<std::string> row{std::to_string(t)};
+    for (std::size_t a = 0; a < std::size(order); ++a) {
+      const auto& r = results[idx++];
+      row.push_back(harness::fmt(r.mops));
+      row.push_back(harness::fmt(r.combining_rate, 1));
+    }
+    table.add_row(row);
   }
   table.print(
       "Ablations A1/A2: HybComb registration (CAS vs SWAP) and eager drain");
   if (!args.csv.empty()) table.write_csv(args.csv);
+  art.finalize();
   return 0;
 }

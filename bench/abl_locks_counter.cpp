@@ -3,12 +3,12 @@
 // acquiring core, so the counter line ping-pongs between cores — even the
 // O(1)-RMR queue locks (MCS/CLH) pay data-movement RMRs inside the CS that
 // the server/combiner approaches avoid.
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "harness/artifact.hpp"
 #include "harness/report.hpp"
+#include "harness/run_pool.hpp"
 #include "harness/workload.hpp"
 
 using namespace hmps;
@@ -28,22 +28,27 @@ int main(int argc, char** argv) {
                             Approach::kTicketLock, Approach::kTtasLock,
                             Approach::kTasLock};
 
+  harness::RunPool pool(art, args.jobs);
+  for (std::uint32_t t : threads) {
+    harness::RunCfg cfg = args.run_cfg();
+    cfg.app_threads = t;
+    for (Approach a : order) {
+      pool.run(std::string(harness::approach_name(a)) + "/t" +
+                   std::to_string(t),
+               cfg, [a](const auto& c) { return harness::run_counter(c, a); });
+    }
+  }
+  const auto& results = pool.drain();
+
   harness::Table table({"threads", "mp-server", "HybComb", "mcs", "clh",
                         "ticket", "ttas", "tas"});
+  std::size_t idx = 0;
   for (std::uint32_t t : threads) {
-    harness::RunCfg cfg;
-    cfg.app_threads = t;
-    cfg.seed = args.seed;
-    if (args.window) cfg.window = args.window;
-    if (args.reps) cfg.reps = args.reps;
     std::vector<std::string> row{std::to_string(t)};
-    for (Approach a : order) {
-      cfg.obs = art.next_run(std::string(harness::approach_name(a)) + "/t" +
-                             std::to_string(t));
-      row.push_back(harness::fmt(harness::run_counter(cfg, a).mops));
+    for (std::size_t a = 0; a < std::size(order); ++a) {
+      row.push_back(harness::fmt(results[idx++].mops));
     }
     table.add_row(row);
-    std::fprintf(stderr, "[abl-locks] threads=%u done\n", t);
   }
   table.print("Ablation A3: classic locks vs delegation on the counter "
               "(Mops/s)");

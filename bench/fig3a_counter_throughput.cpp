@@ -13,7 +13,6 @@
 // --noc-combining flag that turns on in-network RMW combining
 // (docs/MODEL.md §11) to ask whether HybComb's endpoint combining still
 // pays once the network combines for it.
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -42,26 +41,12 @@ int main(int argc, char** argv) {
 
   harness::RunPool pool(art, args.jobs);
   for (std::uint32_t t : threads) {
-    harness::RunCfg cfg;
+    harness::RunCfg cfg = args.run_cfg();
     cfg.app_threads = t;
-    cfg.seed = args.seed;
-    cfg.machine.noc_combining = args.noc_combining;
-    if (args.mesh_w) {  // e.g. --mesh 16x16: the 256-core profiling shape
-      cfg.machine.mesh_w = args.mesh_w;
-      cfg.machine.mesh_h = args.mesh_h;
-    }
-    if (args.window) cfg.window = args.window;
-    if (args.reps) cfg.reps = args.reps;
     for (Approach a : order) {
-      pool.submit(std::string(harness::approach_name(a)) + "/t" +
-                      std::to_string(t),
-                  [cfg, a](const harness::RunObs& obs) {
-                    harness::RunCfg c = cfg;
-                    c.obs = obs;
-                    const auto r = harness::run_counter(c, a);
-                    std::fprintf(stderr, "[fig3a] %s done\n", obs.label);
-                    return r;
-                  });
+      pool.run(std::string(harness::approach_name(a)) + "/t" +
+                   std::to_string(t),
+               cfg, [a](const auto& c) { return harness::run_counter(c, a); });
     }
   }
   const auto& results = pool.drain();

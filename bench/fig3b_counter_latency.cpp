@@ -6,7 +6,6 @@
 // per op vs HYBCOMB's three, and atomics execute at the memory
 // controllers); a latency dip for the combining algorithms at mid
 // concurrency, where the combining rate jumps (cf. Fig. 4b).
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -34,21 +33,12 @@ int main(int argc, char** argv) {
 
   harness::RunPool pool(art, args.jobs);
   for (std::uint32_t t : threads) {
-    harness::RunCfg cfg;
+    harness::RunCfg cfg = args.run_cfg();
     cfg.app_threads = t;
-    cfg.seed = args.seed;
-    if (args.window) cfg.window = args.window;
-    if (args.reps) cfg.reps = args.reps;
     for (Approach a : order) {
-      pool.submit(std::string(harness::approach_name(a)) + "/t" +
-                      std::to_string(t),
-                  [cfg, a](const harness::RunObs& obs) {
-                    harness::RunCfg c = cfg;
-                    c.obs = obs;
-                    const auto r = harness::run_counter(c, a);
-                    std::fprintf(stderr, "[fig3b] %s done\n", obs.label);
-                    return r;
-                  });
+      pool.run(std::string(harness::approach_name(a)) + "/t" +
+                   std::to_string(t),
+               cfg, [a](const auto& c) { return harness::run_counter(c, a); });
     }
   }
   const auto& results = pool.drain();

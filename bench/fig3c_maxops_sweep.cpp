@@ -5,7 +5,6 @@
 // while HYBCOMB keeps improving toward very large MAX_OPS (combining is so
 // fast that combiner switching stays visible), approaching MP-SERVER's
 // throughput. MP-SERVER/SHM-SERVER are flat references (no combining).
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -27,21 +26,14 @@ int main(int argc, char** argv) {
                                              500, 1000, 2000, 5000}
                 : std::vector<std::uint64_t>{1, 10, 50, 200, 1000, 5000};
 
-  harness::RunCfg base;
+  harness::RunCfg base = args.run_cfg();
   base.app_threads = nthreads;
-  base.seed = args.seed;
-  if (args.window) base.window = args.window;
-  if (args.reps) base.reps = args.reps;
 
   harness::RunPool pool(art, args.jobs);
-  auto submit = [&](std::string label, harness::RunCfg cfg, Approach a) {
-    pool.submit(std::move(label), [cfg, a](const harness::RunObs& obs) {
-      harness::RunCfg c = cfg;
-      c.obs = obs;
-      const auto r = harness::run_counter(c, a);
-      std::fprintf(stderr, "[fig3c] %s done\n", obs.label);
-      return r;
-    });
+  auto submit = [&](std::string label, const harness::RunCfg& cfg,
+                    Approach a) {
+    pool.run(std::move(label), cfg,
+             [a](const auto& c) { return harness::run_counter(c, a); });
   };
   submit("mp-server/ref", base, Approach::kMpServer);
   submit("shm-server/ref", base, Approach::kShmServer);

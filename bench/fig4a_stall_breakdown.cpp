@@ -38,23 +38,12 @@ int main(int argc, char** argv) {
                             Approach::kShmServer, Approach::kCcSynch};
   harness::RunPool pool(art, args.jobs);
   for (Approach a : order) {
-    harness::RunCfg cfg;
+    harness::RunCfg cfg = args.run_cfg();
     cfg.app_threads = args.threads ? args.threads : 35;
-    cfg.seed = args.seed;
-    if (args.window) cfg.window = args.window;
-    if (args.reps) cfg.reps = args.reps;
-    cfg.telemetry_window = args.telemetry_window;
-    cfg.machine.model_link_contention |= args.noc;
     cfg.fixed_combiner =
         (a == Approach::kHybComb || a == Approach::kCcSynch);
-    pool.submit(harness::approach_name(a),
-                [cfg, a](const harness::RunObs& obs) {
-                  harness::RunCfg c = cfg;
-                  c.obs = obs;
-                  const auto r = harness::run_counter(c, a);
-                  std::fprintf(stderr, "[fig4a] %s done\n", obs.label);
-                  return r;
-                });
+    pool.run(harness::approach_name(a), cfg,
+             [a](const auto& c) { return harness::run_counter(c, a); });
   }
   const auto& results = pool.drain();
 

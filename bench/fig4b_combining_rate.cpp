@@ -7,7 +7,6 @@
 // reaches MAX_OPS while HYBCOMB sits slightly below it (the non-atomic
 // registration window of Section 4.2 occasionally leaves a combiner with
 // little work).
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -32,23 +31,12 @@ int main(int argc, char** argv) {
 
   harness::RunPool pool(art, args.jobs);
   for (std::uint32_t t : threads) {
-    harness::RunCfg cfg;
+    harness::RunCfg cfg = args.run_cfg();
     cfg.app_threads = t;
-    cfg.seed = args.seed;
-    if (args.window) cfg.window = args.window;
-    if (args.reps) cfg.reps = args.reps;
-    const Approach order[] = {Approach::kHybComb, Approach::kCcSynch};
-    const char* names[] = {"HybComb", "CC-Synch"};
-    for (std::size_t i = 0; i < 2; ++i) {
-      const Approach a = order[i];
-      pool.submit(std::string(names[i]) + "/t" + std::to_string(t),
-                  [cfg, a](const harness::RunObs& obs) {
-                    harness::RunCfg c = cfg;
-                    c.obs = obs;
-                    const auto r = harness::run_counter(c, a);
-                    std::fprintf(stderr, "[fig4b] %s done\n", obs.label);
-                    return r;
-                  });
+    for (Approach a : {Approach::kHybComb, Approach::kCcSynch}) {
+      pool.run(std::string(harness::approach_name(a)) + "/t" +
+                   std::to_string(t),
+               cfg, [a](const auto& c) { return harness::run_counter(c, a); });
     }
   }
   const auto& results = pool.drain();

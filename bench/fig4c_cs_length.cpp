@@ -9,7 +9,6 @@
 //
 // --no-prefetch additionally reruns the sweep with software prefetching
 // disabled (ablation A4 of DESIGN.md: the overlap mechanism).
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -36,24 +35,15 @@ void sweep(const harness::BenchArgs& args, harness::RunArtifacts& art,
   harness::RunPool pool(art, args.jobs);
   std::vector<harness::RunCfg> cfgs;
   for (std::uint64_t len : lens) {
-    harness::RunCfg cfg;
+    harness::RunCfg cfg = args.run_cfg();
     cfg.app_threads = args.threads ? args.threads : 35;
-    cfg.seed = args.seed;
     cfg.cs_iters = len;
     cfg.machine.allow_prefetch = prefetch;
-    if (args.window) cfg.window = args.window;
-    if (args.reps) cfg.reps = args.reps;
     cfgs.push_back(cfg);
     for (Approach a : order) {
-      pool.submit(std::string(harness::approach_name(a)) + "/cs" +
-                      std::to_string(len) + (prefetch ? "" : "/noprefetch"),
-                  [cfg, a](const harness::RunObs& obs) {
-                    harness::RunCfg c = cfg;
-                    c.obs = obs;
-                    const auto r = harness::run_counter(c, a);
-                    std::fprintf(stderr, "[fig4c] %s done\n", obs.label);
-                    return r;
-                  });
+      pool.run(std::string(harness::approach_name(a)) + "/cs" +
+                   std::to_string(len) + (prefetch ? "" : "/noprefetch"),
+               cfg, [a](const auto& c) { return harness::run_counter(c, a); });
     }
   }
   const auto& results = pool.drain();
@@ -80,7 +70,7 @@ void sweep(const harness::BenchArgs& args, harness::RunArtifacts& art,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = harness::BenchArgs::parse(argc, argv);
+  const auto args = harness::BenchArgs::parse(argc, argv, {"--no-prefetch"});
   harness::RunArtifacts art(args, "fig4c_cs_length", argc, argv);
   bool ablation = false;
   for (int i = 1; i < argc; ++i) {

@@ -9,7 +9,6 @@
 // Expected shape: mp-server-1 and HybComb-1 lead (up to ~2x / ~1.5x over
 // the best shared-memory variant); LCRQ and mp-server-2 level off sooner
 // (controller-serialized atomics, resp. fence costs).
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -39,22 +38,11 @@ int main(int argc, char** argv) {
 
   harness::RunPool pool(art, args.jobs);
   for (std::uint32_t t : threads) {
-    harness::RunCfg cfg;
+    harness::RunCfg cfg = args.run_cfg();
     cfg.app_threads = t;
-    cfg.seed = args.seed;
-    cfg.machine.noc_combining = args.noc_combining;
-    if (args.window) cfg.window = args.window;
-    if (args.reps) cfg.reps = args.reps;
     for (QueueImpl q : order) {
-      pool.submit(std::string(harness::queue_name(q)) + "/t" +
-                      std::to_string(t),
-                  [cfg, q](const harness::RunObs& obs) {
-                    harness::RunCfg c = cfg;
-                    c.obs = obs;
-                    const auto r = harness::run_queue(c, q);
-                    std::fprintf(stderr, "[fig5a] %s done\n", obs.label);
-                    return r;
-                  });
+      pool.run(std::string(harness::queue_name(q)) + "/t" + std::to_string(t),
+               cfg, [q](const auto& c) { return harness::run_queue(c, q); });
     }
   }
   const auto& results = pool.drain();

@@ -7,7 +7,6 @@
 // one-lock queue numbers of Fig. 5a (both are coarse-locked linked lists);
 // Treiber trails every blocking implementation, as contended CAS retries on
 // the top pointer dominate.
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -36,22 +35,11 @@ int main(int argc, char** argv) {
 
   harness::RunPool pool(art, args.jobs);
   for (std::uint32_t t : threads) {
-    harness::RunCfg cfg;
+    harness::RunCfg cfg = args.run_cfg();
     cfg.app_threads = t;
-    cfg.seed = args.seed;
-    cfg.machine.noc_combining = args.noc_combining;
-    if (args.window) cfg.window = args.window;
-    if (args.reps) cfg.reps = args.reps;
     for (StackImpl s : order) {
-      pool.submit(std::string(harness::stack_name(s)) + "/t" +
-                      std::to_string(t),
-                  [cfg, s](const harness::RunObs& obs) {
-                    harness::RunCfg c = cfg;
-                    c.obs = obs;
-                    const auto r = harness::run_stack(c, s);
-                    std::fprintf(stderr, "[fig5b] %s done\n", obs.label);
-                    return r;
-                  });
+      pool.run(std::string(harness::stack_name(s)) + "/t" + std::to_string(t),
+               cfg, [s](const auto& c) { return harness::run_stack(c, s); });
     }
   }
   const auto& results = pool.drain();

@@ -36,13 +36,8 @@ int main(int argc, char** argv) {
 
   harness::RunPool pool(art, args.jobs);
   for (std::uint32_t d : depths) {
-    harness::RunCfg cfg;
+    harness::RunCfg cfg = args.run_cfg();
     cfg.app_threads = nthreads;
-    cfg.seed = args.seed;
-    if (args.window) cfg.window = args.window;
-    if (args.reps) cfg.reps = args.reps;
-    cfg.telemetry_window = args.telemetry_window;
-    cfg.machine.model_link_contention |= args.noc;
     // No think time: the measurement isolates the round-trip pipelining
     // (think cycles are an additive constant on both sides of the
     // comparison; Fig. 3a's think-time sweep keeps them).
@@ -53,26 +48,13 @@ int main(int argc, char** argv) {
     const Approach order[] = {Approach::kMpServer, Approach::kHybComb,
                               Approach::kShmServer};
     for (Approach a : order) {
-      pool.submit(std::string(harness::approach_name(a)) + "/d" +
-                      std::to_string(d),
-                  [cfg, a](const harness::RunObs& obs) {
-                    harness::RunCfg c = cfg;
-                    c.obs = obs;
-                    const auto r = harness::run_counter(c, a);
-                    std::fprintf(stderr, "[fig_async_batching] %s done\n",
-                                 obs.label);
-                    return r;
-                  });
+      pool.run(std::string(harness::approach_name(a)) + "/d" +
+                   std::to_string(d),
+               cfg, [a](const auto& c) { return harness::run_counter(c, a); });
     }
-    pool.submit("mp-server-1/d" + std::to_string(d),
-                [cfg](const harness::RunObs& obs) {
-                  harness::RunCfg c = cfg;
-                  c.obs = obs;
-                  const auto r = harness::run_queue(c, QueueImpl::kMp1);
-                  std::fprintf(stderr, "[fig_async_batching] %s done\n",
-                               obs.label);
-                  return r;
-                });
+    pool.run("mp-server-1/d" + std::to_string(d), cfg, [](const auto& c) {
+      return harness::run_queue(c, QueueImpl::kMp1);
+    });
   }
   const auto& results = pool.drain();
 

@@ -5,12 +5,12 @@
 //     ~0.1 at high concurrency,
 //   * fairness (max/min per-thread ops) <= ~1.2 for HYBCOMB and ~1.1 for
 //     MP-SERVER (cores nearer to the server complete slightly more ops).
-#include <cstdio>
+#include <algorithm>
 #include <string>
-#include <vector>
 
 #include "harness/artifact.hpp"
 #include "harness/report.hpp"
+#include "harness/run_pool.hpp"
 #include "harness/workload.hpp"
 
 using namespace hmps;
@@ -20,42 +20,43 @@ int main(int argc, char** argv) {
   const auto args = harness::BenchArgs::parse(argc, argv);
   harness::RunArtifacts art(args, "sec53_scalar_claims", argc, argv);
 
-  harness::Table table({"metric", "paper", "measured"});
-
-  harness::RunCfg hi;
+  harness::RunCfg hi = args.run_cfg();
   hi.app_threads = args.threads ? args.threads : 35;
-  hi.seed = args.seed;
-  if (args.window) hi.window = args.window;
-  if (args.reps) hi.reps = args.reps;
+  harness::RunPool pool(art, args.jobs);
+  auto submit = [&](std::string label, const harness::RunCfg& cfg,
+                    Approach a) {
+    pool.run(std::move(label), cfg,
+             [a](const auto& c) { return harness::run_counter(c, a); });
+  };
+  submit("mp-server/hi", hi, Approach::kMpServer);
+  submit("shm-server/hi", hi, Approach::kShmServer);
+  submit("HybComb/hi", hi, Approach::kHybComb);
+  submit("CC-Synch/hi", hi, Approach::kCcSynch);
+  // Worst-case CAS/op and fairness across moderate concurrency.
+  for (std::uint32_t t : {2u, 5u, 8u, 12u, 20u, 28u, 35u}) {
+    harness::RunCfg cfg = hi;
+    cfg.app_threads = t;
+    submit("HybComb/t" + std::to_string(t), cfg, Approach::kHybComb);
+  }
+  const auto& results = pool.drain();
+  const auto& mp = results[0];
+  const auto& shm = results[1];
+  const auto& hyb = results[2];
+  const auto& cc = results[3];
+  double worst_cas = 0;
+  double worst_fair_hyb = 0;
+  for (std::size_t i = 4; i < results.size(); ++i) {
+    worst_cas = std::max(worst_cas, results[i].cas_per_op);
+    worst_fair_hyb = std::max(worst_fair_hyb, results[i].fairness);
+  }
 
-  hi.obs = art.next_run("mp-server/hi");
-  const auto mp = harness::run_counter(hi, Approach::kMpServer);
-  hi.obs = art.next_run("shm-server/hi");
-  const auto shm = harness::run_counter(hi, Approach::kShmServer);
-  hi.obs = art.next_run("HybComb/hi");
-  const auto hyb = harness::run_counter(hi, Approach::kHybComb);
-  hi.obs = art.next_run("CC-Synch/hi");
-  const auto cc = harness::run_counter(hi, Approach::kCcSynch);
-
+  harness::Table table({"metric", "paper", "measured"});
   table.add_row({"mp-server / shm-server peak throughput", "4.3x",
                  harness::fmt(mp.mops / shm.mops) + "x"});
   table.add_row({"HybComb / CC-Synch peak throughput", "~2.5x",
                  harness::fmt(hyb.mops / cc.mops) + "x"});
   table.add_row({"HybComb CAS/op, high concurrency", "~0.1",
                  harness::fmt(hyb.cas_per_op, 3)});
-
-  // Worst-case CAS/op across moderate concurrency (paper: <= 0.7).
-  double worst_cas = 0;
-  double worst_fair_hyb = 0;
-  for (std::uint32_t t : {2u, 5u, 8u, 12u, 20u, 28u, 35u}) {
-    harness::RunCfg cfg = hi;
-    cfg.app_threads = t;
-    cfg.obs = art.next_run("HybComb/t" + std::to_string(t));
-    const auto r = harness::run_counter(cfg, Approach::kHybComb);
-    if (r.cas_per_op > worst_cas) worst_cas = r.cas_per_op;
-    if (r.fairness > worst_fair_hyb) worst_fair_hyb = r.fairness;
-    std::fprintf(stderr, "[sec53] hybcomb sweep t=%u done\n", t);
-  }
   table.add_row({"HybComb CAS/op, worst over thread counts", "<= 0.7",
                  harness::fmt(worst_cas, 3)});
   table.add_row({"HybComb fairness ratio, worst", "<= ~1.2",

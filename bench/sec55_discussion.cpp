@@ -12,12 +12,14 @@
 // container exposes a single hardware thread, so native numbers measure
 // correctness and order of magnitude, not scalability.
 #include <atomic>
-#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ds/counter.hpp"
+#include "harness/artifact.hpp"
 #include "harness/report.hpp"
+#include "harness/run_pool.hpp"
 #include "harness/workload.hpp"
 #include "runtime/native_context.hpp"
 #include "sync/ccsynch.hpp"
@@ -94,9 +96,8 @@ double native_shmserver_mops(std::uint32_t nclients, int millis) {
 
 int main(int argc, char** argv) {
   const auto args = harness::BenchArgs::parse(argc, argv);
+  harness::RunArtifacts art(args, "sec55_discussion", argc, argv);
 
-  harness::Table table({"machine", "approach", "peak Mops/s",
-                        "serv stall/op", "serv total/op"});
   struct Preset {
     const char* label;
     arch::MachineParams params;
@@ -107,22 +108,31 @@ int main(int argc, char** argv) {
       {"Xeon-like (10c)", arch::MachineParams::xeon10(), 9},
       {"Opteron-like (6c)", arch::MachineParams::opteron6(), 5},
   };
+  const Approach order[] = {Approach::kShmServer, Approach::kCcSynch};
+  harness::RunPool pool(art, args.jobs);
   for (const auto& p : presets) {
-    for (Approach a : {Approach::kShmServer, Approach::kCcSynch}) {
-      harness::RunCfg cfg;
-      cfg.machine = p.params;
+    for (Approach a : order) {
+      harness::RunCfg base;
+      base.machine = p.params;
+      harness::RunCfg cfg = args.run_cfg(base);
       cfg.app_threads = args.threads ? args.threads : p.threads;
-      cfg.seed = args.seed;
-      if (args.window) cfg.window = args.window;
-      if (args.reps) cfg.reps = args.reps;
       // Per the paper's stall measurement, pin the servicing thread.
       cfg.fixed_combiner = (a == Approach::kCcSynch);
-      const auto r = harness::run_counter(cfg, a);
+      pool.run(std::string(p.label) + "/" + harness::approach_name(a), cfg,
+               [a](const auto& c) { return harness::run_counter(c, a); });
+    }
+  }
+  const auto& results = pool.drain();
+
+  harness::Table table({"machine", "approach", "peak Mops/s",
+                        "serv stall/op", "serv total/op"});
+  std::size_t idx = 0;
+  for (const auto& p : presets) {
+    for (Approach a : order) {
+      const auto& r = results[idx++];
       table.add_row({p.label, harness::approach_name(a),
                      harness::fmt(r.mops), harness::fmt(r.serv_stall_per_op, 1),
                      harness::fmt(r.serv_total_per_op, 1)});
-      std::fprintf(stderr, "[sec55] %s/%s done\n", p.label,
-                   harness::approach_name(a));
     }
   }
   table.print("Section 5.5: shared-memory approaches across machine models");
@@ -144,5 +154,6 @@ int main(int argc, char** argv) {
   }
   native.print("Section 5.5: native x86 spot check (host hardware)");
   if (!args.csv.empty()) table.write_csv(args.csv);
+  art.finalize();
   return 0;
 }

@@ -78,13 +78,11 @@ sim::FaultPlan fault_plan(std::uint64_t seed) {
 void fault_scenarios(harness::Table& table, const harness::BenchArgs& args,
                      harness::RunArtifacts& art) {
   harness::RunCfg cfg;
+  cfg.window = 150'000;
+  cfg.reps = 2;
+  cfg = args.run_cfg(cfg);
   cfg.app_threads = args.threads ? args.threads : 16;
-  cfg.window = args.window ? args.window : 150'000;
-  cfg.reps = args.reps ? args.reps : 2;
-  cfg.seed = args.seed;
-  cfg.telemetry_window = args.telemetry_window;
-  cfg.machine.model_link_contention |= args.noc;
-  cfg.faults = fault_plan(args.seed);
+  cfg.faults = fault_plan(cfg.seed);
 
   struct Scenario {
     harness::Approach a;
@@ -105,16 +103,12 @@ void fault_scenarios(harness::Table& table, const harness::BenchArgs& args,
     harness::RunCfg c = cfg;
     c.max_inflight = sc.max_inflight;
     c.stall_timeout = sc.stall_timeout;
-    pool.submit(std::string(harness::approach_name(sc.a)) + "/inflight" +
-                    std::to_string(sc.max_inflight) + "/stall" +
-                    std::to_string(sc.stall_timeout),
-                [c, sc](const harness::RunObs& obs) {
-                  harness::RunCfg rc = c;
-                  rc.obs = obs;
-                  const auto r = harness::run_counter(rc, sc.a);
-                  std::fprintf(stderr, "[sec6] faults %s done\n", obs.label);
-                  return r;
-                });
+    pool.run(std::string(harness::approach_name(sc.a)) + "/inflight" +
+                 std::to_string(sc.max_inflight) + "/stall" +
+                 std::to_string(sc.stall_timeout),
+             c, [a = sc.a](const auto& rc) {
+               return harness::run_counter(rc, a);
+             });
   }
   const auto& results = pool.drain();
   for (std::size_t i = 0; i < 4; ++i) {

@@ -38,17 +38,10 @@ int main(int argc, char** argv) {
   if (args.quick) apps = {Approach::kMpServer, Approach::kHybComb};
 
   harness::ServiceCfg base;
-  base.base.seed = args.seed;
   base.base.warmup = args.quick ? 20'000 : 60'000;
-  base.base.window = args.window ? args.window : (args.quick ? 60'000 : 400'000);
-  base.base.reps = args.reps ? args.reps : (args.quick ? 1 : 2);
-  base.base.telemetry_window = args.telemetry_window;
-  base.base.machine.model_link_contention |= args.noc;
-  base.base.machine.noc_combining |= args.noc_combining;
-  if (args.mesh_w && args.mesh_h) {
-    base.base.machine.mesh_w = args.mesh_w;
-    base.base.machine.mesh_h = args.mesh_h;
-  }
+  base.base.window = args.quick ? 60'000 : 400'000;
+  base.base.reps = args.quick ? 1 : 2;
+  base.base = args.run_cfg(base.base);
   base.sessions = args.threads ? args.threads : 4;
   base.objects = 4;
   base.zipf_s = 0.9;
@@ -58,16 +51,9 @@ int main(int argc, char** argv) {
     for (Approach a : apps) {
       harness::ServiceCfg cfg = base;
       cfg.offered_mops = load;
-      pool.submit(std::string(harness::approach_name(a)) + "/o" +
-                      harness::fmt(load, 0),
-                  [cfg, a](const harness::RunObs& obs) {
-                    harness::ServiceCfg c = cfg;
-                    c.base.obs = obs;
-                    const auto r = harness::run_service(c, a);
-                    std::fprintf(stderr, "[service_counter] %s done\n",
-                                 obs.label);
-                    return r;
-                  });
+      pool.run(std::string(harness::approach_name(a)) + "/o" +
+                   harness::fmt(load, 0),
+               cfg, [a](const auto& c) { return harness::run_service(c, a); });
     }
   }
   const auto& results = pool.drain();

@@ -36,16 +36,13 @@ int main(int argc, char** argv) {
   if (args.quick) shard_counts = {1, 8};
 
   harness::ServiceCfg base;
-  base.base.seed = args.seed;
   base.base.warmup = args.quick ? 20'000 : 60'000;
-  base.base.window =
-      args.window ? args.window : (args.quick ? 80'000 : 400'000);
-  base.base.reps = args.reps ? args.reps : 1;
-  base.base.telemetry_window = args.telemetry_window;
-  base.base.machine.model_link_contention |= args.noc;
+  base.base.window = args.quick ? 80'000 : 400'000;
+  base.base.reps = 1;
   // A big mesh by default: the fleet and its clients want room.
-  base.base.machine.mesh_w = args.mesh_w ? args.mesh_w : 16;
-  base.base.machine.mesh_h = args.mesh_h ? args.mesh_h : 16;
+  base.base.machine.mesh_w = 16;
+  base.base.machine.mesh_h = 16;
+  base.base = args.run_cfg(base.base);
   base.sessions = args.threads ? args.threads : 40;
   base.objects = 64;
   base.zipf_s = 0.0;  // uniform popularity: the pure capacity-scaling case
@@ -56,16 +53,9 @@ int main(int argc, char** argv) {
       harness::ServiceCfg cfg = base;
       cfg.offered_mops = load;
       cfg.shards = shards;
-      pool.submit("s" + std::to_string(shards) + "/o" +
-                      harness::fmt(load, 0),
-                  [cfg](const harness::RunObs& obs) {
-                    harness::ServiceCfg c = cfg;
-                    c.base.obs = obs;
-                    const auto r = harness::run_service_sharded(c);
-                    std::fprintf(stderr, "[service_sharded] %s done\n",
-                                 obs.label);
-                    return r;
-                  });
+      pool.run("s" + std::to_string(shards) + "/o" + harness::fmt(load, 0),
+               cfg,
+               [](const auto& c) { return harness::run_service_sharded(c); });
     }
   }
   const auto& results = pool.drain();

@@ -58,6 +58,8 @@ using Fn = sync::CsFn<SimCtx>;
 enum class Kind : std::uint8_t {
   kMpServer,
   kHybComb,
+  kHybCombSwap,     ///< HybComb registering combiners with SWAP, not CAS
+  kHybCombNoDrain,  ///< HybComb without the eager drain before closing
   kShmServer,
   kCcSynch,
   kDsmSynch,
@@ -331,6 +333,8 @@ decltype(auto) visit(Kind k, const Params& p, SimExecutor* ex, F&& f) {
   hyb.stall_timeout = p.stall_timeout;
   hyb.max_inflight = p.max_inflight;
   hyb.bug_drop_every = p.hyb_bug_drop_every;
+  hyb.swap_registration = k == Kind::kHybCombSwap;
+  hyb.eager_drain = k != Kind::kHybCombNoDrain;
   // The 32-bit MAX_OPS of the combiners other than HybComb.
   const auto mo32 = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(p.max_ops, std::uint64_t{1} << 30));
@@ -338,6 +342,8 @@ decltype(auto) visit(Kind k, const Params& p, SimExecutor* ex, F&& f) {
     case Kind::kMpServer:
       return f(make<sync::MpServer<SimCtx>>(0, p.obj, p.max_inflight));
     case Kind::kHybComb:
+    case Kind::kHybCombSwap:
+    case Kind::kHybCombNoDrain:
       return f(make<sync::HybComb<SimCtx>>(p.obj, p.max_ops, p.fixed_combiner,
                                            hyb));
     case Kind::kShmServer:

@@ -1,10 +1,14 @@
 #include "harness/report.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <utility>
 
 namespace hmps::harness {
 
@@ -54,60 +58,114 @@ std::string fmt(double v, int prec) {
   return buf;
 }
 
-BenchArgs BenchArgs::parse(int argc, char** argv) {
+namespace {
+
+constexpr const char* kUsage =
+    "flags: [--full] [--quick] [--csv FILE] [--json FILE] [--trace FILE] "
+    "[--threads N] [--window CYCLES] [--reps N] [--seed N] [--jobs N] "
+    "[--mesh WxH] [--telemetry-window CYCLES] [--noc] [--noc-combining]";
+
+[[noreturn]] void usage_error(const std::string& what) {
+  std::cerr << what << "\n" << kUsage << "\n";
+  std::exit(2);
+}
+
+/// `s` as a whole decimal number no larger than `max`.
+std::uint64_t number(std::string_view flag, const std::string& s,
+                     std::uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])) ||
+      *end != '\0' || errno != 0 || v > max) {
+    usage_error("bad " + std::string(flag) + " value '" + s +
+                "' (want a whole number)");
+  }
+  return v;
+}
+
+/// The field a flag table names for `flag`, or nullptr.
+template <class T, std::size_t N>
+T* field(const std::pair<std::string_view, T*> (&table)[N],
+         std::string_view flag) {
+  for (const auto& [name, f] : table) {
+    if (name == flag) return f;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+BenchArgs BenchArgs::parse(
+    int argc, char** argv, std::initializer_list<std::string_view> bench_flags) {
   BenchArgs a;
+  const std::pair<std::string_view, bool*> switches[] = {
+      {"--full", &a.full},
+      {"--quick", &a.quick},
+      {"--noc", &a.noc},
+      {"--noc-combining", &a.noc_combining}};
+  const std::pair<std::string_view, std::string*> paths[] = {
+      {"--csv", &a.csv}, {"--json", &a.json}, {"--trace", &a.trace}};
+  const std::pair<std::string_view, std::uint64_t*> wide[] = {
+      {"--window", &a.window},
+      {"--seed", &a.seed},
+      {"--telemetry-window", &a.telemetry_window}};
+  const std::pair<std::string_view, std::uint32_t*> narrow[] = {
+      {"--threads", &a.threads}, {"--reps", &a.reps}, {"--jobs", &a.jobs}};
   for (int i = 1; i < argc; ++i) {
-    const char* s = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
+    const std::string_view f = argv[i];
+    auto value = [&]() -> std::string {
+      if (i + 1 >= argc) usage_error("missing value for " + std::string(f));
+      return argv[++i];
     };
-    if (std::strcmp(s, "--full") == 0) {
-      a.full = true;
-    } else if (std::strcmp(s, "--quick") == 0) {
-      a.quick = true;
-    } else if (std::strcmp(s, "--csv") == 0) {
-      a.csv = next();
-    } else if (std::strcmp(s, "--json") == 0) {
-      a.json = next();
-    } else if (std::strcmp(s, "--trace") == 0) {
-      a.trace = next();
-    } else if (std::strcmp(s, "--threads") == 0) {
-      a.threads = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (std::strcmp(s, "--window") == 0) {
-      a.window = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(s, "--reps") == 0) {
-      a.reps = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (std::strcmp(s, "--seed") == 0) {
-      a.seed = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(s, "--jobs") == 0) {
-      a.jobs = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (std::strcmp(s, "--telemetry-window") == 0) {
-      a.telemetry_window = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(s, "--noc") == 0) {
-      a.noc = true;
-    } else if (std::strcmp(s, "--noc-combining") == 0) {
-      a.noc_combining = true;
-    } else if (std::strcmp(s, "--mesh") == 0) {
-      const char* v = next();
-      char* end = nullptr;
-      a.mesh_w = static_cast<std::uint32_t>(std::strtoul(v, &end, 10));
-      a.mesh_h = (end && *end == 'x')
-                     ? static_cast<std::uint32_t>(
-                           std::strtoul(end + 1, nullptr, 10))
-                     : 0;
-      if (a.mesh_w == 0 || a.mesh_h == 0) {
-        std::cerr << "bad --mesh value (want WxH, e.g. 16x16)\n";
-        std::exit(2);
-      }
-    } else if (std::strcmp(s, "--help") == 0) {
-      std::cout << "flags: [--full] [--quick] [--csv FILE] [--json FILE] "
-                   "[--trace FILE] [--threads N] [--window CYCLES] [--reps N] "
-                   "[--seed N] [--jobs N] [--mesh WxH] "
-                   "[--telemetry-window CYCLES] [--noc] [--noc-combining]\n";
+    if (f == "--help") {
+      std::cout << kUsage << "\n";
       std::exit(0);
+    }
+    if (std::find(bench_flags.begin(), bench_flags.end(), f) !=
+        bench_flags.end()) {
+      continue;
+    }
+    if (bool* b = field(switches, f)) {
+      *b = true;
+    } else if (std::string* path = field(paths, f)) {
+      *path = value();
+    } else if (std::uint64_t* n = field(wide, f)) {
+      *n = number(f, value(), UINT64_MAX);
+    } else if (std::uint32_t* n32 = field(narrow, f)) {
+      *n32 = static_cast<std::uint32_t>(number(f, value(), UINT32_MAX));
+    } else if (f == "--mesh") {
+      const std::string v = value();
+      const std::size_t x = v.find('x');
+      if (x == std::string::npos) {
+        usage_error("bad --mesh value '" + v + "' (want WxH, e.g. 16x16)");
+      }
+      a.mesh_w = static_cast<std::uint32_t>(
+          number(f, v.substr(0, x), UINT32_MAX));
+      a.mesh_h = static_cast<std::uint32_t>(
+          number(f, v.substr(x + 1), UINT32_MAX));
+      if (a.mesh_w == 0 || a.mesh_h == 0) {
+        usage_error("bad --mesh value '" + v + "' (want WxH, e.g. 16x16)");
+      }
+    } else {
+      usage_error("unknown flag '" + std::string(f) + "'");
     }
   }
   return a;
+}
+
+RunCfg BenchArgs::run_cfg(RunCfg base) const {
+  base.seed = seed;
+  if (window != 0) base.window = window;
+  if (reps != 0) base.reps = reps;
+  if (mesh_w != 0) {
+    base.machine.mesh_w = mesh_w;
+    base.machine.mesh_h = mesh_h;
+  }
+  base.machine.model_link_contention |= noc;
+  base.machine.noc_combining |= noc_combining;
+  if (telemetry_window != 0) base.telemetry_window = telemetry_window;
+  return base;
 }
 
 }  // namespace hmps::harness

@@ -4,8 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "harness/workload.hpp"
 
 namespace hmps::harness {
 
@@ -32,21 +36,20 @@ class Table {
 /// Formats a double with `prec` decimals.
 std::string fmt(double v, int prec = 2);
 
-/// Standard bench command line: [--full] [--csv FILE] [--json FILE]
-/// [--trace FILE] [--threads N] [--window CYCLES] [--reps N] [--seed N]
-/// [--jobs N] [--mesh WxH]. Benches scale their sweeps with `full`.
+/// Standard bench command line: [--full] [--quick] [--csv FILE]
+/// [--json FILE] [--trace FILE] [--threads N] [--window CYCLES] [--reps N]
+/// [--seed N] [--jobs N] [--mesh WxH] [--telemetry-window CYCLES] [--noc]
+/// [--noc-combining]. Benches scale their sweeps with `full` and `quick`.
 /// `--json` writes the machine-readable run artifact and `--trace` the
 /// Chrome/Perfetto trace (docs/OBSERVABILITY.md); both are wired through
-/// harness::RunArtifacts. `--jobs` sets the run-pool worker count for
-/// sweep benches (harness/run_pool.hpp); 0 resolves through $HMPS_JOBS,
-/// then hardware_concurrency. `--mesh` overrides the simulated mesh shape
-/// (e.g. 16x16 = 256 cores; docs/ENGINE.md's profiling appendix) on the
-/// benches that honor it. `--telemetry-window N` turns on the windowed
-/// sampler (obs/telemetry.hpp) at an N-cycle cadence, and `--noc` enables
-/// the link-contention NoC model so the telemetry heatmap has per-link
-/// data (docs/OBSERVABILITY.md). `--noc-combining` turns on in-network
-/// combining of unconditional RMWs (docs/MODEL.md §11) on the benches that
-/// honor it, for combining-on/off transport comparisons.
+/// harness::RunArtifacts. `--jobs` sets the run-pool worker count
+/// (harness/run_pool.hpp); 0 resolves through $HMPS_JOBS, then
+/// hardware_concurrency. The run flags — `--seed`, `--window`, `--reps`,
+/// `--mesh` (e.g. 16x16 = 256 cores), `--noc` (the link-contention NoC
+/// model, for per-link telemetry), `--noc-combining` (in-network combining
+/// of unconditional RMWs, docs/MODEL.md §11) and `--telemetry-window`
+/// (the windowed sampler's cadence, obs/telemetry.hpp) — reach a bench's
+/// runs through run_cfg().
 struct BenchArgs {
   bool full = false;
   bool quick = false;  ///< CI smoke mode: shortest meaningful sweep
@@ -64,7 +67,15 @@ struct BenchArgs {
   bool noc = false;  // model link contention (per-link heatmap data)
   bool noc_combining = false;  // in-network RMW combining (MODEL.md §11)
 
-  static BenchArgs parse(int argc, char** argv);
+  /// Parses the flags above, plus the boolean `bench_flags` a bench reads
+  /// from argv itself. An unknown flag, a missing value or a value that is
+  /// not a whole number in range prints the usage and exits 2.
+  static BenchArgs parse(int argc, char** argv,
+                         std::initializer_list<std::string_view> bench_flags =
+                             {});
+
+  /// `base` — a bench's own defaults — with the run flags applied.
+  RunCfg run_cfg(RunCfg base = {}) const;
 };
 
 }  // namespace hmps::harness

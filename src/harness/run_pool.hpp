@@ -21,6 +21,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -91,6 +92,23 @@ class RunPool {
   /// Submits one run; returns its index (== submission order, the index
   /// into drain()'s result vector).
   std::size_t submit(std::string label, RunFn fn);
+
+  /// submit() of `drive(cfg)` with the run's sinks in cfg (RunCfg::obs, or
+  /// ServiceCfg::base.obs), logging "[label] done" to stderr at its end.
+  template <class Cfg, class Drive>
+  std::size_t run(std::string label, const Cfg& cfg, Drive drive) {
+    return submit(std::move(label), [cfg, drive](const RunObs& obs) {
+      Cfg c = cfg;
+      if constexpr (requires { c.base.obs; }) {
+        c.base.obs = obs;
+      } else {
+        c.obs = obs;
+      }
+      const RunResult r = drive(c);
+      std::fprintf(stderr, "[%s] done\n", obs.label);
+      return r;
+    });
+  }
 
   /// Waits for every submitted run, merges per-run artifacts into the
   /// shared RunArtifacts in submission order, and returns the results in

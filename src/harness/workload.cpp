@@ -29,6 +29,12 @@ constexpr reg::Row<Approach> kApproaches[] = {
     {Approach::kTasLock, "tas", Kind::kTasLock},
     {Approach::kTtasLock, "ttas", Kind::kTtasLock},
     {Approach::kVlinkServer, "vlink-server", Kind::kVlink},
+    {Approach::kOyama, "Oyama99", Kind::kOyama},
+    {Approach::kFlatCombining, "flat-combining", Kind::kFlatCombining},
+    {Approach::kDsmSynch, "DSM-Synch", Kind::kDsmSynch},
+    {Approach::kHSynch, "H-Synch", Kind::kHSynch},
+    {Approach::kHybCombSwap, "HybComb-swap", Kind::kHybCombSwap},
+    {Approach::kHybCombNoDrain, "HybComb-nodrain", Kind::kHybCombNoDrain},
 };
 constexpr reg::Row<QueueImpl> kQueues[] = {
     {QueueImpl::kMp1, "mp-server-1", Kind::kMpServer},

@@ -28,8 +28,9 @@ class MetricsRegistry;
 
 namespace hmps::harness {
 
-/// Universal-construction approaches (Fig. 3/4) plus classic-lock
-/// ablations (Section 3 context).
+/// Universal-construction approaches (Fig. 3/4), classic-lock ablations
+/// (Section 3 context), the rest of the combining lineage and the HybComb
+/// design ablations of Section 4.2.
 enum class Approach {
   kMpServer,
   kHybComb,
@@ -41,6 +42,12 @@ enum class Approach {
   kTasLock,
   kTtasLock,
   kVlinkServer,  ///< delegation over the Virtual-Link MPMC transport
+  kOyama,
+  kFlatCombining,  ///< max_ops / 2 combining passes
+  kDsmSynch,
+  kHSynch,
+  kHybCombSwap,     ///< SWAP instead of CAS for combiner registration
+  kHybCombNoDrain,  ///< no eager drain before closing registration
 };
 
 const char* approach_name(Approach a);

@@ -873,6 +873,32 @@ TEST(GoldenHarness, RunCounter) {
   });
 }
 
+// The combining lineage and the HybComb ablations, reached through the same
+// closed loop as the paper's four (ext_combiners, abl_hybcomb_variants).
+TEST(GoldenHarness, RunCounterLineage) {
+  using harness::Approach;
+  std::vector<std::uint64_t> got;
+  for (const Approach a :
+       {Approach::kOyama, Approach::kFlatCombining, Approach::kDsmSynch,
+        Approach::kHSynch, Approach::kHybCombSwap,
+        Approach::kHybCombNoDrain}) {
+    harness::RunCfg cfg = golden_run_cfg();
+    cfg.max_ops = 8;
+    got.push_back(artifact_hash([&](const harness::RunObs& o) {
+      cfg.obs = o;
+      harness::run_counter(cfg, a);
+    }));
+  }
+  expect_hashes("RunCounterLineage", got, {
+      0xfc4b003976146a64ull,
+      0x101e9c590cbe6afeull,
+      0xd9282b69812b59c0ull,
+      0x136a4bcc4fb10cdaull,
+      0x02c839bade5f6a5cull,
+      0xe045f1bc8a1b9260ull,
+  });
+}
+
 TEST(GoldenHarness, RunQueueAndStack) {
   using harness::QueueImpl;
   using harness::StackImpl;

@@ -5,7 +5,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "harness/report.hpp"
 #include "harness/workload.hpp"
@@ -54,6 +57,60 @@ TEST(Report, BenchArgsDefaults) {
   EXPECT_FALSE(a.full);
   EXPECT_TRUE(a.csv.empty());
   EXPECT_EQ(a.threads, 0u);
+}
+
+// Parses `flags` as a bench command line.
+BenchArgs parse(std::vector<const char*> flags,
+                std::initializer_list<std::string_view> bench_flags = {}) {
+  flags.insert(flags.begin(), "bench");
+  return BenchArgs::parse(static_cast<int>(flags.size()),
+                          const_cast<char**>(flags.data()), bench_flags);
+}
+
+TEST(ReportDeathTest, BenchArgsRejectsWhatItCannotRead) {
+  // "2e5" once ran 2-cycle windows and "--thread 1" the full default sweep.
+  EXPECT_EXIT(parse({"--window", "2e5"}), testing::ExitedWithCode(2),
+              "bad --window value '2e5'");
+  EXPECT_EXIT(parse({"--thread", "1"}), testing::ExitedWithCode(2),
+              "unknown flag '--thread'");
+  EXPECT_EXIT(parse({"--reps", "-1"}), testing::ExitedWithCode(2),
+              "bad --reps value");
+  EXPECT_EXIT(parse({"--threads", "4294967296"}), testing::ExitedWithCode(2),
+              "bad --threads value");
+  EXPECT_EXIT(parse({"--seed"}), testing::ExitedWithCode(2),
+              "missing value for --seed");
+  EXPECT_EXIT(parse({"--mesh", "16x"}), testing::ExitedWithCode(2),
+              "bad --mesh value");
+  EXPECT_EXIT(parse({"--no-prefetch"}), testing::ExitedWithCode(2),
+              "unknown flag");
+}
+
+TEST(Report, BenchArgsPassesABenchsOwnFlags) {
+  const BenchArgs a =
+      parse({"--no-prefetch", "--reps", "2"}, {"--no-prefetch"});
+  EXPECT_EQ(a.reps, 2u);
+}
+
+TEST(Report, BenchArgsRunCfgAppliesTheRunFlags) {
+  RunCfg base;
+  base.window = 150'000;
+  base.reps = 1;
+  const RunCfg kept = parse({}).run_cfg(base);
+  EXPECT_EQ(kept.window, 150'000u);
+  EXPECT_EQ(kept.reps, 1u);
+  EXPECT_EQ(kept.machine.mesh_w, base.machine.mesh_w);
+  const RunCfg c =
+      parse({"--seed", "3", "--window", "5000", "--reps", "4", "--mesh",
+             "16x8", "--noc", "--noc-combining", "--telemetry-window", "700"})
+          .run_cfg(base);
+  EXPECT_EQ(c.seed, 3u);
+  EXPECT_EQ(c.window, 5000u);
+  EXPECT_EQ(c.reps, 4u);
+  EXPECT_EQ(c.machine.mesh_w, 16u);
+  EXPECT_EQ(c.machine.mesh_h, 8u);
+  EXPECT_TRUE(c.machine.model_link_contention);
+  EXPECT_TRUE(c.machine.noc_combining);
+  EXPECT_EQ(c.telemetry_window, 700u);
 }
 
 // ---- workload smoke + shape assertions (small windows) ----
