@@ -3,8 +3,8 @@
 # BENCH_engine.json at the repo root.
 #
 # Usage: scripts/bench_engine.sh [--smoke]
-#   --smoke  1% iteration counts, no fig3a and no check_explore timing (fast
-#            CI sanity check)
+#   --smoke  1% iteration counts, no figure, ctest or check_explore timing
+#            (fast CI sanity check)
 #
 # The seed_baseline block holds the same four workloads measured with this
 # exact benchmark source compiled against the pre-overhaul engine (commit
@@ -23,6 +23,14 @@
 # engine_code_lines is the size of the engine fast path: the non-blank lines
 # that are not // comments in the event queue, the scheduler, the simulated
 # execution context, the core model and the coherence model.
+# bench_code_lines counts the figure benches the same way (bench/*.cpp
+# without engine_micro, native_micro and macro_taskpool).
+#
+# figures holds, for every figure binary in bench/ at its defaults with
+# --jobs 1, the wall time and the peak RSS, and the ctest_* rows the same
+# pair for a serial `ctest` of the build. Peak RSS is the largest resident
+# set of any process the command ran (getrusage(RUSAGE_CHILDREN) read by
+# python3, since the host may lack /usr/bin/time).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,9 +40,32 @@ for a in "$@"; do
   [ "$a" = "--smoke" ] && SMOKE=1
 done
 
+FIGURES=(fig3a_counter_throughput fig3b_counter_latency fig3c_maxops_sweep
+  fig4a_stall_breakdown fig4b_combining_rate fig4c_cs_length fig5a_queues
+  fig5b_stacks fig_async_batching sec53_scalar_claims sec55_discussion
+  sec6_overflow abl_hybcomb_variants abl_locks_counter
+  abl_server_consolidation ext_combiners macro_taskpool service_counter
+  service_queue service_sharded)
+
 cmake -S . -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build "$BUILD" -j"$(nproc)" \
-  --target engine_micro fig3a_counter_throughput check_explore >/dev/null
+if [ "$SMOKE" = 1 ]; then
+  cmake --build "$BUILD" -j"$(nproc)" --target engine_micro >/dev/null
+else
+  cmake --build "$BUILD" -j"$(nproc)" >/dev/null
+fi
+
+# Prints "WALL_SECONDS PEAK_RSS_MIB" for one run of the given command.
+measure() {
+  python3 - "$@" <<'PY'
+import resource, subprocess, sys, time
+t0 = time.monotonic()
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL,
+               stderr=subprocess.DEVNULL, check=True)
+wall = time.monotonic() - t0
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"{wall:.2f} {rss:.1f}")
+PY
+}
 
 TMP_JSON="$(mktemp)"
 trap 'rm -f "$TMP_JSON"' EXIT
@@ -59,11 +90,18 @@ for i in "${!SEED_NAMES[@]}"; do
 done
 
 FIG3A="null"
+FIGURE_ROWS="{}"
+CTEST_WALL="null"
+CTEST_RSS="null"
 if [ "$SMOKE" = 0 ]; then
-  T0=$(date +%s%N)
-  "$BUILD"/bench/fig3a_counter_throughput --jobs 1 >/dev/null
-  T1=$(date +%s%N)
-  FIG3A=$(awk -v ns=$((T1 - T0)) 'BEGIN { printf "%.2f", ns / 1e9 }')
+  FIGURE_ROWS="{"
+  for f in "${FIGURES[@]}"; do
+    read -r wall rss < <(measure "$BUILD/bench/$f" --jobs 1)
+    [ "$f" = fig3a_counter_throughput ] && FIG3A="$wall"
+    FIGURE_ROWS+=$'\n'"    \"$f\": {\"wall_seconds\": $wall, \"peak_rss_mib\": $rss},"
+  done
+  FIGURE_ROWS="${FIGURE_ROWS%,}"$'\n  }'
+  read -r CTEST_WALL CTEST_RSS < <(measure ctest --test-dir "$BUILD")
 fi
 
 CHECK_EXPLORE="null"
@@ -84,6 +122,8 @@ ENGINE_FILES=(src/sim/event_queue.hpp src/sim/scheduler.hpp
   src/sim/scheduler.cpp src/runtime/sim_context.hpp src/arch/core.hpp
   src/arch/coherence.hpp src/arch/coherence.cpp)
 ENGINE_CODE_LINES=$(cat "${ENGINE_FILES[@]}" | grep -cvE '^[[:space:]]*($|//)')
+BENCH_CODE_LINES=$(ls bench/*.cpp | grep -vE 'engine_micro|native_micro|macro_taskpool' |
+  xargs cat | grep -cvE '^[[:space:]]*($|//)')
 
 {
   echo '{'
@@ -93,9 +133,13 @@ ENGINE_CODE_LINES=$(cat "${ENGINE_FILES[@]}" | grep -cvE '^[[:space:]]*($|//)')
   echo '  "engine_micro":'
   sed 's/^/  /' "$TMP_JSON" | sed '$ s/$/,/'
   echo '  "fig3a_default_wall_seconds": '"$FIG3A"','
+  echo '  "figures": '"$FIGURE_ROWS"','
+  echo '  "ctest_wall_seconds": '"$CTEST_WALL"','
+  echo '  "ctest_peak_rss_mib": '"$CTEST_RSS"','
   echo '  "check_explore_2000_wall_seconds": '"$CHECK_EXPLORE"','
   echo '  "steady_state_heap_grows": '"$HEAP_GROWS"','
   echo '  "engine_code_lines": '"$ENGINE_CODE_LINES"','
+  echo '  "bench_code_lines": '"$BENCH_CODE_LINES"','
   echo '  "seed_baseline": {'
   echo '    "commit": "dc9de22",'
   echo '    "flags": "g++ -std=c++20 -O2 -DNDEBUG",'
