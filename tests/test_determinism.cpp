@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,8 +40,10 @@
 #include "obs/metrics.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
+#include "sim/fault.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/trace.hpp"
 #include "sync/ccsynch.hpp"
 #include "sync/delegation_server.hpp"
 #include "sync/sharded.hpp"
@@ -1228,6 +1231,222 @@ TEST(GoldenHarness, RecordHistory) {
       0x46d012a140d5a4f4ull,
       0x4f27f1f7bc724909ull,
       0x09479aadc730ed98ull,
+  });
+}
+
+// Credit windows and preemption windows, shaped like sec6_overflow's fault
+// scenarios.
+sim::FaultPlan golden_fault_plan(std::uint64_t seed, sim::Cycle period) {
+  sim::FaultPlan fp;
+  fp.seed = seed;
+  fp.credit_period = period;
+  fp.credit_duration = period / 4;
+  fp.credit_pct = 25;
+  fp.preempt_period = period * 3 / 4;
+  fp.preempt_duration = period / 10;
+  return fp;
+}
+
+// The closed and open loops under a fault plan, then the same rows with a
+// trace sink attached: the traced rows hash the run entry (its `trace`
+// block included) and the merged Chrome trace, so the order of every
+// traced event is pinned too.
+TEST(GoldenHarness, FaultedAndTraced) {
+  using harness::Approach;
+  struct Row {
+    Approach a;
+    std::uint64_t max_inflight;
+    sim::Cycle stall_timeout;
+    std::uint32_t batch;
+  };
+  const Row rows[] = {{Approach::kMpServer, 0, 0, 0},
+                      {Approach::kMpServer, 8, 0, 4},
+                      {Approach::kHybComb, 0, 0, 0},
+                      {Approach::kHybComb, 8, 1'500, 4},
+                      {Approach::kCcSynch, 0, 0, 0}};
+  std::vector<std::uint64_t> got;
+  for (const bool traced : {false, true}) {
+    // Hashes one run's entry and, when traced, its merged trace.
+    auto add = [&](const std::function<void(const harness::RunObs&)>& run) {
+      sim::Tracer sink;
+      const std::uint64_t h = artifact_hash([&](const harness::RunObs& o) {
+        harness::RunObs obs = o;
+        if (traced) obs.trace = &sink;
+        run(obs);
+      });
+      std::ostringstream chrome;
+      sink.write_chrome_json(chrome);
+      got.push_back(traced ? h ^ fnv_bytes(chrome.str()) : h);
+    };
+    for (const Row& row : rows) {
+      harness::RunCfg cfg = golden_run_cfg();
+      cfg.faults = golden_fault_plan(cfg.seed, 8'000);
+      cfg.max_inflight = row.max_inflight;
+      cfg.stall_timeout = row.stall_timeout;
+      cfg.async_batch = row.batch;
+      add([&](const harness::RunObs& o) {
+        cfg.obs = o;
+        harness::run_counter(cfg, row.a);
+      });
+    }
+    for (const Row& row : rows) {
+      harness::ServiceCfg cfg = golden_service_cfg();
+      cfg.base.faults = golden_fault_plan(cfg.base.seed, 8'000);
+      cfg.base.max_inflight = row.max_inflight;
+      cfg.base.stall_timeout = row.stall_timeout;
+      cfg.base.async_batch = row.batch;
+      add([&](const harness::RunObs& o) {
+        cfg.base.obs = o;
+        harness::run_service(cfg, row.a);
+      });
+    }
+  }
+  expect_hashes("FaultedAndTraced", got, {
+      0x1f1ad5337bb79595ull,
+      0x9cb501763a7fca7bull,
+      0xbe1e3f1054d42fa3ull,
+      0x9b3388d8b4c3fe00ull,
+      0xd7465c77fdc3a7f4ull,
+      0x6d00a05a460df70dull,
+      0x67f126ead95a3f5bull,
+      0x986d0f47cfb75cb9ull,
+      0x0530d42bee5c6a92ull,
+      0xba6d472080f28354ull,
+      0x95ea80ae897777f3ull,
+      0xd7b163c85643528bull,
+      0xb9f73e547cef6f1bull,
+      0x734c5337ed8f6f73ull,
+      0x9d50156ad02a3e9dull,
+      0x6e112d788666e018ull,
+      0x70935cde896dce71ull,
+      0xad8cbc16a658d067ull,
+      0x009098a601938668ull,
+      0xdd78378ad8b6755dull,
+  });
+}
+
+// record_history under a fault plan and under a PCT perturber, synchronous
+// and with async trains, on a counter and a queue.
+TEST(GoldenHarness, RecordHistoryFaultedAndExplored) {
+  std::vector<std::uint64_t> got;
+  for (const bool explored : {false, true}) {
+    for (const std::uint32_t depth : {0u, 4u}) {
+      for (std::uint32_t c = 0; c < harness::kNumConstructions; ++c) {
+        for (const harness::Object o :
+             {harness::Object::kCounter, harness::Object::kQueue}) {
+          harness::RecordCfg cfg;
+          cfg.seed = 13 + c;
+          cfg.construction = static_cast<harness::Construction>(c);
+          cfg.object = o;
+          cfg.threads = 3;
+          cfg.ops_each = 8;
+          cfg.async_depth = depth;
+          cfg.shards = 2;
+          if (!explored) cfg.faults = golden_fault_plan(cfg.seed, 1'200);
+          check::PctPerturber pct(explore_plan(cfg.threads + 2));
+          got.push_back(history_hash(
+              harness::record_history(cfg, explored ? &pct : nullptr)));
+        }
+      }
+    }
+  }
+  expect_hashes("RecordHistoryFaultedAndExplored", got, {
+      0x610a50cf227c1a98ull,
+      0x9e4a1a5e67d4ff9dull,
+      0x6a31d88527362c90ull,
+      0x472c6b32be17093cull,
+      0x983beeb93936d85eull,
+      0xb1212c26ad440238ull,
+      0x6b971bd324b22050ull,
+      0xac060c99813d49aeull,
+      0x6ecb3df1d8a650fdull,
+      0xacd51a6817527a39ull,
+      0x88e9fb473d090b68ull,
+      0x6dd6504fb1853a09ull,
+      0xa1e7a6614a1fc087ull,
+      0x9bf35df096ababd7ull,
+      0x547d61bbafd57ae1ull,
+      0xab6661dfe0d25dc3ull,
+      0x26dc778bfda88c77ull,
+      0xd7d2f2456e6a94e4ull,
+      0xa5b5eb230e11ef79ull,
+      0x25de3dc8ca1a3f86ull,
+      0xf240b0b0f6b6a7a3ull,
+      0x1f39465695582d1aull,
+      0x8d70b4cabac3d30cull,
+      0x19fe559b780892d8ull,
+      0xdb7287a7c9c4e622ull,
+      0xc680d0b18ebe637bull,
+      0xd8c1ebe563eb2a6bull,
+      0x894d228e2171da71ull,
+      0xbd8f347e2393a839ull,
+      0x559eb503470ee2d7ull,
+      0x6b971bd324b22050ull,
+      0xac060c99813d49aeull,
+      0x6ecb3df1d8a650fdull,
+      0xacd51a6817527a39ull,
+      0x88e9fb473d090b68ull,
+      0x6dd6504fb1853a09ull,
+      0xa1e7a6614a1fc087ull,
+      0x9bf35df096ababd7ull,
+      0x547d61bbafd57ae1ull,
+      0xab6661dfe0d25dc3ull,
+      0x26dc778bfda88c77ull,
+      0xd7d2f2456e6a94e4ull,
+      0x25fa6789ed807b47ull,
+      0xc8a5c06c10a6f129ull,
+      0x757c67ea763e836eull,
+      0xc26cdd163fee9f5full,
+      0x8dd3f8d0477ef1cbull,
+      0x049f55f09fb599deull,
+      0x8e3edb4b4a512be4ull,
+      0x9e6fc4d2e269c6c6ull,
+      0xd0bd473a5c7d6f98ull,
+      0xd9b938b13c0cc4f6ull,
+      0x35adf8008d275325ull,
+      0x7694c8e08a43ae78ull,
+      0xd5e2e86620e9c3a6ull,
+      0xc2ba6f4957802888ull,
+      0xd3fefa5b1e05cdf0ull,
+      0x71077abf0ad5e0cdull,
+      0x2095384a924c5979ull,
+      0x7d52a561cba25700ull,
+      0x43b6d55b405be76cull,
+      0x5c6d76289002f267ull,
+      0x1dd3d09029822859ull,
+      0xb70ef6ffba35d8b1ull,
+      0xca03d0c5dbb860f8ull,
+      0x72258270f696f697ull,
+      0x5b97c70edab60a24ull,
+      0xc74e576b98586308ull,
+      0xb1bc441438c51acaull,
+      0xb176dc0e12de4948ull,
+      0xd469df57eca8a8ceull,
+      0x5e2314eb4399a589ull,
+      0x106b6d771168f9aaull,
+      0x1fd5637c5a16e8c0ull,
+      0x3a412a45b90db139ull,
+      0xa439616bea9ee2dfull,
+      0x80eb80218096c4d0ull,
+      0xd7bde0a3845556b7ull,
+      0xd5e2e86620e9c3a6ull,
+      0xc2ba6f4957802888ull,
+      0xd3fefa5b1e05cdf0ull,
+      0x71077abf0ad5e0cdull,
+      0x2095384a924c5979ull,
+      0x7d52a561cba25700ull,
+      0x43b6d55b405be76cull,
+      0x5c6d76289002f267ull,
+      0x1dd3d09029822859ull,
+      0xb70ef6ffba35d8b1ull,
+      0xca03d0c5dbb860f8ull,
+      0x72258270f696f697ull,
+      0x40085010d976ff4full,
+      0x617c000953a07da4ull,
+      0x6ae774038df57f4eull,
+      0x944b1b465e6301ceull,
+      0xc61b4fb72befbe93ull,
+      0x909a0be7e0f72082ull,
   });
 }
 
