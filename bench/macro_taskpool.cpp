@@ -116,7 +116,9 @@ sim::Cycle run(Pool pool, std::uint32_t workers, std::uint32_t roots,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = harness::BenchArgs::parse(argc, argv);
+  // An own loop: it reads only these flags and rejects the rest.
+  const auto args = harness::BenchArgs::parse_only(
+      argc, argv, {"--full", "--csv", "--threads", "--seed"});
   const std::uint32_t workers = args.threads ? args.threads : 16;
   const std::uint32_t roots = 64, depth = 4;
 

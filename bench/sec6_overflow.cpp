@@ -40,10 +40,11 @@ struct Outcome {
 };
 
 Outcome run(std::uint32_t app_threads, std::uint32_t buf_words,
-            sim::Cycle horizon, std::uint64_t max_inflight = 0) {
+            sim::Cycle horizon, std::uint64_t max_inflight,
+            std::uint64_t seed) {
   arch::MachineParams p = arch::MachineParams::tilegx36();
   p.udn_buf_words = buf_words;
-  rt::SimExecutor ex(p, 7);
+  rt::SimExecutor ex(p, seed);
   ds::SeqCounter c;
   sync::MpServer<SimCtx> mp(0, &c, max_inflight);
   ex.add_thread([&](SimCtx& ctx) { mp.serve(ctx); });
@@ -157,8 +158,8 @@ int main(int argc, char** argv) {
     harness::TaskPool tp(harness::resolve_jobs(args.jobs));
     for (std::size_t i = 0; i < kCases; ++i) {
       const Case cs = cases[i];
-      tp.submit([&outcomes, i, cs, horizon] {
-        outcomes[i] = run(cs.threads, cs.buf, horizon, cs.inflight);
+      tp.submit([&outcomes, i, cs, horizon, seed = args.seed] {
+        outcomes[i] = run(cs.threads, cs.buf, horizon, cs.inflight, seed);
         std::fprintf(stderr, "[sec6] threads=%u buf=%u inflight=%llu done\n",
                      cs.threads, cs.buf,
                      static_cast<unsigned long long>(cs.inflight));

@@ -24,10 +24,14 @@
 # that are not // comments in the event queue, the scheduler, the simulated
 # execution context, the core model and the coherence model.
 # bench_code_lines counts the figure benches the same way (bench/*.cpp
-# without engine_micro, native_micro and macro_taskpool).
+# without engine_micro, native_micro and macro_taskpool), and
+# harness_code_lines the harness (src/harness/*.?pp: the construction
+# registry, the run frame and its drivers, the checker and the reporting).
 #
 # figures holds, for every figure binary in bench/ at its defaults with
-# --jobs 1, the wall time and the peak RSS, and the ctest_* rows the same
+# --jobs 1 (the own-loop benches abl_server_consolidation and
+# macro_taskpool run serially and reject --jobs), the wall time and the
+# peak RSS, and the ctest_* rows the same
 # pair for a serial `ctest` of the build. Peak RSS is the largest resident
 # set of any process the command ran (getrusage(RUSAGE_CHILDREN) read by
 # python3, since the host may lack /usr/bin/time).
@@ -96,7 +100,9 @@ CTEST_RSS="null"
 if [ "$SMOKE" = 0 ]; then
   FIGURE_ROWS="{"
   for f in "${FIGURES[@]}"; do
-    read -r wall rss < <(measure "$BUILD/bench/$f" --jobs 1)
+    jobs=(--jobs 1)
+    case "$f" in abl_server_consolidation | macro_taskpool) jobs=() ;; esac
+    read -r wall rss < <(measure "$BUILD/bench/$f" "${jobs[@]}")
     [ "$f" = fig3a_counter_throughput ] && FIG3A="$wall"
     FIGURE_ROWS+=$'\n'"    \"$f\": {\"wall_seconds\": $wall, \"peak_rss_mib\": $rss},"
   done
@@ -124,6 +130,7 @@ ENGINE_FILES=(src/sim/event_queue.hpp src/sim/scheduler.hpp
 ENGINE_CODE_LINES=$(cat "${ENGINE_FILES[@]}" | grep -cvE '^[[:space:]]*($|//)')
 BENCH_CODE_LINES=$(ls bench/*.cpp | grep -vE 'engine_micro|native_micro|macro_taskpool' |
   xargs cat | grep -cvE '^[[:space:]]*($|//)')
+HARNESS_CODE_LINES=$(cat src/harness/*.?pp | grep -cvE '^[[:space:]]*($|//)')
 
 {
   echo '{'
@@ -140,6 +147,7 @@ BENCH_CODE_LINES=$(ls bench/*.cpp | grep -vE 'engine_micro|native_micro|macro_ta
   echo '  "steady_state_heap_grows": '"$HEAP_GROWS"','
   echo '  "engine_code_lines": '"$ENGINE_CODE_LINES"','
   echo '  "bench_code_lines": '"$BENCH_CODE_LINES"','
+  echo '  "harness_code_lines": '"$HARNESS_CODE_LINES"','
   echo '  "seed_baseline": {'
   echo '    "commit": "dc9de22",'
   echo '    "flags": "g++ -std=c++20 -O2 -DNDEBUG",'

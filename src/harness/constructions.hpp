@@ -2,17 +2,18 @@
 //
 // Every driver (closed loop, open-loop service, history recording) picks a
 // construction by a public enum (Approach, QueueImpl, StackImpl,
-// Construction), maps it to a registry Kind, and calls
-// with_construction(kind, params, ex, body): one switch builds only the
-// selected construction and hands it to a generic body. Every entry exposes
-// the same client call, uc.apply(ctx, fn, arg) with a CS body and a 64-bit
-// argument, Synch-Framework's single ApplyOp seam. The few entries that are
-// not universal constructions over one object get a small adapter: the
-// two-server queue, the opcode hub, the sharded fleet, and the LCRQ /
-// Treiber / elimination-stack structures (these map the CS body they are
-// handed onto their own operations). What else an entry offers comes from
-// its type through `requires`: a server loop (serve), async tickets
-// (apply_async/wait), per-thread stats and a backlog gauge for telemetry.
+// Construction) and maps it to a registry Kind; the run frame
+// (harness/driver.hpp) calls with_construction(kind, params, ex, body): one
+// switch builds only the selected construction and hands it to a generic
+// body. Every entry exposes the same client call, uc.apply(ctx, fn, arg)
+// with a CS body and a 64-bit argument, Synch-Framework's single ApplyOp
+// seam. The few entries that are not universal constructions over one
+// object get a small adapter: the two-server queue, the opcode hub, the
+// sharded fleet, and the LCRQ / Treiber / elimination-stack structures
+// (these map the CS body they are handed onto their own operations). What
+// else an entry offers comes from its type through `requires`: a server
+// loop (serve), async tickets (apply_async/wait), per-thread stats and a
+// backlog gauge for telemetry.
 #pragma once
 
 #include <algorithm>
@@ -31,12 +32,9 @@
 #include "ds/stack.hpp"
 #include "harness/record.hpp"
 #include "harness/workload.hpp"
-#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/sim_context.hpp"
 #include "runtime/sim_executor.hpp"
-#include "sim/trace.hpp"
-#include "sync/async_batcher.hpp"
 #include "sync/ccsynch.hpp"
 #include "sync/delegation_server.hpp"
 #include "sync/flat_combining.hpp"
@@ -462,77 +460,6 @@ void add_backlog_gauge(obs::Telemetry& tel, U& uc) {
     tel.add_gauge(MultiServer<U> ? "fleet_inflight" : "server_inflight",
                   [&uc] { return uc.inflight(); });
   }
-}
-
-/// One sync::AsyncBatcher per thread id of the run when the construction
-/// has tickets and `depth` >= 2 (none otherwise). Sized by the run's thread
-/// count, so a tid past the construction's capacity reaches its check_tid
-/// abort instead of writing past this vector.
-template <class U>
-class Trains {
- public:
-  Trains(U& uc, std::uint32_t depth, std::uint32_t threads) {
-    if constexpr (Async<U>) {
-      if (depth < 2) return;
-      constexpr bool eager = requires { U::kIssueOnAdd; };
-      v_.reserve(threads);
-      for (std::uint32_t t = 0; t < threads; ++t) {
-        v_.emplace_back(uc, depth, eager);
-      }
-    }
-  }
-  bool on() const { return !v_.empty(); }
-  /// Ops completed by this call: 0 while a train fills, else its length.
-  std::uint64_t add(SimCtx& ctx, Fn fn, std::uint64_t arg) {
-    if constexpr (Async<U>) return v_[ctx.tid()].add(ctx, fn, arg);
-    return 0;
-  }
-  /// Issues and reaps a partial train (open-loop lulls).
-  std::uint64_t flush(SimCtx& ctx) {
-    if constexpr (Async<U>) return v_[ctx.tid()].flush(ctx);
-    return 0;
-  }
-
- private:
-  std::vector<sync::AsyncBatcher<SimCtx, U, Fn>> v_;
-};
-
-// ---- run plumbing shared by the closed-loop and service drivers ----
-
-/// Installs the run's fault plan and trace sink on a fresh executor. A
-/// disabled plan leaves the machine untouched; tracing only observes, so
-/// runs with and without a sink have identical timings.
-inline void open_run(SimExecutor& ex, const RunCfg& cfg) {
-  if (cfg.faults.enabled()) ex.machine().install_faults(cfg.faults);
-  if (cfg.obs.trace != nullptr) {
-    ex.machine().tracer().enable(cfg.obs.trace_max_events);
-    ex.machine().tracer().set_process(cfg.obs.pid, cfg.obs.label);
-  }
-}
-
-/// Completes a run entry with the blocks every driver ends it with
-/// (`accounts` are the windowed per-core cycle accounts), then merges the
-/// run's trace into the sink.
-inline void close_run(obs::JsonValue* run, const RunCfg& cfg,
-                      SimExecutor& ex, const sync::SyncStats& stats,
-                      const std::vector<obs::CycleAccount>& accounts,
-                      const obs::Telemetry& tel) {
-  using obs::MetricsRegistry;
-  const bool tracing = cfg.obs.trace != nullptr;
-  if (run != nullptr) {
-    (*run)["machine_params"] = MetricsRegistry::params_json(cfg.machine);
-    (*run)["sync_stats"] = MetricsRegistry::sync_stats_json(stats);
-    (*run)["machine"] = MetricsRegistry::machine_json(ex.machine());
-    obs::JsonValue& accts = (*run)["cycle_accounts"];
-    for (const obs::CycleAccount& a : accounts) {
-      accts.push_back(MetricsRegistry::cycle_account_json(a));
-    }
-    if (tel.enabled()) (*run)["telemetry"] = tel.to_json();
-    if (tracing) {
-      (*run)["trace"] = MetricsRegistry::tracer_json(ex.machine().tracer());
-    }
-  }
-  if (tracing) cfg.obs.trace->merge_from(ex.machine().tracer());
 }
 
 }  // namespace hmps::harness::reg

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 
-#include "harness/constructions.hpp"
+#include "harness/driver.hpp"
 #include "sim/perturb.hpp"
 
 namespace hmps::harness {
 
 using reg::Kind;
 using rt::SimCtx;
-using rt::SimExecutor;
 
 namespace {
 
@@ -198,9 +197,11 @@ bool supports_async(Construction c) {
 }
 
 RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
-  SimExecutor ex(cfg.params, cfg.seed);
-  if (cfg.faults.enabled()) ex.machine().install_faults(cfg.faults);
-  if (perturber != nullptr) ex.sched().set_perturber(perturber);
+  RunCfg base;
+  base.machine = cfg.params;
+  base.seed = cfg.seed;
+  base.max_ops = cfg.max_ops;
+  base.faults = cfg.faults;
 
   // The construction: the fleet for kSharded (over a farm of the object's
   // type), the structure itself for LCRQ and the elimination stack (the
@@ -222,9 +223,7 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
           : reg::make_farm<ds::SeqCounter>(n_obj);
   reg::Params p;
   p.obj = farm.get();
-  p.max_ops = cfg.max_ops;
   p.hyb_bug_drop_every = cfg.hyb_bug_drop_every;
-  p.shm_depth = cfg.async_depth;
   p.lcrq_order = 5;
   p.lcrq_rings = 4096;
   p.shards = cfg.shards;
@@ -236,65 +235,60 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
   res.total_client_threads = cfg.threads;
   HistoryRecorder rec;
 
-  reg::with_construction(kind, p, ex, [&](auto& uc) {
-    using U = std::remove_reference_t<decltype(uc)>;
-    reg::add_servers(ex, uc);
-    // Async recording mode: issue `depth`-sized trains of tickets, then
-    // reap them in REVERSE order (deliberately exercising the out-of-order
+  auto body = [&](auto& run) {
+    using U = std::remove_reference_t<decltype(run.uc)>;
+    U& uc = run.uc;
+    // Async recording mode: issue trains of `depth` tickets, then reap
+    // them in REVERSE order (deliberately exercising the out-of-order
     // staging path). Invocation is recorded at issue, response at reap,
     // so the interval brackets the linearization point: the CS runs after
     // the send and its reply arrives before the reap returns.
-    const std::uint32_t depth =
-        reg::Async<U> && cfg.async_depth >= 2
-            ? std::min<std::uint32_t>(cfg.async_depth, 16)
-            : 0;
-    for (std::uint32_t i = 0; i < cfg.threads; ++i) {
-      ex.add_thread([&, i, depth](SimCtx& ctx) {
-        auto think = [&] {
-          if (cfg.think_max > 0) {
-            ctx.compute(ctx.rand_below(
-                static_cast<std::uint32_t>(cfg.think_max) + 1));
-          }
-        };
-        std::uint32_t k = 0;
-        while (k < cfg.ops_each) {
-          if constexpr (reg::Async<U>) {
-            if (depth != 0) {
-              const std::uint32_t n = std::min(depth, cfg.ops_each - k);
-              Drawn ops[16];
-              sync::Ticket tickets[16];
-              Cycle invokes[16];
-              for (std::uint32_t j = 0; j < n; ++j, ++k) {
-                ops[j] = draw(ctx, cfg, i, k);
-                invokes[j] = ctx.now();
-                tickets[j] = uc.apply_async(ctx, ops[j].fn, ops[j].arg);
-              }
-              for (std::uint32_t j = n; j-- > 0;) {
-                const std::uint64_t ret = uc.wait(ctx, tickets[j]);
-                finish(rec, ops[j], invokes[j], ctx.now(), ret);
-              }
-              think();
-              continue;
+    const std::uint32_t depth = run.depth();
+    run.spawn([&](SimCtx& ctx, std::uint32_t i) {
+      auto think = [&] {
+        if (cfg.think_max > 0) {
+          ctx.compute(ctx.rand_below(
+              static_cast<std::uint32_t>(cfg.think_max) + 1));
+        }
+      };
+      std::uint32_t k = 0;
+      while (k < cfg.ops_each) {
+        if constexpr (reg::Async<U>) {
+          if (depth != 0) {
+            const std::uint32_t n = std::min(depth, cfg.ops_each - k);
+            Drawn ops[sync::AsyncBatcher<SimCtx, U, reg::Fn>::kMaxDepth];
+            sync::Ticket tickets[std::size(ops)];
+            Cycle invokes[std::size(ops)];
+            for (std::uint32_t j = 0; j < n; ++j, ++k) {
+              ops[j] = draw(ctx, cfg, i, k);
+              invokes[j] = ctx.now();
+              tickets[j] = uc.apply_async(ctx, ops[j].fn, ops[j].arg);
             }
+            for (std::uint32_t j = n; j-- > 0;) {
+              const std::uint64_t ret = uc.wait(ctx, tickets[j]);
+              finish(rec, ops[j], invokes[j], ctx.now(), ret);
+            }
+            think();
+            continue;
           }
-          const Drawn d = draw(ctx, cfg, i, k++);
-          const Cycle invoke = ctx.now();
-          const std::uint64_t ret = uc.apply(ctx, d.fn, d.arg);
-          finish(rec, d, invoke, ctx.now(), ret);
-          think();
         }
-        if (++res.finished_threads == cfg.threads) {
-          if constexpr (reg::Serves<U>) uc.request_stop(ctx);
-        }
-      });
-    }
-    ex.run_until(cfg.horizon);
-    // Detach the perturber while the construction still exists.
-    if (perturber != nullptr) ex.sched().set_perturber(nullptr);
-  });
+        const Drawn d = draw(ctx, cfg, i, k++);
+        const Cycle invoke = ctx.now();
+        std::uint64_t ret = 0;
+        run.issue(ctx, d.fn, d.arg, &ret);
+        finish(rec, d, invoke, ctx.now(), ret);
+        think();
+      }
+      if (++res.finished_threads == cfg.threads) {
+        if constexpr (reg::Serves<U>) uc.request_stop(ctx);
+      }
+    });
+    run.ex.run_until(cfg.horizon);
+    res.end_time = run.ex.sched().now();
+  };
+  reg::drive(base, kind, p, cfg.threads, cfg.async_depth, body, perturber);
 
   res.completed = res.finished_threads == cfg.threads;
-  res.end_time = ex.sched().now();
   res.history = rec.ops();
   return res;
 }

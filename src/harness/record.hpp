@@ -3,6 +3,9 @@
 // (or the concurrent LCRQ / elimination-stack structures) driving one
 // concurrent object on the simulator — and returns the precise
 // invoke/response history for the linearizability checkers in history.hpp.
+// It stands on the harness's run frame (harness/driver.hpp) like the closed
+// and open loops; its own are the op draw, the run to the horizon and the
+// reverse-order reap of its async trains.
 //
 // The same RecordCfg + seed (+ optional sim::Perturber with the same plan)
 // reproduces the same history bit for bit from the same heap state: the

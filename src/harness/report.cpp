@@ -65,8 +65,28 @@ constexpr const char* kUsage =
     "[--threads N] [--window CYCLES] [--reps N] [--seed N] [--jobs N] "
     "[--mesh WxH] [--telemetry-window CYCLES] [--noc] [--noc-combining]";
 
-[[noreturn]] void usage_error(const std::string& what) {
-  std::cerr << what << "\n" << kUsage << "\n";
+using Flags = std::initializer_list<std::string_view>;
+
+/// The usage line: every common flag, or only those in `reads`.
+std::string usage(const Flags* reads) {
+  if (reads == nullptr) return kUsage;
+  const std::string_view all = kUsage;
+  std::string u = "flags:";
+  for (std::size_t b = all.find('['); b != all.npos;
+       b = all.find('[', b + 1)) {
+    const std::string_view group = all.substr(b, all.find(']', b) + 1 - b);
+    const std::string_view flag =
+        group.substr(1, group.find_first_of(" ]") - 1);
+    if (std::find(reads->begin(), reads->end(), flag) != reads->end()) {
+      u += " " + std::string(group);
+    }
+  }
+  return u;
+}
+
+[[noreturn]] void usage_error(const std::string& what,
+                              const Flags* reads = nullptr) {
+  std::cerr << what << "\n" << usage(reads) << "\n";
   std::exit(2);
 }
 
@@ -94,10 +114,10 @@ T* field(const std::pair<std::string_view, T*> (&table)[N],
   return nullptr;
 }
 
-}  // namespace
-
-BenchArgs BenchArgs::parse(
-    int argc, char** argv, std::initializer_list<std::string_view> bench_flags) {
+/// BenchArgs::parse(), restricted to the common flags in `reads` when it
+/// is set.
+BenchArgs parse_flags(int argc, char** argv, Flags bench_flags,
+                      const Flags* reads) {
   BenchArgs a;
   const std::pair<std::string_view, bool*> switches[] = {
       {"--full", &a.full},
@@ -119,12 +139,17 @@ BenchArgs BenchArgs::parse(
       return argv[++i];
     };
     if (f == "--help") {
-      std::cout << kUsage << "\n";
+      std::cout << usage(reads) << "\n";
       std::exit(0);
     }
     if (std::find(bench_flags.begin(), bench_flags.end(), f) !=
         bench_flags.end()) {
       continue;
+    }
+    if (reads != nullptr &&
+        std::find(reads->begin(), reads->end(), f) == reads->end()) {
+      usage_error("flag '" + std::string(f) + "' is not read by this bench",
+                  reads);
     }
     if (bool* b = field(switches, f)) {
       *b = true;
@@ -152,6 +177,17 @@ BenchArgs BenchArgs::parse(
     }
   }
   return a;
+}
+
+}  // namespace
+
+BenchArgs BenchArgs::parse(int argc, char** argv, Flags bench_flags) {
+  return parse_flags(argc, argv, bench_flags, nullptr);
+}
+
+BenchArgs BenchArgs::parse_only(int argc, char** argv, Flags reads,
+                                Flags bench_flags) {
+  return parse_flags(argc, argv, bench_flags, &reads);
 }
 
 RunCfg BenchArgs::run_cfg(RunCfg base) const {

@@ -74,6 +74,13 @@ struct BenchArgs {
                          std::initializer_list<std::string_view> bench_flags =
                              {});
 
+  /// parse() for a bench that reads only the common flags in `reads` (an
+  /// own-loop bench): any other common flag prints the bench's usage and
+  /// exits 2 instead of being accepted and ignored.
+  static BenchArgs parse_only(
+      int argc, char** argv, std::initializer_list<std::string_view> reads,
+      std::initializer_list<std::string_view> bench_flags = {});
+
   /// `base` — a bench's own defaults — with the run flags applied.
   RunCfg run_cfg(RunCfg base = {}) const;
 };

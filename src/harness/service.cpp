@@ -7,7 +7,7 @@
 #include <functional>
 #include <vector>
 
-#include "harness/constructions.hpp"
+#include "harness/driver.hpp"
 #include "sim/stats.hpp"
 
 namespace hmps::harness {
@@ -51,22 +51,18 @@ struct PendingStamp {
   Cycle t_disp;
 };
 
-/// The open-loop run over construction `uc` (one server or a fleet; the
-/// farm object index rides in each op's argument).
+/// The open-loop run (one server or a fleet; the farm object index rides
+/// in each op's argument). Its measurement window is run.cfg.window.
 template <class U>
-RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
-                    std::uint32_t nsess, std::uint32_t nobj) {
-  const RunCfg& base = cfg.base;
-  const Cycle measure =
-      base.window * std::max<std::uint64_t>(base.reps, 1);
+RunResult open_loop(const ServiceCfg& cfg, reg::Run<U>& run,
+                    std::uint32_t nobj) {
+  const RunCfg& base = run.cfg;
+  SimExecutor& ex = run.ex;
+  const std::uint32_t nsess = run.clients;
   const Cycle t_meas0 = base.warmup;
-  const Cycle t_end = base.warmup + measure;
+  const Cycle t_end = base.warmup + base.window;
   const reg::Fn fn_main = cfg.queue_object ? &reg::farm_enq : &reg::farm_inc;
   const reg::Fn fn_alt = cfg.queue_object ? &reg::farm_deq : &reg::farm_get;
-
-  const std::uint32_t ns = reg::add_servers(ex, uc);
-  // Client-side trains (idle-flushed on lulls; docs/SERVICE.md).
-  reg::Trains<U> trains(uc, base.async_batch, ns + nsess);
 
   // ---- open-loop state ----
   ArrivalGen gen(cfg, base.seed * 0x9e3779b97f4a7c15ULL + 0xA55A);
@@ -91,7 +87,7 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
   // Windowed sampling (off unless base.telemetry_window > 0): per-window
   // sojourn percentiles, throughput, admission-queue depth, sheds, and the
   // construction's backlog gauge — the time-resolved view of this run.
-  obs::Telemetry tel(ex.machine(), {base.telemetry_window});
+  obs::Telemetry& tel = run.tel;
   if (tel.enabled()) {
     tel.enable_completion_stream();
     tel.add_gauge("admission_queue", [&pend] {
@@ -99,8 +95,9 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
       for (const auto& q : pend) n += q.size();
       return n;
     });
-    reg::add_backlog_gauge(tel, uc);
-    tel.add_counter("shed_ops", [&uc] { return reg::sum_stats(uc).shed_ops; });
+    reg::add_backlog_gauge(tel, run.uc);
+    tel.add_counter("shed_ops",
+                    [&run] { return reg::sum_stats(run.uc).shed_ops; });
     tel.add_counter("offered", [&offered_n] { return offered_n; });
   }
 
@@ -123,73 +120,58 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
     }
   };
 
-  auto record = [&](Cycle t_arr, Cycle t_disp, Cycle t_done) {
-    if (t_done < t_meas0) return;
-    sojourn.add(t_done - t_arr);
-    queue_delay.add(static_cast<double>(t_disp - t_arr));
-    service_time.add(static_cast<double>(t_done - t_disp));
-    ++completed_n;
-    tel.record_completion(t_done - t_arr);
-  };
-
   // ---- session fibers ----
-  for (std::uint32_t i = 0; i < nsess; ++i) {
-    const std::uint32_t tid = ns + i;
-    ex.add_thread([&, i, tid](SimCtx& ctx) {
-      sfid[i] = ex.sched().current();
-      const std::uint32_t core = tid % ex.machine().cores();
-      auto& myq = pend[i];
-      auto& mystamps = stamps[i];
-      // Records the `n` oldest stamped ops as completed now.
-      auto complete = [&](std::uint64_t n) {
-        const Cycle done = ctx.now();
-        for (std::uint64_t j = 0; j < n; ++j) {
-          const PendingStamp s = mystamps.front();
-          mystamps.pop_front();
-          record(s.t_arr, s.t_disp, done);
-        }
-      };
-      std::uint64_t k = 0;
-      for (;;) {
-        if (myq.empty()) {
-          // Open-loop lull: flush the partial train so its ops are not
-          // stranded until the next arrival (sync::AsyncBatcher).
-          if (trains.on()) {
-            if (const std::uint64_t n = trains.flush(ctx); n > 0) {
-              complete(n);
-              continue;  // time passed; re-check for new arrivals
-            }
-          }
-          waiting[i] = 1;
-          ex.sched().suspend();
-          continue;
-        }
-        const Arrival arr = myq.front();
-        myq.pop_front();
-        const Cycle t_disp = ctx.now();
-        // Queueing delay spent inside the measurement window becomes
-        // svc-queue on this session's core (clamped at the window start so
-        // a wait that began during warmup cannot overdraw the reset
-        // buckets).
-        const Cycle wait_from = arr.t > t_meas0 ? arr.t : t_meas0;
-        if (t_disp > wait_from) {
-          carve_queue_delay(ex.machine().core(core).account,
-                            t_disp - wait_from);
-        }
-        const std::uint64_t arg = sync::ShardedServer<SimCtx>::pack_obj_arg(
-            arr.obj, cfg.queue_object ? 1 + (k & 0xFFFF) : 0);
-        ++k;
-        const reg::Fn fn = arr.alt ? fn_alt : fn_main;
-        if (trains.on()) {
-          mystamps.push_back({arr.t, t_disp});
-          complete(trains.add(ctx, fn, arg));
-        } else {
-          uc.apply(ctx, fn, arg);
-          record(arr.t, t_disp, ctx.now());
-        }
+  run.spawn([&](SimCtx& ctx, std::uint32_t i) {
+    sfid[i] = ex.sched().current();
+    const std::uint32_t core = (run.servers + i) % ex.machine().cores();
+    auto& myq = pend[i];
+    auto& mystamps = stamps[i];
+    // Records the `n` oldest stamped ops as completed now.
+    auto complete = [&](std::uint64_t n) {
+      const Cycle done = ctx.now();
+      for (std::uint64_t j = 0; j < n; ++j) {
+        const PendingStamp st = mystamps.front();
+        mystamps.pop_front();
+        if (done < t_meas0) continue;
+        sojourn.add(done - st.t_arr);
+        queue_delay.add(static_cast<double>(st.t_disp - st.t_arr));
+        service_time.add(static_cast<double>(done - st.t_disp));
+        ++completed_n;
+        tel.record_completion(done - st.t_arr);
       }
-    });
-  }
+    };
+    std::uint64_t k = 0;
+    for (;;) {
+      if (myq.empty()) {
+        // Open-loop lull: flush the partial train so its ops are not
+        // stranded until the next arrival (sync::AsyncBatcher).
+        if (const std::uint64_t n = run.flush(ctx); n > 0) {
+          complete(n);
+          continue;  // time passed; re-check for new arrivals
+        }
+        waiting[i] = 1;
+        ex.sched().suspend();
+        continue;
+      }
+      const Arrival arr = myq.front();
+      myq.pop_front();
+      const Cycle t_disp = ctx.now();
+      // Queueing delay spent inside the measurement window becomes
+      // svc-queue on this session's core (clamped at the window start so
+      // a wait that began during warmup cannot overdraw the reset
+      // buckets).
+      const Cycle wait_from = arr.t > t_meas0 ? arr.t : t_meas0;
+      if (t_disp > wait_from) {
+        carve_queue_delay(ex.machine().core(core).account,
+                          t_disp - wait_from);
+      }
+      const std::uint64_t arg = sync::ShardedServer<SimCtx>::pack_obj_arg(
+          arr.obj, cfg.queue_object ? 1 + (k & 0xFFFF) : 0);
+      ++k;
+      mystamps.push_back({arr.t, t_disp});
+      complete(run.issue(ctx, arr.alt ? fn_alt : fn_main, arg));
+    }
+  });
 
   // ---- arrival delivery (scheduler callbacks; composes with the
   // wait_until fast path: a pending arrival event blocks the floor raise,
@@ -203,8 +185,8 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
     bool admitted = true;
     if (q.size() >= cfg.queue_cap) {
       // Admission control: the pending queue is full.
-      if constexpr (requires { ++uc.stats(0).shed_ops; }) {
-        ++uc.stats(ns + sess).shed_ops;
+      if constexpr (requires { ++run.uc.stats(0).shed_ops; }) {
+        ++run.uc.stats(run.servers + sess).shed_ops;
       }
       if (cfg.shed == ShedPolicy::kDropNewest) {
         admitted = false;
@@ -233,23 +215,21 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
   // ---- run: warmup, then one continuous measurement window ----
   ex.run_until(base.warmup);
   ex.machine().reset_window_counters();
-  const SyncStats stats0 = reg::sum_stats(uc);
   // Baseline after the reset: every account starts from zero at t_meas0,
   // so the per-bucket window sums telescope to the final cycle_accounts.
-  tel.start(t_meas0, t_end);
+  run.mark(t_meas0, t_end);
   ex.run_until(t_end);
   // Close the books even if the event queue drained before t_end (all
   // sessions idle past the last arrival): the tail must become idle time
   // or the per-core accounts under-cover the window.
   ex.machine().finalize_accounts(t_end);
   tel.flush(t_end);
-  const SyncStats stat_delta = reg::sum_stats(uc).since(stats0);
+  run.window(completed_n);
 
   RunResult r;
   r.total_ops = completed_n;
   r.arrivals = admitted_n;
-  r.shed_ops = stat_delta.shed_ops;
-  const double win = static_cast<double>(measure);
+  const double win = static_cast<double>(base.window);
   r.mops = static_cast<double>(completed_n) / win * 1200.0;
   r.offered_mops = static_cast<double>(offered_n) / win * 1200.0;
   r.lat_mean = sojourn.summary().mean();
@@ -260,42 +240,12 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
   r.lat_max = sojourn.summary().max();
   r.queue_delay_mean = queue_delay.mean();
   r.service_mean = service_time.mean();
-  r.combining_rate = stat_delta.combining_rate();
-  r.throttle_waits = stat_delta.throttle_waits;
-  r.stall_timeouts = stat_delta.stall_timeouts;
-  r.cycles_per_op = r.mops > 0 ? 1200.0 / r.mops : 0;
-  // Windowed attribution of the serving core ([0]: shard 0 for a fleet,
-  // the first session's core for the serverless combiners).
-  r.serv_account = ex.machine().core(0).account;
-  r.serv_ops = static_cast<double>(stat_delta.served ? stat_delta.served
-                                                     : completed_n);
+  r.shed_ops = run.end(r).shed_ops;
 
-  obs::JsonValue* run = nullptr;
-  if (base.obs.metrics != nullptr) {
+  obs::JsonValue* entry = run.entry(r, /*closed=*/false);
+  if (entry != nullptr) {
     using obs::JsonValue;
-    run = &base.obs.metrics->add_run(base.obs.label);
-    JsonValue& c = (*run)["config"];
-    c["app_threads"] = JsonValue(std::uint64_t{nsess});
-    c["servers"] = JsonValue(std::uint64_t{ns});
-    c["warmup"] = JsonValue(std::uint64_t{base.warmup});
-    c["window"] = JsonValue(std::uint64_t{measure});
-    c["reps"] = JsonValue(std::uint64_t{1});
-    c["seed"] = JsonValue(base.seed);
-    c["max_ops"] = JsonValue(base.max_ops);
-    c["max_inflight"] = JsonValue(base.max_inflight);
-    c["stall_timeout"] = JsonValue(std::uint64_t{base.stall_timeout});
-    c["async_batch"] = JsonValue(std::uint64_t{base.async_batch});
-    c["faults_enabled"] = JsonValue(base.faults.enabled());
-    JsonValue& res = (*run)["results"];
-    res["mops"] = JsonValue(r.mops);
-    res["lat_mean"] = JsonValue(r.lat_mean);
-    res["lat_p50"] = JsonValue(r.lat_p50);
-    res["lat_p99"] = JsonValue(r.lat_p99);
-    res["total_ops"] = JsonValue(r.total_ops);
-    res["throttle_waits"] = JsonValue(r.throttle_waits);
-    res["stall_timeouts"] = JsonValue(r.stall_timeouts);
-    res["serv_ops"] = JsonValue(r.serv_ops);
-    JsonValue& svc = (*run)["service"];
+    JsonValue& svc = (*entry)["service"];
     svc["arrival"] = JsonValue(arrival_model_name(cfg.arrival));
     svc["offered_mops_target"] = JsonValue(cfg.offered_mops);
     svc["offered_mops"] = JsonValue(r.offered_mops);
@@ -303,7 +253,7 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
     svc["sessions"] = JsonValue(std::uint64_t{nsess});
     svc["objects"] = JsonValue(std::uint64_t{nobj});
     if constexpr (reg::MultiServer<U>) {
-      svc["shards"] = JsonValue(std::uint64_t{ns});
+      svc["shards"] = JsonValue(std::uint64_t{run.servers});
     }
     svc["zipf_s"] = JsonValue(cfg.zipf_s);
     svc["burst"] = JsonValue(cfg.burst);
@@ -327,18 +277,18 @@ RunResult open_loop(const ServiceCfg& cfg, SimExecutor& ex, U& uc,
     svc["queue_delay_mean"] = JsonValue(r.queue_delay_mean);
     svc["service_mean"] = JsonValue(r.service_mean);
   }
-  std::vector<obs::CycleAccount> accounts;
-  for (std::uint32_t core = 0; core < ex.machine().cores(); ++core) {
-    accounts.push_back(ex.machine().core(core).account);
-  }
-  reg::close_run(run, base, ex, stat_delta, accounts, tel);
+  run.close(entry);
   return r;
 }
 
 /// Builds construction `kind` over a counter or queue farm and runs the
 /// open loop against it; `name` names it in diagnostics.
 RunResult run_farm(const ServiceCfg& cfg, Kind kind, const char* name) {
-  const RunCfg& base = cfg.base;
+  // One continuous measurement window: percentiles need the whole
+  // completion stream.
+  RunCfg base = cfg.base;
+  base.window *= std::max<std::uint64_t>(base.reps, 1);
+  base.reps = 1;
   const bool fleet = kind == Kind::kSharded;
   const std::uint32_t max_sessions =
       fleet ? sync::ShardedServer<SimCtx>::kMaxClients : ~0u;
@@ -346,35 +296,31 @@ RunResult run_farm(const ServiceCfg& cfg, Kind kind, const char* name) {
       std::min(std::max(cfg.sessions, 1u), max_sessions);
   const std::uint32_t nobj = std::min(std::max(cfg.objects, 1u),
                                       fleet ? kShardedObjects : kMaxObjects);
-
-  SimExecutor ex(base.machine, base.seed);
-  reg::open_run(ex, base);
   const reg::FarmPtr farm = cfg.queue_object
                                 ? reg::make_farm<ds::SeqQueue>(nobj)
                                 : reg::make_farm<ds::SeqCounter>(nobj);
   reg::Params p;
   p.obj = farm.get();
-  p.max_ops = base.max_ops;
-  p.max_inflight = base.max_inflight;
-  p.stall_timeout = base.stall_timeout;
-  p.shm_depth = base.async_batch;
   p.shards = cfg.shards;
   p.objects = nobj;
   p.transfers = cfg.queue_object;
-  return reg::with_construction(kind, p, ex, [&](auto& uc) -> RunResult {
-    using U = std::remove_reference_t<decltype(uc)>;
-    // The constructions with a service driver (compiled only for them).
-    if constexpr (reg::OneOf<U, sync::MpServer<SimCtx>, sync::HybComb<SimCtx>,
-                             sync::ShmServer<SimCtx>, sync::CcSynch<SimCtx>,
-                             sync::VlinkServer<SimCtx>, reg::Fleet>) {
-      return open_loop(cfg, ex, uc, nsess, nobj);
-    }
-    std::fprintf(stderr,
-                 "hmps fatal: run_service: approach %s has no service "
-                 "driver\n",
-                 name);
-    std::abort();
-  });
+  return reg::drive(
+      base, kind, p, nsess, base.async_batch, [&](auto& run) -> RunResult {
+        using U = std::remove_reference_t<decltype(run.uc)>;
+        // The constructions with a service driver (compiled only for them).
+        if constexpr (reg::OneOf<U, sync::MpServer<SimCtx>,
+                                 sync::HybComb<SimCtx>,
+                                 sync::ShmServer<SimCtx>,
+                                 sync::CcSynch<SimCtx>,
+                                 sync::VlinkServer<SimCtx>, reg::Fleet>) {
+          return open_loop(cfg, run, nobj);
+        }
+        std::fprintf(stderr,
+                     "hmps fatal: run_service: approach %s has no service "
+                     "driver\n",
+                     name);
+        std::abort();
+      });
 }
 
 }  // namespace

@@ -3,17 +3,20 @@
 // reports what the closed-loop benches cannot — sojourn time (arrival to
 // completion) under that load, split into queueing delay and service time.
 //
-// The closed-loop drivers (harness/workload.hpp) let N clients re-issue as
-// soon as the previous operation completes, so the measured latency is
+// The closed loop (harness/workload.hpp) lets N clients re-issue as soon
+// as the previous operation completes, so the measured latency is
 // conditioned on the system keeping up. Here a deterministic arrival
 // process (Poisson, or bursty via a two-state Markov-modulated Poisson
 // process) generates operations on the simulation's event queue; client
-// session fibers drain a bounded pending-arrivals queue and issue the
-// operations through the PR 5 ticket API (sync::Ticket issue/completion
-// stamps). When offered load exceeds capacity the pending queue fills and
-// admission control sheds arrivals (SyncStats::shed_ops), so the reported
+// session fibers drain a bounded pending-arrivals queue and issue each
+// operation through the run frame's one issue step (harness/driver.hpp: a
+// synchronous apply, or an async-ticket train with async_batch >= 2). When
+// offered load exceeds capacity the pending queue fills and admission
+// control sheds arrivals (SyncStats::shed_ops), so the reported
 // percentiles describe the *admitted* traffic — the standard open-loop
-// methodology.
+// methodology. The frame is shared with the closed loop and the history
+// recorder; the arrivals, admission control and the one-window
+// measurement are this driver's own.
 #pragma once
 
 #include <algorithm>

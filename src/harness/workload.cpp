@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <utility>
 #include <vector>
 
-#include "harness/constructions.hpp"
+#include "harness/driver.hpp"
 #include "sim/stats.hpp"
 
 namespace hmps::harness {
@@ -91,19 +91,8 @@ struct Mix {
   }
 };
 
-// Everything the closed loop snapshots at window boundaries.
-struct Snapshot {
-  std::vector<std::uint64_t> ops;
-  std::vector<double> latsum;
-  SyncStats stats;  // summed over threads
-  Cycle core0_busy = 0, core0_stall = 0;
-  std::uint64_t msgs = 0;
-  Cycle ctrl_wait = 0;
-  // Settled per-core cycle accounts (monotonic; windows are diffs).
-  std::vector<obs::CycleAccount> accounts;
-};
-
-/// What the closed loop's clients tally for the measurement windows.
+/// What the closed loop's clients tally; the measurement shell takes each
+/// window's counts and zeroes them.
 struct Tally {
   explicit Tally(std::uint32_t threads) : ops(threads, 0), latsum(threads, 0) {}
   std::vector<std::uint64_t> ops;
@@ -112,104 +101,50 @@ struct Tally {
   sim::Histogram lat_hist{/*bucket_width=*/8, /*nbuckets=*/4096};
 };
 
-/// Warmup, measurement windows and the run entry: the part of the closed
-/// loop that does not depend on the construction (compiled once).
-RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
-                  Tally& tally, obs::Telemetry& tel,
-                  const std::function<SyncStats()>& sum_stats);
+/// The servicing core's cycles and the machine's message and controller
+/// counters at a window boundary.
+struct Counters {
+  Cycle busy, stall;
+  std::uint64_t msgs;
+  Cycle ctrl_wait;
+};
 
-/// The Section 5.2 closed loop over construction `uc`: app thread i issues
-/// mix.at(k) for k = 0, 1, ... with think time between ops, through
-/// per-thread trains of `batch` async tickets when uc has them (batch >= 2).
-/// `gauges` registers uc's backlog gauge with telemetry.
-template <class U>
-RunResult closed_loop(const RunCfg& cfg, SimExecutor& ex, U& uc,
-                      const Mix& mix, std::uint32_t batch, bool gauges) {
-  const std::uint32_t ns = reg::add_servers(ex, uc);
-  const std::uint32_t na = cfg.app_threads;
-  reg::Trains<U> trains(uc, batch, ns + na);
-  Tally tally(na);
-  for (std::uint32_t i = 0; i < na; ++i) {
-    ex.add_thread([&, i](SimCtx& ctx) {
-      std::uint64_t k = 0;
-      for (;;) {
-        const Cycle t0 = ctx.now();
-        const CsCall op = mix.at(k++);
-        // Ops completed by this call: 1 for a synchronous apply, 0 while a
-        // train fills, the train length when one is issued and reaped.
-        std::uint64_t done = 1;
-        if (trains.on()) {
-          done = trains.add(ctx, op.fn, op.arg);
-        } else {
-          uc.apply(ctx, op.fn, op.arg);
-        }
-        const Cycle lat = ctx.now() - t0;
-        // latsum accumulates all time spent inside the op (including calls
-        // that only buffered), so lat_mean stays time-per-completed-op
-        // under batching; the histogram records the train's mean.
-        tally.ops[i] += done;
-        tally.latsum[i] += static_cast<double>(lat);
-        if (tally.measuring && done > 0) tally.lat_hist.add(lat / done);
-        // Section 5.2: up to think_iters_max empty loop iterations.
-        ctx.compute(cfg.think_iter_cost *
-                    ctx.rand_below(cfg.think_iters_max + 1));
-      }
-    });
-  }
-  obs::Telemetry tel(ex.machine(), {cfg.telemetry_window});
-  if (tel.enabled() && gauges) reg::add_backlog_gauge(tel, uc);
-  return measure(cfg, ex, ns, tally, tel, [&uc] { return reg::sum_stats(uc); });
-}
-
-RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
-                  Tally& tally, obs::Telemetry& tel,
-                  const std::function<SyncStats()>& sum_stats) {
-  const std::uint32_t na = cfg.app_threads;
-  auto snap = [&]() {
-    Snapshot s;
-    s.ops = tally.ops;
-    s.latsum = tally.latsum;
-    s.stats = sum_stats();
-    s.core0_busy = ex.machine().core(0).busy;
-    s.core0_stall = ex.machine().core(0).stall;
-    s.msgs = ex.machine().udn().counters().messages;
-    s.ctrl_wait = ex.machine().coherence().counters().ctrl_wait_total;
-    ex.machine().settle_accounts();
-    s.accounts.reserve(ex.machine().cores());
-    for (std::uint32_t c = 0; c < ex.machine().cores(); ++c) {
-      s.accounts.push_back(ex.machine().core(c).account);
-    }
-    return s;
+/// The closed loop's measurement shell: warmup, then `reps` windows
+/// (construction-independent, so compiled once).
+RunResult measure(reg::Frame& f, Tally& tally) {
+  const RunCfg& cfg = f.cfg;
+  arch::Machine& m = f.ex.machine();
+  // Reads the boundary's counters, then settles every core's account.
+  auto snap = [&m] {
+    const Counters c{m.core(0).busy, m.core(0).stall,
+                     m.udn().counters().messages,
+                     m.coherence().counters().ctrl_wait_total};
+    m.settle_accounts();
+    return c;
   };
-
-  ex.run_until(cfg.warmup);
+  f.ex.run_until(cfg.warmup);
   tally.measuring = true;
-  const Snapshot first = snap();
-  Snapshot prev = first;
-  // Baseline right after the run-level snapshot (snap() settled the
-  // accounts), so per-bucket window sums telescope to exactly the
-  // run-level cycle_accounts deltas below.
-  tel.start(ex.sched().now(), ex.sched().now() + cfg.reps * cfg.window);
+  const Counters first = snap();
+  std::fill(tally.ops.begin(), tally.ops.end(), 0);
+  std::fill(tally.latsum.begin(), tally.latsum.end(), 0.0);
+  // Baselines right after snap() settled the accounts, so per-bucket
+  // telemetry window sums telescope to exactly the run's cycle_accounts.
+  const Cycle t0 = f.ex.sched().now();
+  f.mark(t0, t0 + cfg.reps * cfg.window);
 
   RunResult r;
   std::vector<double> rep_mops;
-  double lat_n = 0, lat_sum = 0;
-  double serv_ops = 0;
-  double fair_max = 0, fair_min = 0;
-  SyncStats stat_delta{};
-  std::uint64_t msgs = 0;
-  double ctrl_wait = 0;
-
+  double lat_sum = 0, fair_max = 0, fair_min = 0;
+  Counters last = first;
   for (std::uint32_t rep = 0; rep < cfg.reps; ++rep) {
-    ex.run_until(ex.sched().now() + cfg.window);
-    Snapshot cur = snap();
-
+    f.ex.run_until(f.ex.sched().now() + cfg.window);
+    // Take and zero the window's counts.
     std::uint64_t dops = 0, dmax = 0, dmin = ~std::uint64_t{0};
     double dlat = 0;
-    for (std::uint32_t i = 0; i < na; ++i) {
-      const std::uint64_t d = cur.ops[i] - prev.ops[i];
+    for (std::uint32_t i = 0; i < f.clients; ++i) {
+      const std::uint64_t d = std::exchange(tally.ops[i], 0);
       dops += d;
-      dlat += cur.latsum[i] - prev.latsum[i];
+      dlat += std::exchange(tally.latsum[i], 0);
       // The fixed combiner (thread 0) completes no application ops; skip
       // zero-op threads in the fairness ratio.
       if (d > 0) {
@@ -217,124 +152,88 @@ RunResult measure(const RunCfg& cfg, SimExecutor& ex, std::uint32_t ns,
         dmin = std::min(dmin, d);
       }
     }
+    last = snap();
     rep_mops.push_back(static_cast<double>(dops) /
                        static_cast<double>(cfg.window) * 1200.0);
     lat_sum += dlat;
-    lat_n += static_cast<double>(dops);
     fair_max += static_cast<double>(dmax);
     fair_min += static_cast<double>(dmin == ~std::uint64_t{0} ? 0 : dmin);
-
-    const SyncStats d = cur.stats.since(prev.stats);
-    serv_ops += static_cast<double>(d.served ? d.served : dops);
-    stat_delta.add(d);
-    msgs += cur.msgs - prev.msgs;
-    ctrl_wait += static_cast<double>(cur.ctrl_wait - prev.ctrl_wait);
-
+    f.window(dops);
     r.total_ops += dops;
-    prev = cur;
   }
   // The last snap() settled the accounts at the final window boundary;
   // close telemetry's final window against those same values.
-  tel.flush(ex.sched().now());
+  f.tel.flush(f.ex.sched().now());
 
   double mean = 0;
-  for (double m : rep_mops) mean += m;
+  for (double x : rep_mops) mean += x;
   mean /= static_cast<double>(rep_mops.size());
   double var = 0;
-  for (double m : rep_mops) var += (m - mean) * (m - mean);
+  for (double x : rep_mops) var += (x - mean) * (x - mean);
   var /= static_cast<double>(rep_mops.size());
 
   r.mops = mean;
   r.mops_std = std::sqrt(var);
-  r.lat_mean = lat_n > 0 ? lat_sum / lat_n : 0;
+  const double napply = static_cast<double>(r.total_ops);
+  r.lat_mean = napply > 0 ? lat_sum / napply : 0;
   r.lat_p50 = static_cast<double>(tally.lat_hist.quantile(0.50));
   r.lat_p99 = static_cast<double>(tally.lat_hist.quantile(0.99));
-  // `prev` is the last snapshot: the servicing core's cycles over the reps.
-  const auto serv_busy =
-      static_cast<double>(prev.core0_busy - first.core0_busy);
-  const auto serv_stall =
-      static_cast<double>(prev.core0_stall - first.core0_stall);
-  r.serv_total_per_op = serv_ops > 0 ? (serv_busy + serv_stall) / serv_ops : 0;
-  r.serv_stall_per_op = serv_ops > 0 ? serv_stall / serv_ops : 0;
-  r.combining_rate = stat_delta.combining_rate();
-  const double napply = static_cast<double>(r.total_ops);
-  r.cas_per_op = napply > 0 ? static_cast<double>(stat_delta.cas_attempts) /
-                                  napply
-                            : 0;
+  for (std::uint32_t c = 0; c < m.cores(); ++c) {
+    r.preemptions += m.core(c).preemptions;
+  }
+  const SyncStats& d = f.end(r);
+  const auto serv_busy = static_cast<double>(last.busy - first.busy);
+  const auto serv_stall = static_cast<double>(last.stall - first.stall);
+  const double sops = r.serv_ops;
+  r.serv_total_per_op = sops > 0 ? (serv_busy + serv_stall) / sops : 0;
+  r.serv_stall_per_op = sops > 0 ? serv_stall / sops : 0;
+  r.cas_per_op =
+      napply > 0 ? static_cast<double>(d.cas_attempts) / napply : 0;
   r.fairness = fair_min > 0 ? fair_max / fair_min : 0;
-  r.msgs_per_op = napply > 0 ? static_cast<double>(msgs) / napply : 0;
-  r.ctrl_wait_per_op = napply > 0 ? ctrl_wait / napply : 0;
-  r.cycles_per_op = r.mops > 0 ? 1200.0 / r.mops : 0;
-  r.throttle_waits = stat_delta.throttle_waits;
-  r.stall_timeouts = stat_delta.stall_timeouts;
-  for (std::uint32_t c = 0; c < ex.machine().cores(); ++c) {
-    r.preemptions += ex.machine().core(c).preemptions;
-  }
-  // Windowed (post-warmup) per-core attribution; [0] is the servicing core
-  // for the server/combiner constructions. Both endpoints are settled, so
-  // each account's buckets sum to reps * window.
-  std::vector<obs::CycleAccount> accounts;
-  for (std::size_t core = 0; core < prev.accounts.size(); ++core) {
-    accounts.push_back(prev.accounts[core].diff_since(first.accounts[core]));
-  }
-  r.serv_account = accounts[0];
-  r.serv_ops = serv_ops;
-
-  obs::JsonValue* run = nullptr;
-  if (cfg.obs.metrics != nullptr) {
-    using obs::JsonValue;
-    run = &cfg.obs.metrics->add_run(cfg.obs.label);
-    JsonValue& c = (*run)["config"];
-    c["app_threads"] = JsonValue(std::uint64_t{cfg.app_threads});
-    c["servers"] = JsonValue(std::uint64_t{ns});
-    c["warmup"] = JsonValue(std::uint64_t{cfg.warmup});
-    c["window"] = JsonValue(std::uint64_t{cfg.window});
-    c["reps"] = JsonValue(std::uint64_t{cfg.reps});
-    c["seed"] = JsonValue(cfg.seed);
-    c["max_ops"] = JsonValue(cfg.max_ops);
-    c["think_iters_max"] = JsonValue(std::uint64_t{cfg.think_iters_max});
-    c["think_iter_cost"] = JsonValue(std::uint64_t{cfg.think_iter_cost});
-    c["cs_iters"] = JsonValue(cfg.cs_iters);
-    c["fixed_combiner"] = JsonValue(cfg.fixed_combiner);
-    c["max_inflight"] = JsonValue(cfg.max_inflight);
-    c["stall_timeout"] = JsonValue(std::uint64_t{cfg.stall_timeout});
-    c["async_batch"] = JsonValue(std::uint64_t{cfg.async_batch});
-    c["faults_enabled"] = JsonValue(cfg.faults.enabled());
-    JsonValue& res = (*run)["results"];
-    res["mops"] = JsonValue(r.mops);
-    res["mops_std"] = JsonValue(r.mops_std);
-    res["lat_mean"] = JsonValue(r.lat_mean);
-    res["lat_p50"] = JsonValue(r.lat_p50);
-    res["lat_p99"] = JsonValue(r.lat_p99);
-    res["serv_total_per_op"] = JsonValue(r.serv_total_per_op);
-    res["serv_stall_per_op"] = JsonValue(r.serv_stall_per_op);
-    res["combining_rate"] = JsonValue(r.combining_rate);
-    res["cas_per_op"] = JsonValue(r.cas_per_op);
-    res["fairness"] = JsonValue(r.fairness);
-    res["msgs_per_op"] = JsonValue(r.msgs_per_op);
-    res["ctrl_wait_per_op"] = JsonValue(r.ctrl_wait_per_op);
-    res["cycles_per_op"] = JsonValue(r.cycles_per_op);
-    res["total_ops"] = JsonValue(r.total_ops);
-    res["throttle_waits"] = JsonValue(r.throttle_waits);
-    res["stall_timeouts"] = JsonValue(r.stall_timeouts);
-    res["preemptions"] = JsonValue(r.preemptions);
-    res["serv_ops"] = JsonValue(r.serv_ops);
-  }
-  reg::close_run(run, cfg, ex, stat_delta, accounts, tel);
+  r.msgs_per_op =
+      napply > 0 ? static_cast<double>(last.msgs - first.msgs) / napply : 0;
+  r.ctrl_wait_per_op =
+      napply > 0 ? static_cast<double>(last.ctrl_wait - first.ctrl_wait) /
+                       napply
+                 : 0;
+  f.close(f.entry(r, /*closed=*/true));
   return r;
 }
 
-/// Builds construction `kind` on `p.obj` and runs the closed loop over it.
-RunResult run_closed_loop(const RunCfg& cfg, Kind kind, reg::Params p,
+/// The Section 5.2 closed loop: app thread i issues mix.at(k) for k = 0,
+/// 1, ... with think time between ops. `gauges` registers the
+/// construction's backlog gauge with telemetry.
+template <class U>
+RunResult closed_loop(reg::Run<U>& run, const Mix& mix, bool gauges) {
+  const RunCfg& cfg = run.cfg;
+  Tally tally(run.clients);
+  run.spawn([&](SimCtx& ctx, std::uint32_t i) {
+    for (std::uint64_t k = 0;;) {
+      const Cycle t0 = ctx.now();
+      const CsCall op = mix.at(k++);
+      const std::uint64_t done = run.issue(ctx, op.fn, op.arg);
+      const Cycle lat = ctx.now() - t0;
+      // latsum accumulates all time spent inside the op (including calls
+      // that only buffered), so lat_mean stays time-per-completed-op
+      // under batching; the histogram records the train's mean.
+      tally.ops[i] += done;
+      tally.latsum[i] += static_cast<double>(lat);
+      if (tally.measuring && done > 0) tally.lat_hist.add(lat / done);
+      // Section 5.2: up to think_iters_max empty loop iterations.
+      ctx.compute(cfg.think_iter_cost *
+                  ctx.rand_below(cfg.think_iters_max + 1));
+    }
+  });
+  if (run.tel.enabled() && gauges) reg::add_backlog_gauge(run.tel, run.uc);
+  return measure(run, tally);
+}
+
+/// Builds construction `kind` on `p.obj` and runs the closed loop over it,
+/// in per-thread trains of `batch` async tickets when it has them.
+RunResult run_closed_loop(const RunCfg& cfg, Kind kind, const reg::Params& p,
                           const Mix& mix, std::uint32_t batch, bool gauges) {
-  SimExecutor ex(cfg.machine, cfg.seed);
-  reg::open_run(ex, cfg);
-  p.max_ops = cfg.max_ops;
-  p.max_inflight = cfg.max_inflight;
-  p.stall_timeout = cfg.stall_timeout;
-  p.shm_depth = batch;
-  return reg::with_construction(kind, p, ex, [&](auto& uc) {
-    return closed_loop(cfg, ex, uc, mix, batch, gauges);
+  return reg::drive(cfg, kind, p, cfg.app_threads, batch, [&](auto& run) {
+    return closed_loop(run, mix, gauges);
   });
 }
 

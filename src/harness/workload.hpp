@@ -1,10 +1,18 @@
-// Benchmark workload drivers reproducing the paper's methodology
-// (Section 5.2): T application threads repeatedly operate on one concurrent
-// object, with a random think time of up to 50 empty-loop iterations after
-// every operation; threads are pinned thread i -> core i; server approaches
+// The closed-loop driver reproducing the paper's methodology (Section
+// 5.2): T application threads repeatedly operate on one concurrent object,
+// with a random think time of up to 50 empty-loop iterations after every
+// operation; threads are pinned thread i -> core i; server approaches
 // dedicate thread 0 (and thread 1 for the two-lock queue's second server);
 // MAX_OPS defaults to 200; results are averaged over `reps` measurement
 // windows after a warmup.
+//
+// It stands on the harness's one run frame (harness/driver.hpp), with the
+// open-loop service (service.hpp) and the history recorder (record.hpp):
+// the frame builds the executor and the construction, spawns the clients
+// and issues their ops (async trains with `async_batch` >= 2), and writes
+// the run entry. What is the closed loop's own is its op mix, the think
+// time and the windowed snapshots (throughput per window, latency,
+// fairness, the servicing core's cycles).
 //
 // Throughput is reported in Mops/s at the TILE-Gx clock (1.2 GHz), i.e.
 // ops/cycle * 1200, so numbers are directly comparable with the paper's

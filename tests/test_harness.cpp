@@ -83,6 +83,25 @@ TEST(ReportDeathTest, BenchArgsRejectsWhatItCannotRead) {
               "bad --mesh value");
   EXPECT_EXIT(parse({"--no-prefetch"}), testing::ExitedWithCode(2),
               "unknown flag");
+  // An own-loop bench names the common flags it reads; the others (here
+  // ones abl_server_consolidation and macro_taskpool used to ignore) exit.
+  auto own_loop = [](std::vector<const char*> flags) {
+    flags.insert(flags.begin(), "bench");
+    return BenchArgs::parse_only(static_cast<int>(flags.size()),
+                                 const_cast<char**>(flags.data()),
+                                 {"--full", "--csv", "--window", "--seed"});
+  };
+  EXPECT_EXIT(own_loop({"--jobs", "2"}), testing::ExitedWithCode(2),
+              "flag '--jobs' is not read by this bench");
+  EXPECT_EXIT(own_loop({"--seed", "3", "--json", "x.json"}),
+              testing::ExitedWithCode(2), "not read by this bench");
+  EXPECT_EXIT(own_loop({"--mesh", "16x16"}), testing::ExitedWithCode(2),
+              "not read by this bench");
+  const BenchArgs kept =
+      own_loop({"--full", "--window", "500", "--seed", "4"});
+  EXPECT_TRUE(kept.full);
+  EXPECT_EQ(kept.window, 500u);
+  EXPECT_EQ(kept.seed, 4u);
 }
 
 TEST(Report, BenchArgsPassesABenchsOwnFlags) {
