@@ -107,8 +107,8 @@ double run(Mode mode, std::uint32_t nobjects, sim::Cycle window,
 
 int main(int argc, char** argv) {
   // An own loop: it reads only these flags and rejects the rest.
-  const auto args = harness::BenchArgs::parse_only(
-      argc, argv, {"--full", "--csv", "--window", "--seed"});
+  const auto args = harness::BenchArgs::parse(
+      argc, argv, {}, {"--full", "--csv", "--window", "--seed"});
   const sim::Cycle window = args.window ? args.window : 150'000;
 
   std::vector<std::uint32_t> objects =

@@ -117,8 +117,8 @@ sim::Cycle run(Pool pool, std::uint32_t workers, std::uint32_t roots,
 
 int main(int argc, char** argv) {
   // An own loop: it reads only these flags and rejects the rest.
-  const auto args = harness::BenchArgs::parse_only(
-      argc, argv, {"--full", "--csv", "--threads", "--seed"});
+  const auto args = harness::BenchArgs::parse(
+      argc, argv, {}, {"--full", "--csv", "--threads", "--seed"});
   const std::uint32_t workers = args.threads ? args.threads : 16;
   const std::uint32_t roots = 64, depth = 4;
 

@@ -56,8 +56,6 @@ class Frame {
         tel(ex.machine(), {cfg.telemetry_window}),
         stats_(stats),
         uc_(uc) {}
-  Frame(const Frame&) = delete;
-  Frame& operator=(const Frame&) = delete;
   /// Detaches the perturber while the construction still exists.
   ~Frame() { ex.sched().set_perturber(nullptr); }
 
@@ -68,7 +66,8 @@ class Frame {
   obs::Telemetry tel;
 
   /// Starts the measured span: baselines the stats and the per-core
-  /// accounts (settle them first) and arms telemetry over [t0, t_end).
+  /// accounts (the caller settles or resets them first) and arms telemetry
+  /// over [t0, t_end).
   void mark(sim::Cycle t0, sim::Cycle t_end) {
     stats0_ = last_ = stats_(uc_);
     for (std::uint32_t c = 0; c < ex.machine().cores(); ++c) {
@@ -100,8 +99,8 @@ class Frame {
     r.throttle_waits = delta_.throttle_waits;
     r.stall_timeouts = delta_.stall_timeouts;
     r.cycles_per_op = r.mops > 0 ? 1200.0 / r.mops : 0;
-    // [0] is the servicing core of the server and combiner constructions
-    // (shard 0 of a fleet).
+    // [0] is the servicing core of the server constructions (shard 0 of a
+    // fleet); for the serverless combiners, the first client's core.
     r.serv_account = accounts_[0];
     r.serv_ops = serv_ops_;
     return delta_;
@@ -177,6 +176,7 @@ class Frame {
     }
     if (tracing) cfg.obs.trace->merge_from(ex.machine().tracer());
   }
+
  private:
   StatsFn stats_;
   void* uc_;

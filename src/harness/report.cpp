@@ -114,10 +114,11 @@ T* field(const std::pair<std::string_view, T*> (&table)[N],
   return nullptr;
 }
 
-/// BenchArgs::parse(), restricted to the common flags in `reads` when it
-/// is set.
-BenchArgs parse_flags(int argc, char** argv, Flags bench_flags,
-                      const Flags* reads) {
+}  // namespace
+
+BenchArgs BenchArgs::parse(int argc, char** argv, Flags bench_flags,
+                           Flags own_loop_reads) {
+  const Flags* reads = own_loop_reads.size() > 0 ? &own_loop_reads : nullptr;
   BenchArgs a;
   const std::pair<std::string_view, bool*> switches[] = {
       {"--full", &a.full},
@@ -177,17 +178,6 @@ BenchArgs parse_flags(int argc, char** argv, Flags bench_flags,
     }
   }
   return a;
-}
-
-}  // namespace
-
-BenchArgs BenchArgs::parse(int argc, char** argv, Flags bench_flags) {
-  return parse_flags(argc, argv, bench_flags, nullptr);
-}
-
-BenchArgs BenchArgs::parse_only(int argc, char** argv, Flags reads,
-                                Flags bench_flags) {
-  return parse_flags(argc, argv, bench_flags, &reads);
 }
 
 RunCfg BenchArgs::run_cfg(RunCfg base) const {

@@ -69,17 +69,14 @@ struct BenchArgs {
 
   /// Parses the flags above, plus the boolean `bench_flags` a bench reads
   /// from argv itself. An unknown flag, a missing value or a value that is
-  /// not a whole number in range prints the usage and exits 2.
-  static BenchArgs parse(int argc, char** argv,
-                         std::initializer_list<std::string_view> bench_flags =
-                             {});
-
-  /// parse() for a bench that reads only the common flags in `reads` (an
-  /// own-loop bench): any other common flag prints the bench's usage and
-  /// exits 2 instead of being accepted and ignored.
-  static BenchArgs parse_only(
-      int argc, char** argv, std::initializer_list<std::string_view> reads,
-      std::initializer_list<std::string_view> bench_flags = {});
+  /// not a whole number in range prints the usage and exits 2. A bench that
+  /// runs its own loop lists in `own_loop_reads` the flags above it reads
+  /// (empty: every one); any other exits 2 with that bench's usage instead
+  /// of being accepted and ignored.
+  static BenchArgs parse(
+      int argc, char** argv,
+      std::initializer_list<std::string_view> bench_flags = {},
+      std::initializer_list<std::string_view> own_loop_reads = {});
 
   /// `base` — a bench's own defaults — with the run flags applied.
   RunCfg run_cfg(RunCfg base = {}) const;

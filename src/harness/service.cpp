@@ -15,7 +15,6 @@ namespace hmps::harness {
 using rt::SimCtx;
 using rt::SimExecutor;
 using sim::Cycle;
-using sync::SyncStats;
 
 const char* arrival_model_name(ArrivalModel m) {
   constexpr const char* kNames[] = {"poisson", "mmpp"};  // enum order

@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <sstream>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "harness/report.hpp"
@@ -61,10 +62,12 @@ TEST(Report, BenchArgsDefaults) {
 
 // Parses `flags` as a bench command line.
 BenchArgs parse(std::vector<const char*> flags,
-                std::initializer_list<std::string_view> bench_flags = {}) {
+                std::initializer_list<std::string_view> bench_flags = {},
+                std::initializer_list<std::string_view> reads = {}) {
   flags.insert(flags.begin(), "bench");
   return BenchArgs::parse(static_cast<int>(flags.size()),
-                          const_cast<char**>(flags.data()), bench_flags);
+                          const_cast<char**>(flags.data()), bench_flags,
+                          reads);
 }
 
 TEST(ReportDeathTest, BenchArgsRejectsWhatItCannotRead) {
@@ -83,13 +86,11 @@ TEST(ReportDeathTest, BenchArgsRejectsWhatItCannotRead) {
               "bad --mesh value");
   EXPECT_EXIT(parse({"--no-prefetch"}), testing::ExitedWithCode(2),
               "unknown flag");
-  // An own-loop bench names the common flags it reads; the others (here
-  // ones abl_server_consolidation and macro_taskpool used to ignore) exit.
+  // An own-loop bench names the common flags it reads; any other common
+  // flag exits instead of being accepted and ignored.
   auto own_loop = [](std::vector<const char*> flags) {
-    flags.insert(flags.begin(), "bench");
-    return BenchArgs::parse_only(static_cast<int>(flags.size()),
-                                 const_cast<char**>(flags.data()),
-                                 {"--full", "--csv", "--window", "--seed"});
+    return parse(std::move(flags), {},
+                 {"--full", "--csv", "--window", "--seed"});
   };
   EXPECT_EXIT(own_loop({"--jobs", "2"}), testing::ExitedWithCode(2),
               "flag '--jobs' is not read by this bench");
