@@ -242,7 +242,8 @@ RecordResult record_history(const RecordCfg& cfg, sim::Perturber* perturber) {
     // them in REVERSE order (deliberately exercising the out-of-order
     // staging path). Invocation is recorded at issue, response at reap,
     // so the interval brackets the linearization point: the CS runs after
-    // the send and its reply arrives before the reap returns.
+    // the send and its reply arrives before the reap returns. Only the
+    // depth of the frame's trains is read; their in-order reap is not used.
     const std::uint32_t depth = run.depth();
     run.spawn([&](SimCtx& ctx, std::uint32_t i) {
       auto think = [&] {
