@@ -31,7 +31,9 @@ echo "== benches =="
 # visible AND captured — a silently swallowed bench failure here once cost a
 # debugging session. Every hmps bench also drops its hmps-metrics-v1
 # artifact next to the text output; the two google-benchmark binaries
-# (native_micro, engine_micro) have their own CLI and are run bare. Each
+# (native_micro, engine_micro) have their own CLI and are run bare, and so
+# are the two own-loop benches (abl_server_consolidation, macro_taskpool),
+# which write no artifact, run serially and reject --json and --jobs. Each
 # bench's wall time is reported inline and collected in bench_times.txt so
 # --jobs speedups are visible at a glance.
 : > results/bench_times.txt
@@ -41,7 +43,7 @@ for b in build/bench/*; do
     echo "### $name"
     t0=$(date +%s%N)
     case "$name" in
-      native_micro|engine_micro) "$b" ;;
+      native_micro|engine_micro|abl_server_consolidation|macro_taskpool) "$b" ;;
       *) "$b" --json "results/$name.json" --jobs "$JOBS" ;;
     esac
     t1=$(date +%s%N)
