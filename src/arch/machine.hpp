@@ -31,11 +31,13 @@ class Machine {
     // are only recorded while the tracer is enabled.
     udn_.attach_tracer(&tracer_);
     coh_.attach_watchers(&sched_);
-    // Pre-size the event heap from the machine shape: each core keeps at
+    // Pre-size the event pools from the machine shape: each core keeps at
     // most a few engine events in flight (a pending resume, a UDN delivery,
-    // a model timer), and same-cycle bursts are bounded by the core count.
-    // A pre-sized queue runs its steady state with zero heap growth
-    // (EngineCounters::heap_grows; asserted by bench/engine_micro.cpp).
+    // a model timer), and same-cycle bursts are bounded by the core count,
+    // the depth each wheel bucket counts as reserved (EventQueue::Bucket;
+    // it allocates nothing). A pre-sized queue runs its steady state with
+    // zero heap growth (EngineCounters::heap_grows; asserted by
+    // bench/engine_micro.cpp).
     const std::size_t n = static_cast<std::size_t>(topo_.cores()) * 8 + 64;
     sched_.reserve_events(n, topo_.cores() + 8);
   }

@@ -1,5 +1,6 @@
 #include "arch/udn.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdio>
@@ -29,19 +30,26 @@ void UdnModel::bad_frame(std::size_t n) const {
 UdnModel::UdnModel(const MachineParams& p, const MeshTopology& topo,
                    sim::Scheduler& sched)
     : p_(p), topo_(topo), noc_(p, topo), sched_(sched), nq_(p.udn_queues),
-      bufs_(topo.cores()), rings_(topo.cores() * nq_),
-      recv_waiters_(rings_.size()) {
-  // Each ring holds a whole buffer's worth of words: credits cap resident +
-  // in-flight words per buffer at udn_buf_words, so any single queue can see
-  // at most that many staged words.
-  const std::size_t cap = std::bit_ceil(
-      static_cast<std::size_t>(p.udn_buf_words ? p.udn_buf_words : 1));
-  // Ring words are only read after stage() wrote them: no zero fill.
-  words_ =
-      std::make_unique_for_overwrite<std::uint64_t[]>(rings_.size() * cap);
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    rings_[i].init(words_.get() + i * cap, cap);
+      bufs_(topo.cores()), queues_(topo.cores() * nq_),
+      // Each ring holds a whole buffer's worth of words: credits cap
+      // resident + in-flight words per buffer at udn_buf_words, so any
+      // single queue can see at most that many staged words.
+      ring_words_(std::bit_ceil(
+          static_cast<std::size_t>(p.udn_buf_words ? p.udn_buf_words : 1))),
+      unbacked_(queues_.size()) {}
+
+void UdnModel::back_ring(WordRing& r) {
+  if (arena_left_ == 0) {
+    arena_left_ = std::min(std::size_t{4} << arena_.size(), unbacked_);
+    // Ring words are only read after stage() wrote them: no zero fill.
+    arena_.push_back(std::make_unique_for_overwrite<std::uint64_t[]>(
+        arena_left_ * ring_words_));
+    arena_next_ = arena_.back().get();
   }
+  r.init(arena_next_, ring_words_);
+  arena_next_ += ring_words_;
+  --arena_left_;
+  --unbacked_;
 }
 
 void UdnModel::attach_faults(sim::FaultInjector* f) {
@@ -65,7 +73,7 @@ void UdnModel::send(Tid src, Tid dst, std::uint32_t queue,
   // mid-run (and restore it, which also wakes the waiters).
   while (b.reserved + n > effective_credits()) {
     ++counters_.sender_blocks;
-    b.send_waiters.push_back(Waiter{sched_.current(), n});
+    waiters_.push_back(b.send_waiters, Waiter{sched_.current(), n});
     sched_.suspend();
   }
   b.reserved += n;
@@ -113,15 +121,17 @@ void UdnModel::send(Tid src, Tid dst, std::uint32_t queue,
   // publishes the words. Staging order matches delivery order: deliver times
   // per buffer are non-decreasing in send order via port_busy, and the event
   // queue breaks ties in schedule order.
-  rings_[qi].stage(words, n);
+  WordRing& ring = queues_[qi].ring;
+  if (!ring.backed()) [[unlikely]] back_ring(ring);
+  ring.stage(words, n);
   sched_.at(deliver, [this, qi, n] {
-    auto& q = rings_[qi];
-    q.commit(n);
+    Queue& q = queues_[qi];
+    q.ring.commit(n);
     // Wake the receiver if its demand is now satisfied.
-    auto& waiters = recv_waiters_[qi];
-    if (!waiters.empty() && q.size() >= waiters.front().need) {
-      const auto fiber = waiters.front().fiber;
-      waiters.pop_front();
+    if (!q.recv_waiters.empty() &&
+        q.ring.size() >= waiters_.front(q.recv_waiters).need) {
+      const auto fiber = waiters_.front(q.recv_waiters).fiber;
+      waiters_.pop_front(q.recv_waiters);
       sched_.wake_now(fiber);
     }
   });
@@ -134,12 +144,12 @@ void UdnModel::receive(Tid dst, std::uint32_t queue, std::uint64_t* out,
                        std::size_t n) {
   const std::size_t qi = queue_index(dst, queue, "receive");
   Buffer& b = bufs_[dst];
-  auto& q = rings_[qi];
-  while (q.size() < n) {
-    recv_waiters_[qi].push_back(Waiter{sched_.current(), n});
+  Queue& q = queues_[qi];
+  while (q.ring.size() < n) {
+    waiters_.push_back(q.recv_waiters, Waiter{sched_.current(), n});
     sched_.suspend();
   }
-  q.pop(out, n);
+  q.ring.pop(out, n);
   assert(b.reserved >= n);
   b.reserved -= n;
   try_release_senders(b);
@@ -155,10 +165,12 @@ void UdnModel::try_release_senders(Buffer& b) {
   // buffer may hold more than the shrunk limit; the budget clamps at zero.
   const std::size_t limit = effective_credits();
   std::size_t budget = limit > b.reserved ? limit - b.reserved : 0;
-  while (!b.send_waiters.empty() && b.send_waiters.front().need <= budget) {
-    budget -= b.send_waiters.front().need;
-    sched_.wake_now(b.send_waiters.front().fiber);
-    b.send_waiters.pop_front();
+  while (!b.send_waiters.empty() &&
+         waiters_.front(b.send_waiters).need <= budget) {
+    const Waiter w = waiters_.front(b.send_waiters);
+    budget -= w.need;
+    sched_.wake_now(w.fiber);
+    waiters_.pop_front(b.send_waiters);
   }
 }
 

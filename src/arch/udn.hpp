@@ -12,22 +12,22 @@
 // an ordinary discrete event.
 //
 // Hot-path layout (docs/ENGINE.md): each queue is a fixed-capacity
-// power-of-two ring of words sized from udn_buf_words, allocated once at
-// construction. send() bulk-copies the payload into the destination ring
-// immediately ("staging" — legal because the credit check has already
-// reserved the space) and schedules a tiny delivery event that merely makes
-// the words visible; receive() bulk-copies words out. No per-message heap
-// allocation, no word-at-a-time deque churn. Staging order equals delivery
-// order because ingress-port serialization makes delivery times per buffer
-// non-decreasing in send order, with the queue's (time, seq) total order
-// breaking ties the same way.
+// power-of-two ring of words sized from udn_buf_words, carved from a
+// per-machine arena by the first send to it. send() bulk-copies the payload
+// into the destination ring immediately ("staging" — legal because the
+// credit check has already reserved the space) and schedules a tiny
+// delivery event that merely makes the words visible; receive() bulk-copies
+// words out. No per-message heap allocation, no word-at-a-time deque churn.
+// Staging order equals delivery order because ingress-port serialization
+// makes delivery times per buffer non-decreasing in send order, with the
+// queue's (time, seq) total order breaking ties the same way.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "arch/noc.hpp"
@@ -46,16 +46,20 @@ using sim::Tid;
 /// Fixed-capacity power-of-two ring of 64-bit words with a staging area:
 /// stage() copies words in at the reserved tail, commit() makes them
 /// visible, pop() copies them out. Indices are free-running; the mask wraps.
-/// The words live in storage the owner provides (UdnModel keeps every
-/// ring of the machine in one slab).
+/// The words live in storage the owner provides (UdnModel carves each
+/// ring's from an arena on first use). A value-initialised ring is empty
+/// and has no storage yet (backed() is false): arrays of rings are set up
+/// by zero fill and need no destructor.
 class WordRing {
  public:
   void init(std::uint64_t* storage, std::size_t capacity_pow2) {
     assert(capacity_pow2 && (capacity_pow2 & (capacity_pow2 - 1)) == 0);
-    slots_ = std::span<std::uint64_t>(storage, capacity_pow2);
+    slots_ = storage;
     mask_ = capacity_pow2 - 1;
     head_ = tail_ = staged_ = 0;
   }
+
+  bool backed() const { return slots_ != nullptr; }
 
   /// Words currently visible to receive().
   std::size_t size() const { return static_cast<std::size_t>(tail_ - head_); }
@@ -64,11 +68,12 @@ class WordRing {
   /// Copies `n` words into the ring at the staging tail. Caller guarantees
   /// capacity (the UDN credit check reserves it).
   void stage(const std::uint64_t* w, std::size_t n) {
-    assert(staged_ - head_ + n <= slots_.size());
-    const std::size_t pos = static_cast<std::size_t>(staged_) & mask_;
-    const std::size_t first = n < slots_.size() - pos ? n : slots_.size() - pos;
-    std::memcpy(slots_.data() + pos, w, first * sizeof(std::uint64_t));
-    std::memcpy(slots_.data(), w + first, (n - first) * sizeof(std::uint64_t));
+    assert(staged_ - head_ + n <= mask_ + 1);
+    const std::size_t pos = static_cast<std::size_t>(staged_ & mask_);
+    const std::size_t room = mask_ + 1 - pos;
+    const std::size_t first = n < room ? n : room;
+    std::memcpy(slots_ + pos, w, first * sizeof(std::uint64_t));
+    std::memcpy(slots_, w + first, (n - first) * sizeof(std::uint64_t));
     staged_ += n;
   }
 
@@ -81,42 +86,71 @@ class WordRing {
   /// Copies the `n` oldest visible words out of the ring.
   void pop(std::uint64_t* out, std::size_t n) {
     assert(n <= size());
-    const std::size_t pos = static_cast<std::size_t>(head_) & mask_;
-    const std::size_t first = n < slots_.size() - pos ? n : slots_.size() - pos;
-    std::memcpy(out, slots_.data() + pos, first * sizeof(std::uint64_t));
-    std::memcpy(out + first, slots_.data(), (n - first) * sizeof(std::uint64_t));
+    const std::size_t pos = static_cast<std::size_t>(head_ & mask_);
+    const std::size_t room = mask_ + 1 - pos;
+    const std::size_t first = n < room ? n : room;
+    std::memcpy(out, slots_ + pos, first * sizeof(std::uint64_t));
+    std::memcpy(out + first, slots_, (n - first) * sizeof(std::uint64_t));
     head_ += n;
   }
 
  private:
-  std::span<std::uint64_t> slots_;
-  std::size_t mask_ = 0;
-  std::uint64_t head_ = 0;    ///< next word to pop
-  std::uint64_t tail_ = 0;    ///< end of delivered (visible) words
-  std::uint64_t staged_ = 0;  ///< end of staged (in-flight) words
+  std::uint64_t* slots_;
+  std::uint64_t mask_;
+  std::uint64_t head_;    ///< next word to pop
+  std::uint64_t tail_;    ///< end of delivered (visible) words
+  std::uint64_t staged_;  ///< end of staged (in-flight) words
 };
+static_assert(std::is_trivial_v<WordRing>);
 
-/// FIFO of blocked fibers (UDN senders and receivers, vlink producers and
-/// consumers). An index-fronted vector rather than a deque: the vector's
-/// capacity is the pool, so steady-state block/wake cycles allocate
-/// nothing (a deque allocates/frees map nodes periodically even when its
-/// size just oscillates around zero).
+/// FIFOs of blocked fibers (UDN senders and receivers, vlink producers and
+/// consumers), threaded through one pool of nodes their owner keeps. A FIFO
+/// is two node numbers and value-initialises to empty, so arrays of them
+/// are set up by zero fill and need no destructor; popped nodes are
+/// recycled, so steady-state block/wake cycles allocate nothing.
 template <class W>
-class WaiterFifo {
+class WaiterPool {
  public:
-  bool empty() const { return head_ == items_.size(); }
-  const W& front() const { return items_[head_]; }
-  void push_back(W w) { items_.push_back(w); }
-  void pop_front() {
-    if (++head_ == items_.size()) {
-      items_.clear();
-      head_ = 0;
+  struct Fifo {
+    std::uint32_t head;  ///< front node's number (index + 1); 0 if empty
+    std::uint32_t tail;
+    bool empty() const { return head == 0; }
+  };
+
+  const W& front(const Fifo& f) const { return nodes_[f.head - 1].w; }
+
+  void push_back(Fifo& f, W w) {
+    std::uint32_t i = free_;
+    if (i != 0) {
+      free_ = nodes_[i - 1].next;
+      nodes_[i - 1] = Node{w, 0};
+    } else {
+      nodes_.push_back(Node{w, 0});
+      i = static_cast<std::uint32_t>(nodes_.size());
     }
+    if (f.tail != 0) {
+      nodes_[f.tail - 1].next = i;
+    } else {
+      f.head = i;
+    }
+    f.tail = i;
+  }
+
+  void pop_front(Fifo& f) {
+    const std::uint32_t i = f.head;
+    f.head = nodes_[i - 1].next;
+    if (f.head == 0) f.tail = 0;
+    nodes_[i - 1].next = free_;
+    free_ = i;
   }
 
  private:
-  std::vector<W> items_;
-  std::size_t head_ = 0;
+  struct Node {
+    W w;
+    std::uint32_t next;  ///< the next node's number; 0 ends the FIFO
+  };
+  std::vector<Node> nodes_;
+  std::uint32_t free_ = 0;  ///< recycled nodes, chained through `next`
 };
 
 class UdnModel {
@@ -140,11 +174,11 @@ class UdnModel {
 
   /// True iff the local queue currently holds no words.
   bool queue_empty(Tid core, std::uint32_t queue) const {
-    return rings_[queue_index(core, queue, "queue_empty")].empty();
+    return queues_[queue_index(core, queue, "queue_empty")].ring.empty();
   }
 
   std::size_t words_pending(Tid core, std::uint32_t queue) const {
-    return rings_[queue_index(core, queue, "words_pending")].size();
+    return queues_[queue_index(core, queue, "words_pending")].ring.size();
   }
 
   /// Words currently holding credits in a core's hardware buffer (resident
@@ -197,15 +231,29 @@ class UdnModel {
     std::size_t need;
   };
 
-  /// Per-core credit state. The core's queues are rings_/recv_waiters_
-  /// entries core * nq_ .. core * nq_ + nq_ - 1.
+  using Fifo = WaiterPool<Waiter>::Fifo;
+
+  /// Per-core credit state. The core's queues are queues_ entries
+  /// core * nq_ .. core * nq_ + nq_ - 1. All-zero is an idle buffer.
   struct Buffer {
-    std::size_t reserved = 0;  ///< words in flight or resident (credits)
-    Cycle port_busy = 0;       ///< ingress port serialization
-    WaiterFifo<Waiter> send_waiters;  ///< senders blocked on credits
+    std::size_t reserved;  ///< words in flight or resident (credits)
+    Cycle port_busy;       ///< ingress port serialization
+    Fifo send_waiters;     ///< senders blocked on credits
+  };
+
+  /// One demux queue. All-zero is an empty queue whose ring has no words
+  /// yet (the first send carves them: back_ring).
+  struct Queue {
+    WordRing ring;
+    Fifo recv_waiters;
   };
 
   void try_release_senders(Buffer& b);
+
+  /// Gives `r` its words from the arena. Each arena chunk holds twice as
+  /// many rings as the one before (the first, 4), so a run that sends to k
+  /// queues makes O(log k) allocations, none at construction.
+  void back_ring(WordRing& r);
 
   /// Credit capacity currently in force (the hardware buffer size, shrunk
   /// while a fault-injected pressure window is open).
@@ -221,7 +269,7 @@ class UdnModel {
   sim::Scheduler& sched_;
   sim::FaultInjector* faults_ = nullptr;
   sim::Tracer* tracer_ = nullptr;
-  /// Index of (core, demux queue) in rings_ and recv_waiters_. Aborts
+  /// Index of (core, demux queue) in queues_. Aborts
   /// when either lies outside the machine (udn_queues bounds the queues),
   /// in every build: a thread placed on a queue past udn_queues would read
   /// and write another core's rings.
@@ -237,12 +285,17 @@ class UdnModel {
   [[noreturn]] void bad_frame(std::size_t n) const;
 
   std::size_t nq_;
-  // Flat per-machine storage: a Machine costs the same few allocations at
-  // every mesh shape (docs/ENGINE.md "Set-up cost").
+  // Flat per-machine headers, zero-filled: a Machine costs the same few
+  // allocations at every mesh shape, and ring words only where a run sends
+  // (docs/ENGINE.md "Set-up cost").
   std::vector<Buffer> bufs_;
-  std::vector<WordRing> rings_;             ///< [core * nq_ + queue]
-  std::vector<WaiterFifo<Waiter>> recv_waiters_;  ///< [core * nq_ + queue]
-  std::unique_ptr<std::uint64_t[]> words_;  ///< every ring's words
+  std::vector<Queue> queues_;  ///< [core * nq_ + queue]
+  WaiterPool<Waiter> waiters_;  ///< every send and receive FIFO's nodes
+  std::size_t ring_words_;      ///< words per ring, a power of two
+  std::vector<std::unique_ptr<std::uint64_t[]>> arena_;  ///< ring words
+  std::uint64_t* arena_next_ = nullptr;  ///< next free ring in arena_.back()
+  std::size_t arena_left_ = 0;           ///< rings left there
+  std::size_t unbacked_;                 ///< rings with no words yet
   Counters counters_;
 };
 

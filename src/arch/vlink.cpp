@@ -28,7 +28,7 @@ void VlinkFabric::push(Tid src, ChannelId ch, const std::uint64_t* words,
   // can be woken for the same freed space).
   while (c.reserved + n > c.cap) {
     ++counters_.producer_blocks;
-    c.push_waiters.push_back(Waiter{sched_.current(), n});
+    waiters_.push_back(c.push_waiters, Waiter{sched_.current(), n});
     sched_.suspend();
   }
   c.reserved += n;
@@ -86,7 +86,7 @@ void VlinkFabric::pop(Tid dst, ChannelId ch, std::uint64_t* out,
     wake_pushers(c);
   } else {
     ++counters_.consumer_waits;
-    c.pop_waiters.push_back(Waiter{sched_.current(), n, out});
+    waiters_.push_back(c.pop_waiters, Waiter{sched_.current(), n, out});
     sched_.suspend();
     // The commit event already copied our frame into `out`, released the
     // credits, and woke the pushers (wake_poppers()).
@@ -110,23 +110,26 @@ void VlinkFabric::wake_poppers(Channel& c) {
   // Stops at the first waiter whose frame is still incomplete — frames
   // commit in push order, so skipping ahead would reorder consumers for no
   // modeling gain.
-  while (!c.pop_waiters.empty() && c.ring.size() >= c.pop_waiters.front().need) {
-    const Waiter& w = c.pop_waiters.front();
+  while (!c.pop_waiters.empty() &&
+         c.ring.size() >= waiters_.front(c.pop_waiters).need) {
+    const Waiter w = waiters_.front(c.pop_waiters);
     c.ring.pop(w.out, w.need);
     assert(c.reserved >= w.need);
     c.reserved -= w.need;
     sched_.wake_now(w.fiber);
-    c.pop_waiters.pop_front();
+    waiters_.pop_front(c.pop_waiters);
     wake_pushers(c);
   }
 }
 
 void VlinkFabric::wake_pushers(Channel& c) {
   std::size_t budget = c.cap > c.reserved ? c.cap - c.reserved : 0;
-  while (!c.push_waiters.empty() && c.push_waiters.front().need <= budget) {
-    budget -= c.push_waiters.front().need;
-    sched_.wake_now(c.push_waiters.front().fiber);
-    c.push_waiters.pop_front();
+  while (!c.push_waiters.empty() &&
+         waiters_.front(c.push_waiters).need <= budget) {
+    const Waiter w = waiters_.front(c.push_waiters);
+    budget -= w.need;
+    sched_.wake_now(w.fiber);
+    waiters_.pop_front(c.push_waiters);
   }
 }
 

@@ -109,12 +109,12 @@ class VlinkFabric {
     Tid home = 0;
     std::size_t cap = 0;       ///< credit capacity in words
     std::unique_ptr<std::uint64_t[]> words;  ///< the ring's storage
-    WordRing ring;
+    WordRing ring{};
     std::size_t reserved = 0;  ///< words staged, in flight, or resident
     Cycle enq_busy = 0;        ///< ingress-port serialization at the home
     Cycle deq_busy = 0;        ///< egress-port serialization at the home
-    WaiterFifo<Waiter> push_waiters;
-    WaiterFifo<Waiter> pop_waiters;
+    WaiterPool<Waiter>::Fifo push_waiters{};
+    WaiterPool<Waiter>::Fifo pop_waiters{};
   };
 
   /// Hands whole frames to blocked consumers in FIFO order (copying the
@@ -136,6 +136,7 @@ class VlinkFabric {
   /// (VlinkServer reply channels) — growth must never invalidate a blocked
   /// fiber's reference.
   std::deque<Channel> chans_;
+  WaiterPool<Waiter> waiters_;  ///< every channel's push and pop FIFOs
   Counters counters_;
 };
 

@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <vector>
 
 #include "runtime/aligned.hpp"
 #include "runtime/context.hpp"
@@ -41,12 +40,21 @@ class Lcrq {
   /// past `max_rings` aborts.
   explicit Lcrq(std::uint32_t ring_order = 7, std::uint32_t max_rings = 4096)
       : ring_size_(1u << ring_order), pool_cap_(max_rings),
-        pool_(pool_cap_) {
-    Crq* first = ring_at(0);
+        pool_(std::make_unique_for_overwrite<Crq*[]>(pool_cap_)) {
+    Crq* first = build_ring(0);
     pool_next_.store(1, std::memory_order_relaxed);
     init_empty(first);
     head_ptr_.store(rt::to_word(first), std::memory_order_relaxed);
     tail_ptr_.store(rt::to_word(first), std::memory_order_relaxed);
+  }
+
+  Lcrq(const Lcrq&) = delete;
+  Lcrq& operator=(const Lcrq&) = delete;
+
+  ~Lcrq() {
+    // Only the slots alloc_ring handed out hold a ring.
+    const std::uint64_t used = pool_next_.load(std::memory_order_relaxed);
+    for (std::uint64_t i = 0; i < used && i < pool_cap_; ++i) delete pool_[i];
   }
 
   /// Enqueues a 32-bit value (the paper's port stores 32-bit values).
@@ -238,15 +246,16 @@ class Lcrq {
                    pool_cap_);
       std::abort();
     }
-    return ring_at(static_cast<std::size_t>(i));
+    return build_ring(static_cast<std::size_t>(i));
   }
 
-  /// Pool slot `i`, built on first use. The FAA in alloc_ring hands each
+  /// Builds the ring of pool slot `i`. The FAA in alloc_ring hands each
   /// slot to exactly one caller, and the CAS that links the ring publishes
-  /// it to the others.
-  Crq* ring_at(std::size_t i) {
-    if (!pool_[i]) pool_[i] = std::make_unique<Crq>(ring_size_);
-    return pool_[i].get();
+  /// it to the others; slots past pool_next_ are never read.
+  Crq* build_ring(std::size_t i) {
+    pool_[i] = nullptr;  // what the destructor frees if `new` throws
+    pool_[i] = new Crq(ring_size_);
+    return pool_[i];
   }
 
   void recycle_ring(Ctx& ctx, Crq* nq) {
@@ -261,7 +270,7 @@ class Lcrq {
 
   std::uint32_t ring_size_;
   std::uint32_t pool_cap_;
-  std::vector<std::unique_ptr<Crq>> pool_;
+  std::unique_ptr<Crq*[]> pool_;  ///< slots [0, pool_next_) hold rings
   alignas(rt::kCacheLine) Word pool_next_{0};
   alignas(rt::kCacheLine) Word free_rings_{0};
   alignas(rt::kCacheLine) Word head_ptr_{0};

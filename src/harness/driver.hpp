@@ -87,13 +87,15 @@ class Frame {
   }
 
   /// Ends the span (accounts settled or finalized): fills r's
-  /// combining_rate, throttle_waits, stall_timeouts, cycles_per_op (from
-  /// r.mops), serv_account and serv_ops; returns the stats since mark().
+  /// combining_rate, throttle_waits, stall_timeouts, preemptions,
+  /// cycles_per_op (from r.mops), serv_account and serv_ops; returns the
+  /// stats since mark().
   const sync::SyncStats& end(RunResult& r) {
     delta_ = stats_(uc_).since(stats0_);
     for (std::uint32_t c = 0; c < ex.machine().cores(); ++c) {
-      accounts_.push_back(
-          ex.machine().core(c).account.diff_since(accounts0_[c]));
+      const arch::CoreState& core = ex.machine().core(c);
+      accounts_.push_back(core.account.diff_since(accounts0_[c]));
+      r.preemptions += core.preemptions;
     }
     r.combining_rate = delta_.combining_rate();
     r.throttle_waits = delta_.throttle_waits;
@@ -149,7 +151,7 @@ class Frame {
     res["total_ops"] = JsonValue(r.total_ops);
     res["throttle_waits"] = JsonValue(r.throttle_waits);
     res["stall_timeouts"] = JsonValue(r.stall_timeouts);
-    if (closed) res["preemptions"] = JsonValue(r.preemptions);
+    res["preemptions"] = JsonValue(r.preemptions);
     res["serv_ops"] = JsonValue(r.serv_ops);
     return &run;
   }

@@ -178,9 +178,6 @@ RunResult measure(reg::Frame& f, Tally& tally) {
   r.lat_mean = napply > 0 ? lat_sum / napply : 0;
   r.lat_p50 = static_cast<double>(tally.lat_hist.quantile(0.50));
   r.lat_p99 = static_cast<double>(tally.lat_hist.quantile(0.99));
-  for (std::uint32_t c = 0; c < m.cores(); ++c) {
-    r.preemptions += m.core(c).preemptions;
-  }
   const SyncStats& d = f.end(r);
   const auto serv_busy = static_cast<double>(last.busy - first.busy);
   const auto serv_stall = static_cast<double>(last.stall - first.stall);

@@ -10,9 +10,9 @@
 // simulator itself schedules fits) and NEVER move while pending; ordering is
 // done on small POD nodes (time, seq, slot index) by a bucket timing wheel
 // with an overflow heap (see EventQueue below), giving O(1) schedule and pop
-// for the near-term deltas cycle-level models produce. Slots are recycled
-// through a free list; once pool, buckets, and heap have grown to the
-// high-water mark of a run, scheduling allocates nothing. EngineCounters
+// for the near-term deltas cycle-level models produce. Slots and wheel links
+// are recycled through free lists; once both pools and the heap have grown
+// to the high-water mark of a run, scheduling allocates nothing. EngineCounters
 // (sim/stats.hpp) track the two escape hatches — oversized callbacks
 // spilling to the heap and pool growth — so tests can assert the
 // zero-allocation contract instead of assuming it.
@@ -23,7 +23,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -161,8 +160,9 @@ class EventFn {
 /// cycle-level model schedules) go into the wheel bucket `time % kWheel` in
 /// O(1). Because simulated time is monotonic and every wheel entry satisfied
 /// `t - now < kWheel` when inserted, all live entries of one bucket share a
-/// single time value — so a bucket stores that time once plus a plain FIFO
-/// of 4-byte pool-slot indices, and its append order IS seq order. Far-future
+/// single time value — so a bucket stores that time once plus a FIFO of
+/// 4-byte entries threaded through one pool of {entry, next} links shared by
+/// every bucket, and its append order IS seq order. Far-future
 /// events go to a small 4-ary min-heap and compete with the wheel head by
 /// time at pop; on a tie the overflow entry wins, which is exactly the
 /// (time, seq) order (see pop_until), so the global total order is preserved
@@ -175,8 +175,8 @@ class EventFn {
 /// members through its fiber table). A poller scheduled into a bucket whose
 /// last entry is a block of the same phase joins it — the FIFO position its
 /// own entry would have taken; otherwise it starts a new entry. Every count
-/// the queue keeps (size, the EngineCounters, a bucket's growth) still
-/// counts members, not entries.
+/// the queue keeps (size, the EngineCounters, a bucket's counted growth)
+/// still counts members, not entries.
 class EventQueue {
  public:
   using Callback = EventFn;
@@ -270,11 +270,11 @@ class EventQueue {
       const std::size_t idx = t & (kWheel - 1);
       Bucket& b = buckets_[idx];
       constexpr std::uint32_t kTagAndPhase = ~(kMaxFibers - 1);
-      if (b.len != 0 &&
-          (b.data[b.len - 1] & kTagAndPhase) == (entry & kTagAndPhase)) {
-        make_room(b, n);
+      if (occupied(idx) &&
+          (links_[b.tail].entry & kTagAndPhase) == (entry & kTagAndPhase)) {
+        count_growth(b, n);
         b.n += n;
-        return resume_fiber(b.data[b.len - 1]);
+        return resume_fiber(links_[b.tail].entry);
       }
       append(idx, t, entry, n);
     } else {
@@ -326,16 +326,17 @@ class EventQueue {
   void push_front(std::uint32_t entry) {
     const std::size_t idx = floor_ & (kWheel - 1);
     Bucket& b = buckets_[idx];
-    if (b.len == 0) {  // the block was the bucket's last entry
+    const std::uint32_t l = new_link(entry);
+    if (!occupied(idx)) {  // the block was the bucket's last entry
       // b.n still counts the bucket's entries since it last emptied
       // (logically it has not: these members are still in it).
-      b.data[0] = entry;
-      b.len = 1;
+      b.tail = l;
       b.time = floor_;
       occ_[idx / 64] |= 1ull << (idx % 64);
     } else {
-      b.data[--b.head] = entry;
+      links_[l].next = b.head;
     }
+    b.head = l;
     ++wheel_count_;
     cur_ = idx;
   }
@@ -407,47 +408,30 @@ class EventQueue {
 
   /// Drops all pending events in O(n + wheel size).
   void clear() {
-    for (Bucket& b : buckets_) b.len = b.head = 0;
     occ_.fill(0);
     overflow_.clear();
     pool_.clear();
     free_slots_.clear();
+    links_.clear();
+    free_link_ = kNoLink;
     wheel_count_ = 0;
     size_ = 0;
     cur_ = kNoBucket;
   }
 
-  /// Pre-sizes the callable pool for `n` concurrent events, and (when
-  /// `per_bucket` > 0) every wheel bucket for `per_bucket` same-cycle
-  /// events plus the overflow heap for `n` far-future timers — a fully
-  /// pre-sized queue runs its steady state with zero heap growth
-  /// (heap_grows stays 0 after reset_counters()). The buckets take their
-  /// shares from one slab (one allocation, not kWheel); a bucket that
-  /// outgrows its share moves to storage of its own and counts a
-  /// heap_grows like any other growth. Only a share larger than the current
-  /// one re-slabs, so calling this again never shrinks a bucket.
+  /// Pre-sizes the callable and link pools for `n` concurrent events and,
+  /// when `per_bucket` > 0, the overflow heap for `n` far-future timers and
+  /// every wheel bucket's counted capacity for `per_bucket` same-cycle
+  /// events (Bucket): a fully pre-sized queue runs its steady state with
+  /// zero heap growth (heap_grows stays 0 after reset_counters()). Never
+  /// shrinks anything. Meant for set-up, on an empty queue.
   void reserve(std::size_t n, std::size_t per_bucket = 0) {
     pool_.reserve(n);
     free_slots_.reserve(n);
-    if (per_bucket > share_) {
-      auto slab = std::make_unique_for_overwrite<std::uint32_t[]>(
-          kWheel * per_bucket);
-      for (std::size_t i = 0; i < kWheel; ++i) {
-        Bucket& b = buckets_[i];
-        if (b.cap >= per_bucket) continue;  // own storage, already larger
-        std::uint32_t* share = slab.get() + i * per_bucket;
-        std::copy(b.data + b.head, b.data + b.len, share);
-        b.len -= b.head;
-        b.head = 0;
-        b.n = b.len;  // exact while no entry holds more than one member
-        b.data = share;
-        b.cap = static_cast<std::uint32_t>(per_bucket);
-        b.own.reset();
-      }
-      slab_ = std::move(slab);
-      share_ = per_bucket;
-    }
-    if (per_bucket > 0) overflow_.reserve(n);
+    links_.reserve(n);
+    if (per_bucket == 0) return;
+    for (Bucket& b : buckets_) b.cap = std::max<std::size_t>(b.cap, per_bucket);
+    overflow_.reserve(n);
   }
 
   const EngineCounters& counters() const { return counters_; }
@@ -466,41 +450,49 @@ class EventQueue {
     std::uint32_t slot;  ///< entry: pool index or kResumeTag | fiber id
   };
 
-  /// FIFO of same-time events (pool-slot indices; the shared time is stored
-  /// once) in `data[head, len)`. `head` fronts the array so steady-state
-  /// drain/refill cycles never shift or reallocate. `data` points into the
-  /// queue's slab (reserve) or, once the bucket outgrew its share, into
-  /// `own`. `n` counts the events appended since the bucket last emptied,
-  /// a poll block's members one by one; it is what `cap` bounds, so the
-  /// bucket grows exactly when one entry per event would have (n >= len).
-  /// It is reset by the first append to an empty bucket, not by the pop
-  /// that empties it, because push_front() may refill it with the rest of
-  /// the block that pop took.
-  struct Bucket {
-    std::uint32_t* data = nullptr;
-    std::uint32_t len = 0;
-    std::uint32_t head = 0;
-    std::uint32_t cap = 0;
-    std::uint32_t n = 0;
-    Cycle time = 0;  ///< time of every live entry; valid while non-empty
-    std::unique_ptr<std::uint32_t[]> own;
-  };
+  /// A wheel link: one queue entry and the link behind it in its bucket.
+  struct Link { std::uint32_t entry, next; };
+  static constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
 
-  /// Grows bucket `b` until `extra` more events fit, into storage of its
-  /// own, by the doublings (1, 2, 4, ...) a vector appending them one by
-  /// one would take, each counted in heap_grows.
-  void make_room(Bucket& b, std::uint32_t extra) {
-    if (b.n + extra <= b.cap) [[likely]] return;
-    std::uint32_t cap = b.cap;
-    do {
+  /// FIFO of same-time entries (the shared time is stored once), threaded
+  /// through links_ from `head` to `tail`; valid while the bucket's occ_ bit
+  /// is set. `n` and `cap` are only the counting rule behind heap_grows:
+  /// `n` counts the events appended since the bucket last emptied, a poll
+  /// block's members one by one, and `cap` is the capacity an array of its
+  /// own, one slot per event, would have reached (reserve() sets its start).
+  /// count_growth() books each doubling of that array in heap_grows, so the
+  /// counter reads as it did when every bucket had such an array; the links
+  /// it stands for come from the shared pool. `n` is reset by the first
+  /// append to an empty bucket, not by the pop that empties it, because
+  /// push_front() may refill it with the rest of the block that pop took.
+  /// All-zero is a valid empty bucket: the wheel needs no set-up of its own.
+  struct Bucket {
+    Cycle time;
+    std::uint32_t head, tail, n, cap;
+  };
+  static_assert(std::is_trivial_v<Bucket>);
+
+  /// Counts in heap_grows the doublings (1, 2, 4, ...) bucket `b`'s array
+  /// would take, appending one by one, until `extra` more events fit.
+  void count_growth(Bucket& b, std::uint32_t extra) {
+    while (b.n + extra > b.cap) [[unlikely]] {
       ++counters_.heap_grows;
-      cap = cap ? 2 * cap : 1;
-    } while (b.n + extra > cap);
-    auto own = std::make_unique_for_overwrite<std::uint32_t[]>(cap);
-    std::copy(b.data, b.data + b.len, own.get());
-    b.own = std::move(own);
-    b.data = b.own.get();
-    b.cap = cap;
+      b.cap = b.cap ? 2 * b.cap : 1;
+    }
+  }
+
+  bool occupied(std::size_t i) const { return occ_[i / 64] >> (i % 64) & 1; }
+
+  /// A link holding `entry` (its `next` unset), recycled when one is free.
+  std::uint32_t new_link(std::uint32_t entry) {
+    if (free_link_ == kNoLink) {
+      links_.push_back(Link{entry, kNoLink});
+      return static_cast<std::uint32_t>(links_.size() - 1);
+    }
+    const std::uint32_t l = free_link_;
+    free_link_ = links_[l].next;
+    links_[l].entry = entry;
+    return l;
   }
 
   static constexpr std::size_t kNoBucket = ~std::size_t{0};
@@ -554,20 +546,23 @@ class EventQueue {
         return kNoEvent;
       }
       Bucket& b = buckets_[idx];
-      entry = b.data[b.head];
+      const std::uint32_t l = b.head;
+      entry = links_[l].entry;
       if constexpr (kResumeOnly) {
         if (!is_resume(entry)) {
           cur_ = idx;
           return kNoEvent;
         }
       }
-      if (++b.head == b.len) {
-        b.len = b.head = 0;
+      if (l == b.tail) {
         occ_[idx / 64] &= ~(1ull << (idx % 64));
         cur_ = kNoBucket;
       } else {
+        b.head = links_[l].next;
         cur_ = idx;
       }
+      links_[l].next = free_link_;
+      free_link_ = l;
       --wheel_count_;
       floor_ = wheel_time;
       *now = wheel_time;
@@ -593,12 +588,18 @@ class EventQueue {
   void append(std::size_t idx, Cycle t, std::uint32_t entry,
               std::uint32_t n) {
     Bucket& b = buckets_[idx];
-    if (b.len == 0) b.n = 0;
-    make_room(b, n);
-    b.data[b.len++] = entry;
+    const std::uint32_t l = new_link(entry);
+    if (occupied(idx)) {
+      links_[b.tail].next = l;
+    } else {
+      b.n = 0;
+      b.head = l;
+      b.time = t;
+      occ_[idx / 64] |= 1ull << (idx % 64);
+    }
+    b.tail = l;
+    count_growth(b, n);
     b.n += n;
-    b.time = t;
-    occ_[idx / 64] |= 1ull << (idx % 64);
     ++wheel_count_;
     if (cur_ == kNoBucket) {
       if (wheel_count_ == 1) cur_ = idx;
@@ -663,10 +664,10 @@ class EventQueue {
     overflow_[i] = last;
   }
 
-  std::array<Bucket, kWheel> buckets_;
-  std::unique_ptr<std::uint32_t[]> slab_;  ///< reserved bucket shares
-  std::size_t share_ = 0;                  ///< slab entries per bucket
+  std::array<Bucket, kWheel> buckets_{};
   std::array<std::uint64_t, kWheel / 64> occ_{};  ///< bucket occupancy bits
+  std::vector<Link> links_;              ///< every bucket's FIFO links
+  std::uint32_t free_link_ = kNoLink;    ///< recycled links, via `next`
   std::vector<Node> overflow_;             ///< heap of far-future events
   std::vector<EventFn> pool_;              ///< slot-indexed callable storage
   std::vector<std::uint32_t> free_slots_;  ///< recycled pool slots

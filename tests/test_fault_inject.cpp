@@ -376,6 +376,28 @@ TEST(Sec6Overflow, HarnessReportsRobustnessCounters) {
   }
 }
 
+// The open-loop drivers report preemptions as the closed loop does: every
+// driver sums the cores' preemption counts when its run frame ends.
+TEST(Sec6Overflow, ServiceRunsReportPreemptions) {
+  harness::ServiceCfg cfg;
+  cfg.base.machine = arch::MachineParams::tilegx_small(4, 2);
+  cfg.base.warmup = 10'000;
+  cfg.base.window = 60'000;
+  cfg.base.seed = 3;
+  cfg.base.faults = pressure_plan(3);
+  cfg.sessions = 4;
+  cfg.objects = 4;
+  cfg.offered_mops = 20;
+  const harness::RunResult r =
+      harness::run_service(cfg, harness::Approach::kMpServer);
+  EXPECT_GT(r.total_ops, 0u);
+  EXPECT_GT(r.preemptions, 0u);
+  cfg.shards = 2;
+  const harness::RunResult s = harness::run_service_sharded(cfg);
+  EXPECT_GT(s.total_ops, 0u);
+  EXPECT_GT(s.preemptions, 0u);
+}
+
 // ---- fault windows stop once nothing else is pending ----
 
 // One fault category each: a preemption plan and a credit-pressure plan.
