@@ -1,6 +1,7 @@
 #include "arch/noc.hpp"
 
-#include "arch/shared_table.hpp"
+#include <mutex>
+#include <utility>
 
 namespace hmps::arch {
 
@@ -50,8 +51,31 @@ RouteTable build_route_table(std::uint32_t w, std::uint32_t h) {
 
 std::shared_ptr<const RouteTable> shared_route_table(std::uint32_t w,
                                                      std::uint32_t h) {
+  // Process-wide registry keyed by mesh dimensions. Sweeps build thousands
+  // of short-lived machines — and the run pool builds them concurrently on
+  // several host threads — so the table for each mesh shape is derived once
+  // and shared immutably. The handful of distinct shapes a process ever
+  // sees (presets plus the fuzzer's <= 8x8 meshes) keeps the cache tiny.
+  static std::mutex mu;
+  static std::vector<std::pair<std::uint64_t, std::shared_ptr<const RouteTable>>>
+      cache;
   const std::uint64_t key = (static_cast<std::uint64_t>(w) << 32) | h;
-  return shared_table<RouteTable>(key, [&] { return build_route_table(w, h); });
+  {
+    std::lock_guard<std::mutex> l(mu);
+    for (const auto& [k, t] : cache) {
+      if (k == key) return t;
+    }
+  }
+  // Build outside the lock: table construction for a big mesh is the slow
+  // part, and two threads racing to insert the same shape is harmless (one
+  // copy wins, the other is dropped).
+  auto table = std::make_shared<const RouteTable>(build_route_table(w, h));
+  std::lock_guard<std::mutex> l(mu);
+  for (const auto& [k, t] : cache) {
+    if (k == key) return t;
+  }
+  cache.emplace_back(key, table);
+  return table;
 }
 
 NocModel::NocModel(const MachineParams& p, const MeshTopology& topo)

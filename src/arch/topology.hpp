@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "arch/params.hpp"
@@ -17,19 +16,6 @@ struct Coord {
   std::int32_t y = 0;
 };
 
-/// The coordinate tables of one mesh shape, immutable and shared by every
-/// MeshTopology of that shape in the process (shared_mesh_tables).
-struct MeshTables {
-  std::vector<Coord> coords;  ///< coord(c) for every core
-  std::vector<Coord> ctrls;   ///< memory-controller attach points
-};
-
-/// The process-wide tables of a w x h mesh with `n_ctrls` memory
-/// controllers: built on first request, then shared. Thread-safe.
-std::shared_ptr<const MeshTables> shared_mesh_tables(std::uint32_t w,
-                                                     std::uint32_t h,
-                                                     std::uint32_t n_ctrls);
-
 class MeshTopology {
  public:
   explicit MeshTopology(const MachineParams& p)
@@ -39,14 +25,31 @@ class MeshTopology {
         router_(p.router),
         chip_w_(p.chip_w()),
         chip_h_(p.chip_h()),
-        chip_extra_(p.chips() > 1 ? p.chip_hop_extra : 0),
-        tables_(shared_mesh_tables(w_, h_, p.n_mem_ctrls)),
-        coords_(tables_->coords.data()),
-        ctrls_(tables_->ctrls.data()),
-        n_ctrls_(static_cast<std::uint32_t>(tables_->ctrls.size())) {}
+        chip_extra_(p.chips() > 1 ? p.chip_hop_extra : 0) {
+    assert(w_ > 0 && h_ > 0);
+    // Memory controllers sit at the vertical midpoints of the left and
+    // right mesh edges (mirroring the TILE-Gx's edge-attached controllers);
+    // extra controllers (if configured) spread along the top edge.
+    const std::int32_t midy = static_cast<std::int32_t>(h_) / 2;
+    ctrls_.reserve(p.n_mem_ctrls);
+    ctrls_.push_back(Coord{0, midy});
+    if (p.n_mem_ctrls > 1)
+      ctrls_.push_back(Coord{static_cast<std::int32_t>(w_) - 1, midy});
+    for (std::uint32_t i = 2; i < p.n_mem_ctrls; ++i)
+      ctrls_.push_back(Coord{static_cast<std::int32_t>(i % w_), 0});
+    // Tile coordinates, precomputed: wire() runs several times per remote
+    // memory access, and the div/mod pair per endpoint is measurable there.
+    coords_.reserve(static_cast<std::size_t>(w_) * h_);
+    for (std::uint32_t c = 0; c < w_ * h_; ++c) {
+      coords_.push_back(Coord{static_cast<std::int32_t>(c % w_),
+                              static_cast<std::int32_t>(c / w_)});
+    }
+  }
 
   std::uint32_t cores() const { return w_ * h_; }
-  std::uint32_t n_ctrls() const { return n_ctrls_; }
+  std::uint32_t n_ctrls() const {
+    return static_cast<std::uint32_t>(ctrls_.size());
+  }
 
   Coord coord(sim::Tid core) const {
     assert(core < cores());
@@ -63,7 +66,7 @@ class MeshTopology {
   }
 
   std::uint32_t hops_to_ctrl(sim::Tid core, std::uint32_t ctrl) const {
-    return manhattan(coord(core), ctrls_[ctrl % n_ctrls_]);
+    return manhattan(coord(core), ctrls_[ctrl % ctrls_.size()]);
   }
 
   /// Chip-boundary crossings on the XY route between two coordinates.
@@ -92,7 +95,7 @@ class MeshTopology {
 
   /// One-way latency from a tile to a memory controller.
   Cycle wire_to_ctrl(sim::Tid core, std::uint32_t ctrl) const {
-    const Coord ca = coord(core), cb = ctrls_[ctrl % n_ctrls_];
+    const Coord ca = coord(core), cb = ctrls_[ctrl % ctrls_.size()];
     return router_ + hop_ * manhattan(ca, cb) +
            chip_extra_ * chip_crossings(ca, cb);
   }
@@ -100,7 +103,7 @@ class MeshTopology {
   /// Mesh coordinate of a memory controller's attach point (the combining
   /// model walks routes toward it router by router).
   Coord ctrl_coord(std::uint32_t ctrl) const {
-    return ctrls_[ctrl % n_ctrls_];
+    return ctrls_[ctrl % ctrls_.size()];
   }
 
   /// One-way latency between two coordinates (same formula as wire(), for
@@ -128,12 +131,8 @@ class MeshTopology {
   Cycle hop_, router_;
   std::uint32_t chip_w_ = 0, chip_h_ = 0;  ///< tiles per chip per axis
   Cycle chip_extra_ = 0;  ///< per-boundary-crossing latency (0 = one chip)
-  std::shared_ptr<const MeshTables> tables_;
-  // Tile coordinates, precomputed: wire() runs several times per remote
-  // memory access, and the div/mod pair per endpoint is measurable there.
-  const Coord* coords_;  ///< tables_->coords
-  const Coord* ctrls_;   ///< tables_->ctrls
-  std::uint32_t n_ctrls_;
+  std::vector<Coord> ctrls_;
+  std::vector<Coord> coords_;  ///< coord(c) for every core, precomputed
 };
 
 }  // namespace hmps::arch

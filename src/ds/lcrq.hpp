@@ -40,7 +40,7 @@ class Lcrq {
   /// past `max_rings` aborts.
   explicit Lcrq(std::uint32_t ring_order = 7, std::uint32_t max_rings = 4096)
       : ring_size_(1u << ring_order), pool_cap_(max_rings),
-        pool_(std::make_unique_for_overwrite<Crq*[]>(pool_cap_)) {
+        pool_(std::make_unique<Crq*[]>(pool_cap_)) {
     Crq* first = build_ring(0);
     pool_next_.store(1, std::memory_order_relaxed);
     init_empty(first);
@@ -52,7 +52,9 @@ class Lcrq {
   Lcrq& operator=(const Lcrq&) = delete;
 
   ~Lcrq() {
-    // Only the slots alloc_ring handed out hold a ring.
+    // Only the slots alloc_ring handed out can hold a ring. A slot whose
+    // FAA returned but whose ring was never built (a simulated run stopped
+    // inside the FAA's latency) is still null.
     const std::uint64_t used = pool_next_.load(std::memory_order_relaxed);
     for (std::uint64_t i = 0; i < used && i < pool_cap_; ++i) delete pool_[i];
   }
@@ -253,7 +255,6 @@ class Lcrq {
   /// slot to exactly one caller, and the CAS that links the ring publishes
   /// it to the others; slots past pool_next_ are never read.
   Crq* build_ring(std::size_t i) {
-    pool_[i] = nullptr;  // what the destructor frees if `new` throws
     pool_[i] = new Crq(ring_size_);
     return pool_[i];
   }
@@ -270,7 +271,7 @@ class Lcrq {
 
   std::uint32_t ring_size_;
   std::uint32_t pool_cap_;
-  std::unique_ptr<Crq*[]> pool_;  ///< slots [0, pool_next_) hold rings
+  std::unique_ptr<Crq*[]> pool_;  ///< zeroed; [0, pool_next_) claimed
   alignas(rt::kCacheLine) Word pool_next_{0};
   alignas(rt::kCacheLine) Word free_rings_{0};
   alignas(rt::kCacheLine) Word head_ptr_{0};

@@ -462,9 +462,10 @@ class EventQueue {
   /// own, one slot per event, would have reached (reserve() sets its start).
   /// count_growth() books each doubling of that array in heap_grows, so the
   /// counter reads as it did when every bucket had such an array; the links
-  /// it stands for come from the shared pool. `n` is reset by the first
-  /// append to an empty bucket, not by the pop that empties it, because
-  /// push_front() may refill it with the rest of the block that pop took.
+  /// it stands for come from the shared pool, whose own growth new_link()
+  /// counts as well. `n` is reset by the first append to an empty bucket,
+  /// not by the pop that empties it, because push_front() may refill it
+  /// with the rest of the block that pop took.
   /// All-zero is a valid empty bucket: the wheel needs no set-up of its own.
   struct Bucket {
     Cycle time;
@@ -486,6 +487,7 @@ class EventQueue {
   /// A link holding `entry` (its `next` unset), recycled when one is free.
   std::uint32_t new_link(std::uint32_t entry) {
     if (free_link_ == kNoLink) {
+      if (links_.size() == links_.capacity()) ++counters_.heap_grows;
       links_.push_back(Link{entry, kNoLink});
       return static_cast<std::uint32_t>(links_.size() - 1);
     }

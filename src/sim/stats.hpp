@@ -19,7 +19,7 @@ struct EngineCounters {
   std::uint64_t scheduled = 0;      ///< events ever pushed
   std::uint64_t executed = 0;       ///< events ever popped
   std::uint64_t spill_allocs = 0;   ///< callbacks too big for inline storage
-  std::uint64_t heap_grows = 0;     ///< reallocations of the heap array
+  std::uint64_t heap_grows = 0;     ///< engine pool/heap/bucket growths
   std::uint64_t peak_depth = 0;     ///< max simultaneous pending events
   std::uint64_t fast_forwards = 0;  ///< waits satisfied without an event
   std::uint64_t polled = 0;  ///< resumes a poller consumed without a switch

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "arch/params.hpp"
@@ -114,6 +116,36 @@ TEST(LcrqDeathTest, RingPoolExhaustionAborts) {
   };
   fill(8);
   EXPECT_DEATH(fill(9), "hmps fatal: Lcrq: ring pool of 4 rings exhausted");
+}
+
+// A simulated run that stops at its horizon leaves fibers inside their ops,
+// and the harness then destroys the queue. alloc_ring's FAA bumps the pool
+// counter before the fiber waits out the FAA's latency, so a run stopped in
+// that wait leaves a claimed slot with no ring behind it, which the
+// destructor must not free. Every horizon up to the end of the run is
+// tried, so some stop lands in each ring allocation's FAA. The queue's pool
+// array has the size and fill of a freed block in front of it, so a pool
+// left uninitialised would read those bytes back (ASan poisons it anyway).
+TEST(LcrqEdge, RunStoppedInsideRingAllocation) {
+  constexpr std::uint32_t kRings = 64;
+  const auto run = [](sim::Cycle horizon) {
+    {
+      const auto junk = std::make_unique<void*[]>(kRings);
+      std::memset(junk.get(), 0xbe, kRings * sizeof(void*));
+    }
+    ds::Lcrq<SimCtx> q(1, kRings);  // two-cell rings: many allocations
+    SimExecutor ex(arch::MachineParams::tilegx_small(), 2);
+    for (int t = 0; t < 2; ++t) {
+      ex.add_thread([&q, t](SimCtx& ctx) {
+        for (std::uint32_t v = 0; v < 12; ++v) q.enqueue(ctx, 2 * v + t);
+      });
+    }
+    ex.run_until(horizon);
+    return ex.sched().now();
+  };
+  const sim::Cycle end = run(sim::kCycleMax);
+  ASSERT_GT(end, 0u);
+  for (sim::Cycle h = 0; h <= end; ++h) run(h);
 }
 
 // The sequential queue, the sequential stack and the Treiber stack hold

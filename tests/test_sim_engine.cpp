@@ -106,7 +106,8 @@ TEST(EventQueue, SizeAndClear) {
 // array of its own: entries in per-bucket deques, the far future in a
 // vector searched for its (time, seq) minimum, and the growth rules the
 // counters report (the callable pool's and the overflow heap's vector
-// capacities; each bucket's doublings from its reserved share).
+// capacities; each bucket's doublings from its reserved share), plus the
+// growth of the linked wheel's link pool, one link per wheel entry.
 class RefQueue {
  public:
   static constexpr std::size_t kWheel = EventQueue::kWheel;
@@ -116,6 +117,7 @@ class RefQueue {
   void reserve(std::size_t n, std::size_t per_bucket) {
     pool_.reserve(n);
     free_.reserve(n);
+    links_.reserve(n);
     if (per_bucket > share_) {
       for (Bucket& b : wheel_) {
         if (b.cap >= per_bucket) continue;
@@ -189,6 +191,7 @@ class RefQueue {
   void push_front(std::uint32_t e) {
     Bucket& b = wheel_[floor_ % kWheel];
     if (b.q.empty()) b.time = floor_;
+    take_link();
     b.q.push_front(e);
   }
   bool fast_forward(Cycle t) {
@@ -212,6 +215,7 @@ class RefQueue {
       *now = b->time;
       e = b->q.front();
       b->q.pop_front();
+      --live_links_;
     }
     floor_ = *now;
     --size;
@@ -250,10 +254,17 @@ class RefQueue {
   void append(Cycle t, std::uint32_t e, std::uint32_t n) {
     Bucket& b = wheel_[t % kWheel];
     if (b.q.empty()) b.n = 0;
+    take_link();
     grow(b, n);
     b.q.push_back(e);
     b.n += n;
     b.time = t;
+  }
+  /// The link pool only grows when every link is in use.
+  void take_link() {
+    if (live_links_++ < links_.size()) return;
+    if (links_.size() == links_.capacity()) ++c.heap_grows;
+    links_.push_back(0);
   }
   void push_far(Cycle t, std::uint32_t e) {
     if (far_.size() == far_.capacity()) ++c.heap_grows;
@@ -277,6 +288,8 @@ class RefQueue {
   std::vector<std::tuple<Cycle, std::uint64_t, std::uint32_t>> far_;
   std::vector<char> pool_;
   std::vector<std::uint32_t> free_;
+  std::vector<char> links_;
+  std::size_t live_links_ = 0;
   std::size_t share_ = 0;
   Cycle floor_ = 0;
   std::uint64_t seq_ = 0;
