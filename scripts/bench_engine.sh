@@ -119,9 +119,9 @@ if [ "$SMOKE" = 0 ]; then
   CHECK_EXPLORE=$(awk -v ns=$((T1 - T0)) 'BEGIN { printf "%.2f", ns / 1e9 }')
 fi
 
-# Steady-state heap growths of the pre-sized event queue (engine_micro's
-# probe workload; the binary itself exits 1 when this is nonzero).
-HEAP_GROWS=$(grep -o '"heap_grows": [0-9]*' "$TMP_JSON" | awk '{print $2}')
+# Event-queue growths after warm-up (engine_micro's probe workload; the
+# binary itself exits 1 when this is nonzero).
+HEAP_GROWS=$(grep -o '"steady_heap_grows": [0-9]*' "$TMP_JSON" | awk '{print $2}')
 HEAP_GROWS="${HEAP_GROWS:-null}"
 
 ENGINE_FILES=(src/sim/event_queue.hpp src/sim/scheduler.hpp

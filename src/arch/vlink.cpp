@@ -1,8 +1,22 @@
 #include "arch/vlink.hpp"
 
 #include <bit>
+#include <cstdio>
+#include <cstdlib>
 
 namespace hmps::arch {
+
+namespace {
+
+[[noreturn]] void bad_frame(std::size_t n, std::size_t cap) {
+  std::fprintf(stderr,
+               "hmps fatal: VlinkFabric: push: a %zu-word frame does not fit "
+               "its %zu-word channel; its producer would block forever\n",
+               n, cap);
+  std::abort();
+}
+
+}  // namespace
 
 VlinkFabric::ChannelId VlinkFabric::create_channel(Tid home,
                                                    std::size_t capacity) {
@@ -21,7 +35,9 @@ void VlinkFabric::push(Tid src, ChannelId ch, const std::uint64_t* words,
                        std::size_t n) {
   assert(ch < chans_.size());
   Channel& c = chans_[ch];
-  assert(n > 0 && n <= c.cap && "frame larger than the whole channel");
+  assert(n > 0);
+  // No credit window admits a frame larger than the whole channel.
+  if (n > c.cap) [[unlikely]] bad_frame(n, c.cap);
 
   // Credit check: frames are never dropped; a full channel backs the
   // producer up. The condition is re-read on every wakeup (several pushers

@@ -118,6 +118,9 @@ bool machine_from_json(const JsonValue& j, arch::MachineParams* p,
   ok &= get_u32(j, "chips_y", &p->chips_y);
   ok &= get_u64(j, "chip_hop_extra", &p->chip_hop_extra);
   if (!ok) return fail("(type mismatch)");
+  if (p->mesh_w == 0 || p->mesh_h == 0) {
+    return fail("mesh_w/mesh_h (a mesh needs at least one core)");
+  }
   if (p->n_mem_ctrls < 1 || p->n_mem_ctrls > arch::CoherenceModel::kMaxCtrls) {
     return fail("n_mem_ctrls (outside [1, 8])");
   }
@@ -126,6 +129,9 @@ bool machine_from_json(const JsonValue& j, arch::MachineParams* p,
   }
   if (p->udn_buf_words < arch::UdnModel::kMaxFrameWords) {
     return fail("udn_buf_words (below the 3-word largest message)");
+  }
+  if (p->udn_queues == 0) {
+    return fail("udn_queues (every core needs a demux queue)");
   }
   return true;
 }

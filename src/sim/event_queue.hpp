@@ -7,18 +7,20 @@
 // Engine hot path: every simulated cycle flows through schedule()/pop(), so
 // events avoid the heap entirely in steady state. Callbacks live inline in
 // pooled slots (EventFn below, 48 bytes of storage — every callback the
-// simulator itself schedules fits) and NEVER move while pending; ordering is
-// done on small POD nodes (time, seq, slot index) by a bucket timing wheel
-// with an overflow heap (see EventQueue below), giving O(1) schedule and pop
-// for the near-term deltas cycle-level models produce. Slots and wheel links
-// are recycled through free lists; once both pools and the heap have grown
-// to the high-water mark of a run, scheduling allocates nothing. EngineCounters
-// (sim/stats.hpp) track the two escape hatches — oversized callbacks
-// spilling to the heap and pool growth — so tests can assert the
+// simulator itself schedules fits); ordering is done on 32-bit entries (slot
+// index or tagged fiber id) by a bucket timing wheel with an overflow heap
+// (see EventQueue below), giving O(1) schedule and pop for the near-term
+// deltas cycle-level models produce. Code outside the queue never holds a
+// reference into the pool: claim() moves a callback out before it runs, so
+// the pool may grow (relocating pending callbacks) at any schedule(). Slots
+// and wheel links are recycled through free lists, and every vector starts
+// empty and grows on first use; once each has reached the high-water mark
+// of a run, scheduling allocates nothing. EngineCounters (sim/stats.hpp)
+// track the two escape hatches — oversized callbacks spilling to the heap
+// and growth of the queue's own vectors — so tests can assert the
 // zero-allocation contract instead of assuming it.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstddef>
@@ -174,9 +176,10 @@ class EventFn {
 /// single entry (kPollTag | phase | first member; the scheduler threads the
 /// members through its fiber table). A poller scheduled into a bucket whose
 /// last entry is a block of the same phase joins it — the FIFO position its
-/// own entry would have taken; otherwise it starts a new entry. Every count
-/// the queue keeps (size, the EngineCounters, a bucket's counted growth)
-/// still counts members, not entries.
+/// own entry would have taken; otherwise it starts a new entry. The size
+/// and the event counts of EngineCounters still count members, not
+/// entries; heap_grows counts the queue's real allocations, so a block's
+/// one link can only make it lower than one link per member would.
 class EventQueue {
  public:
   using Callback = EventFn;
@@ -229,9 +232,8 @@ class EventQueue {
       slot = free_slots_.back();
       free_slots_.pop_back();
     } else {
-      if (pool_.size() == pool_.capacity()) ++counters_.heap_grows;
       slot = static_cast<std::uint32_t>(pool_.size());
-      pool_.emplace_back();
+      grow_push(pool_);
     }
     pool_[slot].emplace(std::forward<F>(cb));
     place(t, slot);
@@ -254,16 +256,17 @@ class EventQueue {
   /// the fiber gets a poll entry of its own and kNoEvent is returned.
   std::uint32_t schedule_poll(Cycle t, std::uint32_t fiber,
                               std::uint8_t phase) {
-    const std::uint32_t joined = place_polls(t, fiber, 1, phase);
+    const std::uint32_t joined = place_polls(t, fiber, phase);
     count_scheduled();
     return joined;
   }
 
-  /// schedule_poll() for `n` members of a popped poll block, first member
+  /// schedule_poll() for the members of a popped poll block, first member
   /// `first` (the caller has threaded the rest), all due at `t`. Only a
-  /// single member may be bound for the overflow heap. Moves the entries
-  /// only: the members' counts go through account_polls().
-  std::uint32_t place_polls(Cycle t, std::uint32_t first, std::uint32_t n,
+  /// single member may be bound for the overflow heap (move_polls() keeps
+  /// blocks in the wheel). Moves the entries only: the members' counts go
+  /// through account_polls().
+  std::uint32_t place_polls(Cycle t, std::uint32_t first,
                             std::uint8_t phase) {
     const std::uint32_t entry = poll_entry(first, phase);
     if (t - floor_ < kWheel) {
@@ -272,13 +275,10 @@ class EventQueue {
       constexpr std::uint32_t kTagAndPhase = ~(kMaxFibers - 1);
       if (occupied(idx) &&
           (links_[b.tail].entry & kTagAndPhase) == (entry & kTagAndPhase)) {
-        count_growth(b, n);
-        b.n += n;
         return resume_fiber(links_[b.tail].entry);
       }
-      append(idx, t, entry, n);
+      append(idx, t, entry);
     } else {
-      assert(n == 1);
       push_overflow(t, entry);
     }
     return kNoEvent;
@@ -294,7 +294,7 @@ class EventQueue {
   std::uint32_t move_polls(Cycle t, std::uint32_t first, std::uint32_t n,
                            std::uint8_t phase) {
     assert(n >= 2 && t - floor_ < kWheel);
-    const std::uint32_t joined = place_polls(t, first, n, phase);
+    const std::uint32_t joined = place_polls(t, first, phase);
     account_polls(n - 1);
     ++counters_.polled;
     count_scheduled();
@@ -328,8 +328,6 @@ class EventQueue {
     Bucket& b = buckets_[idx];
     const std::uint32_t l = new_link(entry);
     if (!occupied(idx)) {  // the block was the bucket's last entry
-      // b.n still counts the bucket's entries since it last emptied
-      // (logically it has not: these members are still in it).
       b.tail = l;
       b.time = floor_;
       occ_[idx / 64] |= 1ull << (idx % 64);
@@ -390,7 +388,7 @@ class EventQueue {
   /// must be false) and recycles its pool slot.
   Callback claim(std::uint32_t entry) {
     Callback cb = std::move(pool_[entry]);
-    free_slots_.push_back(entry);
+    grow_push(free_slots_, entry);
     return cb;
   }
 
@@ -419,21 +417,6 @@ class EventQueue {
     cur_ = kNoBucket;
   }
 
-  /// Pre-sizes the callable and link pools for `n` concurrent events and,
-  /// when `per_bucket` > 0, the overflow heap for `n` far-future timers and
-  /// every wheel bucket's counted capacity for `per_bucket` same-cycle
-  /// events (Bucket): a fully pre-sized queue runs its steady state with
-  /// zero heap growth (heap_grows stays 0 after reset_counters()). Never
-  /// shrinks anything. Meant for set-up, on an empty queue.
-  void reserve(std::size_t n, std::size_t per_bucket = 0) {
-    pool_.reserve(n);
-    free_slots_.reserve(n);
-    links_.reserve(n);
-    if (per_bucket == 0) return;
-    for (Bucket& b : buckets_) b.cap = std::max<std::size_t>(b.cap, per_bucket);
-    overflow_.reserve(n);
-  }
-
   const EngineCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
 
@@ -456,30 +439,20 @@ class EventQueue {
 
   /// FIFO of same-time entries (the shared time is stored once), threaded
   /// through links_ from `head` to `tail`; valid while the bucket's occ_ bit
-  /// is set. `n` and `cap` are only the counting rule behind heap_grows:
-  /// `n` counts the events appended since the bucket last emptied, a poll
-  /// block's members one by one, and `cap` is the capacity an array of its
-  /// own, one slot per event, would have reached (reserve() sets its start).
-  /// count_growth() books each doubling of that array in heap_grows, so the
-  /// counter reads as it did when every bucket had such an array; the links
-  /// it stands for come from the shared pool, whose own growth new_link()
-  /// counts as well. `n` is reset by the first append to an empty bucket,
-  /// not by the pop that empties it, because push_front() may refill it
-  /// with the rest of the block that pop took.
-  /// All-zero is a valid empty bucket: the wheel needs no set-up of its own.
+  /// is set. All-zero is a valid empty bucket: the wheel needs no set-up of
+  /// its own.
   struct Bucket {
     Cycle time;
-    std::uint32_t head, tail, n, cap;
+    std::uint32_t head, tail;
   };
   static_assert(std::is_trivial_v<Bucket>);
 
-  /// Counts in heap_grows the doublings (1, 2, 4, ...) bucket `b`'s array
-  /// would take, appending one by one, until `extra` more events fit.
-  void count_growth(Bucket& b, std::uint32_t extra) {
-    while (b.n + extra > b.cap) [[unlikely]] {
-      ++counters_.heap_grows;
-      b.cap = b.cap ? 2 * b.cap : 1;
-    }
+  /// Appends to one of the queue's own vectors, counting in heap_grows each
+  /// append that has to reallocate it.
+  template <class T, class... A>
+  void grow_push(std::vector<T>& v, A&&... a) {
+    if (v.size() == v.capacity()) [[unlikely]] ++counters_.heap_grows;
+    v.emplace_back(std::forward<A>(a)...);
   }
 
   bool occupied(std::size_t i) const { return occ_[i / 64] >> (i % 64) & 1; }
@@ -487,8 +460,7 @@ class EventQueue {
   /// A link holding `entry` (its `next` unset), recycled when one is free.
   std::uint32_t new_link(std::uint32_t entry) {
     if (free_link_ == kNoLink) {
-      if (links_.size() == links_.capacity()) ++counters_.heap_grows;
-      links_.push_back(Link{entry, kNoLink});
+      grow_push(links_, Link{entry, kNoLink});
       return static_cast<std::uint32_t>(links_.size() - 1);
     }
     const std::uint32_t l = free_link_;
@@ -578,30 +550,25 @@ class EventQueue {
   /// the wheel or the overflow heap. Precondition: t >= floor_.
   void place(Cycle t, std::uint32_t entry) {
     if (t - floor_ < kWheel) {
-      append(t & (kWheel - 1), t, entry, 1);
+      append(t & (kWheel - 1), t, entry);
     } else {
       push_overflow(t, entry);
     }
     count_scheduled();
   }
 
-  /// Appends `entry`, standing for `n` events due at `t`, to wheel bucket
-  /// `idx`.
-  void append(std::size_t idx, Cycle t, std::uint32_t entry,
-              std::uint32_t n) {
+  /// Appends `entry`, due at `t`, to wheel bucket `idx`.
+  void append(std::size_t idx, Cycle t, std::uint32_t entry) {
     Bucket& b = buckets_[idx];
     const std::uint32_t l = new_link(entry);
     if (occupied(idx)) {
       links_[b.tail].next = l;
     } else {
-      b.n = 0;
       b.head = l;
       b.time = t;
       occ_[idx / 64] |= 1ull << (idx % 64);
     }
     b.tail = l;
-    count_growth(b, n);
-    b.n += n;
     ++wheel_count_;
     if (cur_ == kNoBucket) {
       if (wheel_count_ == 1) cur_ = idx;
@@ -611,8 +578,7 @@ class EventQueue {
   }
 
   void push_overflow(Cycle t, std::uint32_t entry) {
-    if (overflow_.size() == overflow_.capacity()) ++counters_.heap_grows;
-    overflow_.push_back(Node{t, next_seq_++, entry});
+    grow_push(overflow_, Node{t, next_seq_++, entry});
     sift_up(overflow_.size() - 1);
   }
 

@@ -130,7 +130,7 @@ Scheduler::FiberId Scheduler::run_members(FiberId id, FiberId last,
     ++stepped;
     const Cycle t = now_ + d;
     s.from = t;
-    link_polls(queue_.place_polls(t, id, 1, next_phase), id, id, 1, t,
+    link_polls(queue_.place_polls(t, id, next_phase), id, id, 1, t,
                step_dirty, s.shared);
     id = next;
   }

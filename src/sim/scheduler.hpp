@@ -58,12 +58,6 @@ class Scheduler {
   /// Engine self-counters (events scheduled/executed, allocation escapes).
   const EngineCounters& engine_counters() const { return queue_.counters(); }
 
-  /// Pre-sizes the event pool, wheel buckets, and overflow heap (see
-  /// EventQueue::reserve).
-  void reserve_events(std::size_t n, std::size_t per_bucket = 0) {
-    queue_.reserve(n, per_bucket);
-  }
-
   /// Enables/disables the wait_until() fast path (on by default). With it
   /// off every wait schedules a resume and round-trips through the event
   /// queue — the reference serial order. Tests assert golden-trace equality

@@ -19,7 +19,10 @@ struct EngineCounters {
   std::uint64_t scheduled = 0;      ///< events ever pushed
   std::uint64_t executed = 0;       ///< events ever popped
   std::uint64_t spill_allocs = 0;   ///< callbacks too big for inline storage
-  std::uint64_t heap_grows = 0;     ///< engine pool/heap/bucket growths
+  /// Reallocations of the event queue's own vectors (callable pool, free
+  /// slots, wheel links, overflow heap) as they grow to a run's high-water
+  /// mark; none once they have reached it.
+  std::uint64_t heap_grows = 0;
   std::uint64_t peak_depth = 0;     ///< max simultaneous pending events
   std::uint64_t fast_forwards = 0;  ///< waits satisfied without an event
   std::uint64_t polled = 0;  ///< resumes a poller consumed without a switch

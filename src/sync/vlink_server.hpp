@@ -19,16 +19,16 @@ template <class Ctx>
 class VlinkWire : public OneServer<Ctx> {
  public:
   static constexpr std::uint32_t kNoChannel = ~std::uint32_t{0};
-  /// Request-channel capacity in words (42 in-flight 3-word frames at the
-  /// default — matches the UDN buffer's order of magnitude so backpressure
+  /// Request-channel capacity in words (42 in-flight 3-word frames —
+  /// matches the UDN buffer's order of magnitude so backpressure
   /// engages at comparable depth).
-  static constexpr std::size_t kDefaultReqWords = 126;
+  static constexpr std::size_t kReqWords = 126;
   /// Reply channels hold a client's whole outstanding train (<= 16 tickets
   /// of 2 words) with room to spare.
   static constexpr std::size_t kReplyWords = 64;
 
-  VlinkWire(arch::VlinkFabric& fab, Tid server_core, std::size_t req_words)
-      : fab_(fab), req_ch_(fab.create_channel(server_core, req_words)) {
+  VlinkWire(arch::VlinkFabric& fab, Tid server_core)
+      : fab_(fab), req_ch_(fab.create_channel(server_core, kReqWords)) {
     for (auto& r : reply_ch_) r = kNoChannel;
   }
   std::uint32_t request_channel() const { return req_ch_; }
@@ -85,10 +85,9 @@ class VlinkServer
   /// `server_core`: home tile of the shared request channel (the tile the
   /// serving thread runs on; with a server pool, the first server's tile).
   VlinkServer(arch::VlinkFabric& fab, Tid server_core, void* obj,
-              std::uint64_t max_inflight = 0,
-              std::size_t req_words = VlinkWire<Ctx>::kDefaultReqWords)
+              std::uint64_t max_inflight = 0)
       : VlinkServer::DelegationServer(
-            kLabels, VlinkWire<Ctx>(fab, server_core, req_words),
+            kLabels, VlinkWire<Ctx>(fab, server_core),
             FnDispatch<Ctx>(obj), max_inflight) {}
 
   void* object() const { return this->dispatch().object(); }

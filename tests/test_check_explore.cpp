@@ -348,6 +348,40 @@ TEST(Repro, RejectsUdnBufferBelowTheLargestMessage) {
   }
 }
 
+// A mesh without cores divides by zero once the replay builds it, and a
+// core without a demux queue aborts mid-replay on its first message, so
+// both are rejected at load.
+TEST(Repro, RejectsEmptyMeshAndMissingUdnQueues) {
+  struct Case {
+    std::uint32_t w, h, queues;
+    const char* field;  ///< in the error, or nullptr when accepted
+  };
+  const Case cases[] = {{0, 6, 4, "mesh_w/mesh_h"},
+                        {6, 0, 4, "mesh_w/mesh_h"},
+                        {6, 6, 0, "udn_queues"},
+                        {1, 1, 1, nullptr},
+                        {6, 6, 4, nullptr}};
+  check::Scenario base = base_scenario();
+  for (const Case& c : cases) {
+    base.cfg.params.mesh_w = c.w;
+    base.cfg.params.mesh_h = c.h;
+    base.cfg.params.udn_queues = c.queues;
+    const std::string json = check::repro_to_json(base, check::Violation{});
+    check::Scenario s;
+    check::Violation expect;
+    std::string err;
+    const bool ok = check::repro_from_json(json, &s, &expect, &err);
+    if (c.field == nullptr) {
+      EXPECT_TRUE(ok) << c.w << "x" << c.h << "/" << c.queues << ": " << err;
+      EXPECT_EQ(s.cfg.params.cores(), c.w * c.h);
+      EXPECT_EQ(s.cfg.params.udn_queues, c.queues);
+    } else {
+      EXPECT_FALSE(ok) << c.w << "x" << c.h << "/" << c.queues;
+      EXPECT_NE(err.find(c.field), std::string::npos) << err;
+    }
+  }
+}
+
 // ---- workload clamping (shared generator rules) ----
 
 TEST(ClampCfg, ServerKindsKeepServerCoreUniprogrammed) {

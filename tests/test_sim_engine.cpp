@@ -101,33 +101,18 @@ TEST(EventQueue, SizeAndClear) {
   EXPECT_TRUE(q.empty());
 }
 
-// ---- the linked wheel against the per-bucket rule --------------------------
+// ---- the linked wheel against a plain reference ----------------------------
 // RefQueue is the event queue as it stood when every wheel bucket owned an
-// array of its own: entries in per-bucket deques, the far future in a
-// vector searched for its (time, seq) minimum, and the growth rules the
-// counters report (the callable pool's and the overflow heap's vector
-// capacities; each bucket's doublings from its reserved share), plus the
-// growth of the linked wheel's link pool, one link per wheel entry.
+// array of its own: entries in per-bucket deques and the far future in a
+// vector searched for its (time, seq) minimum. heap_grows counts the
+// reallocations of the vectors the linked wheel keeps: its callable pool,
+// free-slot stack, link pool (one link per wheel entry, recycled) and
+// overflow heap.
 class RefQueue {
  public:
   static constexpr std::size_t kWheel = EventQueue::kWheel;
   EngineCounters c;
   std::size_t size = 0;
-
-  void reserve(std::size_t n, std::size_t per_bucket) {
-    pool_.reserve(n);
-    free_.reserve(n);
-    links_.reserve(n);
-    if (per_bucket > share_) {
-      for (Bucket& b : wheel_) {
-        if (b.cap >= per_bucket) continue;
-        b.n = static_cast<std::uint32_t>(b.q.size());
-        b.cap = static_cast<std::uint32_t>(per_bucket);
-      }
-      share_ = per_bucket;
-    }
-    if (per_bucket > 0) far_.reserve(n);
-  }
 
   std::uint32_t schedule(Cycle t, bool spill) {
     if (spill) ++c.spill_allocs;
@@ -136,9 +121,8 @@ class RefQueue {
       slot = free_.back();
       free_.pop_back();
     } else {
-      if (pool_.size() == pool_.capacity()) ++c.heap_grows;
       slot = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(0);
+      grow_push(pool_, 0);
     }
     place(std::max(t, floor_), slot);
     return slot;
@@ -148,11 +132,11 @@ class RefQueue {
   }
   std::uint32_t schedule_poll(Cycle t, std::uint32_t fiber,
                               std::uint8_t phase) {
-    const std::uint32_t joined = place_polls(t, fiber, 1, phase);
+    const std::uint32_t joined = place_polls(t, fiber, phase);
     count_scheduled();
     return joined;
   }
-  std::uint32_t place_polls(Cycle t, std::uint32_t first, std::uint32_t n,
+  std::uint32_t place_polls(Cycle t, std::uint32_t first,
                             std::uint8_t phase) {
     const std::uint32_t e = EventQueue::poll_entry(first, phase);
     if (t - floor_ >= kWheel) {
@@ -162,16 +146,14 @@ class RefQueue {
     Bucket& b = wheel_[t % kWheel];
     constexpr std::uint32_t kTagAndPhase = ~(EventQueue::kMaxFibers - 1);
     if (!b.q.empty() && (b.q.back() & kTagAndPhase) == (e & kTagAndPhase)) {
-      grow(b, n);
-      b.n += n;
       return EventQueue::resume_fiber(b.q.back());
     }
-    append(t, e, n);
+    append(t, e);
     return EventQueue::kNoEvent;
   }
   std::uint32_t move_polls(Cycle t, std::uint32_t first, std::uint32_t n,
                            std::uint8_t phase) {
-    const std::uint32_t joined = place_polls(t, first, n, phase);
+    const std::uint32_t joined = place_polls(t, first, phase);
     account_polls(n - 1);
     ++c.polled;
     count_scheduled();
@@ -220,7 +202,7 @@ class RefQueue {
     floor_ = *now;
     --size;
     ++c.executed;
-    if (!EventQueue::is_resume(e)) free_.push_back(e);
+    if (!EventQueue::is_resume(e)) grow_push(free_, e);
     return e;
   }
 
@@ -228,8 +210,6 @@ class RefQueue {
   struct Bucket {
     std::deque<std::uint32_t> q;
     Cycle time = 0;
-    std::uint32_t n = 0;
-    std::uint32_t cap = 0;
   };
 
   Bucket* first_bucket() {
@@ -245,34 +225,28 @@ class RefQueue {
     for (const auto& f : far_) e = std::min(e, std::get<0>(f));
     return e;
   }
-  void grow(Bucket& b, std::uint32_t extra) {
-    while (b.n + extra > b.cap) {
-      ++c.heap_grows;
-      b.cap = b.cap ? 2 * b.cap : 1;
-    }
+  template <class T, class... A>
+  void grow_push(std::vector<T>& v, A&&... a) {
+    if (v.size() == v.capacity()) ++c.heap_grows;
+    v.emplace_back(std::forward<A>(a)...);
   }
-  void append(Cycle t, std::uint32_t e, std::uint32_t n) {
+  void append(Cycle t, std::uint32_t e) {
     Bucket& b = wheel_[t % kWheel];
-    if (b.q.empty()) b.n = 0;
     take_link();
-    grow(b, n);
     b.q.push_back(e);
-    b.n += n;
     b.time = t;
   }
   /// The link pool only grows when every link is in use.
   void take_link() {
     if (live_links_++ < links_.size()) return;
-    if (links_.size() == links_.capacity()) ++c.heap_grows;
-    links_.push_back(0);
+    grow_push(links_, 0);
   }
   void push_far(Cycle t, std::uint32_t e) {
-    if (far_.size() == far_.capacity()) ++c.heap_grows;
-    far_.emplace_back(t, seq_++, e);
+    grow_push(far_, t, seq_++, e);
   }
   void place(Cycle t, std::uint32_t e) {
     if (t - floor_ < kWheel) {
-      append(t, e, 1);
+      append(t, e);
     } else {
       push_far(t, e);
     }
@@ -290,7 +264,6 @@ class RefQueue {
   std::vector<std::uint32_t> free_;
   std::vector<char> links_;
   std::size_t live_links_ = 0;
-  std::size_t share_ = 0;
   Cycle floor_ = 0;
   std::uint64_t seq_ = 0;
 };
@@ -312,168 +285,164 @@ void expect_same_counters(const EngineCounters& a, const EngineCounters& b,
 
 // Random schedules, resumes, polls, poll-block steps, hand-backs
 // (push_front), whole-block moves and fast-forwards, with deltas on both
-// sides of kWheel, unreserved and reserved: the linked wheel pops what
-// RefQueue pops, keeps every counter equal to it, and runs every event
-// (each poll-block member one by one) in (time, schedule order).
+// sides of kWheel: the linked wheel pops what RefQueue pops, keeps every
+// counter equal to it, and runs every event (each poll-block member one by
+// one) in (time, schedule order).
 TEST(EventQueue, LinkedWheelMatchesPerBucketRule) {
-  for (const std::size_t per_bucket : {std::size_t{0}, std::size_t{3}}) {
-    EventQueue q;
-    RefQueue ref;
-    q.reserve(16, per_bucket);
-    ref.reserve(16, per_bucket);
-    Xoshiro256 rng(41 + per_bucket);
-    // Each event has an id (a fiber id for resumes and polls); `pending`
-    // holds the (time, seq, id) of every event not yet run.
-    std::set<std::tuple<Cycle, std::uint64_t, std::uint32_t>> pending;
-    std::vector<std::tuple<Cycle, std::uint64_t>> key;  // by id
-    std::map<std::uint32_t, std::vector<std::uint32_t>> blocks;  // by first
-    std::uint64_t seq = 0;
-    Cycle now = 0;
-    std::uint32_t fired = EventQueue::kNoEvent;
-    auto add = [&](std::uint32_t id, Cycle t) {
-      if (id == key.size()) key.emplace_back();
-      key[id] = {t, seq};
-      pending.emplace(t, seq++, id);
-    };
-    auto run = [&](std::uint32_t id) {
-      ASSERT_FALSE(pending.empty());
-      const auto [t, s] = key[id];
-      EXPECT_EQ(*pending.begin(), std::make_tuple(t, s, id));
-      EXPECT_EQ(t, now);
-      pending.erase({t, s, id});
-    };
-    auto delta = [&]() -> Cycle {
-      const std::uint64_t r = rng.below(16);
-      if (r == 0) return EventQueue::kWheel + rng.below(2000);
-      if (r == 1) return 0;
-      return 1 + rng.below(24);
-    };
-    // Threads the members `ids` into the block `joined` names, or makes
-    // them a block of their own.
-    auto link = [&](std::uint32_t joined, std::vector<std::uint32_t> ids) {
-      if (joined == EventQueue::kNoEvent) {
-        blocks[ids[0]] = std::move(ids);
-      } else {
-        auto& b = blocks.at(joined);
-        b.insert(b.end(), ids.begin(), ids.end());
+  EventQueue q;
+  RefQueue ref;
+  Xoshiro256 rng(41);
+  // Each event has an id (a fiber id for resumes and polls); `pending`
+  // holds the (time, seq, id) of every event not yet run.
+  std::set<std::tuple<Cycle, std::uint64_t, std::uint32_t>> pending;
+  std::vector<std::tuple<Cycle, std::uint64_t>> key;  // by id
+  std::map<std::uint32_t, std::vector<std::uint32_t>> blocks;  // by first
+  std::uint64_t seq = 0;
+  Cycle now = 0;
+  std::uint32_t fired = EventQueue::kNoEvent;
+  auto add = [&](std::uint32_t id, Cycle t) {
+    if (id == key.size()) key.emplace_back();
+    key[id] = {t, seq};
+    pending.emplace(t, seq++, id);
+  };
+  auto run = [&](std::uint32_t id) {
+    ASSERT_FALSE(pending.empty());
+    const auto [t, s] = key[id];
+    EXPECT_EQ(*pending.begin(), std::make_tuple(t, s, id));
+    EXPECT_EQ(t, now);
+    pending.erase({t, s, id});
+  };
+  auto delta = [&]() -> Cycle {
+    const std::uint64_t r = rng.below(16);
+    if (r == 0) return EventQueue::kWheel + rng.below(2000);
+    if (r == 1) return 0;
+    return 1 + rng.below(24);
+  };
+  // Threads the members `ids` into the block `joined` names, or makes
+  // them a block of their own.
+  auto link = [&](std::uint32_t joined, std::vector<std::uint32_t> ids) {
+    if (joined == EventQueue::kNoEvent) {
+      blocks[ids[0]] = std::move(ids);
+    } else {
+      auto& b = blocks.at(joined);
+      b.insert(b.end(), ids.begin(), ids.end());
+    }
+  };
+  auto poll = [&](std::uint32_t id, Cycle t, std::uint8_t phase) {
+    add(id, t);
+    const std::uint32_t a = q.schedule_poll(t, id, phase);
+    ASSERT_EQ(a, ref.schedule_poll(t, id, phase));
+    link(a, {id});
+  };
+  auto place = [&](std::uint32_t id, Cycle t, std::uint8_t phase) {
+    add(id, t);
+    const std::uint32_t a = q.place_polls(t, id, phase);
+    ASSERT_EQ(a, ref.place_polls(t, id, phase));
+    link(a, {id});
+  };
+  // Pops one entry from both queues and runs it; `drain` ends every
+  // poller it meets instead of rescheduling it.
+  auto pop = [&](bool drain) {
+    Cycle t1 = 0, t2 = 0;
+    const std::uint32_t e = q.pop_entry(kCycleMax, &t1);
+    ASSERT_EQ(e, ref.pop(&t2));
+    ASSERT_EQ(t1, t2);
+    now = t1;
+    if (!EventQueue::is_resume(e)) {
+      q.claim(e)();
+      run(fired);
+      return;
+    }
+    if (!EventQueue::is_poll(e)) {
+      run(EventQueue::resume_fiber(e));
+      return;
+    }
+    const std::uint8_t phase = EventQueue::poll_phase(e);
+    const std::uint8_t next = phase ^ 1;
+    auto node = blocks.extract(EventQueue::resume_fiber(e));
+    std::vector<std::uint32_t> m = std::move(node.mapped());
+    const std::uint32_t n = static_cast<std::uint32_t>(m.size());
+    const std::uint64_t how = drain ? 1 : rng.below(4);
+    if (n >= 2 && how == 0) {  // the whole block moves
+      for (const std::uint32_t id : m) run(id);
+      const Cycle t = now + 1 + rng.below(24);
+      for (const std::uint32_t id : m) add(id, t);
+      const std::uint32_t a = q.move_polls(t, m[0], n, next);
+      ASSERT_EQ(a, ref.move_polls(t, m[0], n, next));
+      link(a, std::move(m));
+    } else if (n >= 2 && how == 1) {  // member k hands back to its fiber
+      const std::uint32_t k =
+          drain ? 0 : static_cast<std::uint32_t>(rng.below(n - 1));
+      for (std::uint32_t i = 0; i < k; ++i) {
+        run(m[i]);
+        place(m[i], now + 1 + rng.below(24), next);
       }
-    };
-    auto poll = [&](std::uint32_t id, Cycle t, std::uint8_t phase) {
-      add(id, t);
-      const std::uint32_t a = q.schedule_poll(t, id, phase);
-      ASSERT_EQ(a, ref.schedule_poll(t, id, phase));
-      link(a, {id});
-    };
-    auto place = [&](std::uint32_t id, Cycle t, std::uint8_t phase) {
-      add(id, t);
-      const std::uint32_t a = q.place_polls(t, id, 1, phase);
-      ASSERT_EQ(a, ref.place_polls(t, id, 1, phase));
-      link(a, {id});
-    };
-    // Pops one entry from both queues and runs it; `drain` ends every
-    // poller it meets instead of rescheduling it.
-    auto pop = [&](bool drain) {
-      Cycle t1 = 0, t2 = 0;
-      const std::uint32_t e = q.pop_entry(kCycleMax, &t1);
-      ASSERT_EQ(e, ref.pop(&t2));
-      ASSERT_EQ(t1, t2);
-      now = t1;
-      if (!EventQueue::is_resume(e)) {
-        q.claim(e)();
-        run(fired);
-        return;
+      run(m[k]);
+      q.account_polls(k);
+      ref.account_polls(k);
+      blocks[m[k + 1]].assign(m.begin() + k + 1, m.end());
+      q.push_front(EventQueue::poll_entry(m[k + 1], phase));
+      ref.push_front(EventQueue::poll_entry(m[k + 1], phase));
+    } else {  // every member steps; the last one may end
+      for (std::uint32_t i = 0; i + 1 < n; ++i) {
+        run(m[i]);
+        place(m[i], now + 1 + delta(), next);
       }
-      if (!EventQueue::is_poll(e)) {
-        run(EventQueue::resume_fiber(e));
-        return;
+      q.account_polls(n - 1);
+      ref.account_polls(n - 1);
+      run(m[n - 1]);
+      if (!drain && rng.below(3) != 0) {
+        q.note_polled();
+        ref.note_polled();
+        poll(m[n - 1], now + delta(), next);
       }
-      const std::uint8_t phase = EventQueue::poll_phase(e);
-      const std::uint8_t next = phase ^ 1;
-      auto node = blocks.extract(EventQueue::resume_fiber(e));
-      std::vector<std::uint32_t> m = std::move(node.mapped());
-      const std::uint32_t n = static_cast<std::uint32_t>(m.size());
-      const std::uint64_t how = drain ? 1 : rng.below(4);
-      if (n >= 2 && how == 0) {  // the whole block moves
-        for (const std::uint32_t id : m) run(id);
-        const Cycle t = now + 1 + rng.below(24);
-        for (const std::uint32_t id : m) add(id, t);
-        const std::uint32_t a = q.move_polls(t, m[0], n, next);
-        ASSERT_EQ(a, ref.move_polls(t, m[0], n, next));
-        link(a, std::move(m));
-      } else if (n >= 2 && how == 1) {  // member k hands back to its fiber
-        const std::uint32_t k =
-            drain ? 0 : static_cast<std::uint32_t>(rng.below(n - 1));
-        for (std::uint32_t i = 0; i < k; ++i) {
-          run(m[i]);
-          place(m[i], now + 1 + rng.below(24), next);
-        }
-        run(m[k]);
-        q.account_polls(k);
-        ref.account_polls(k);
-        blocks[m[k + 1]].assign(m.begin() + k + 1, m.end());
-        q.push_front(EventQueue::poll_entry(m[k + 1], phase));
-        ref.push_front(EventQueue::poll_entry(m[k + 1], phase));
-      } else {  // every member steps; the last one may end
-        for (std::uint32_t i = 0; i + 1 < n; ++i) {
-          run(m[i]);
-          place(m[i], now + 1 + delta(), next);
-        }
-        q.account_polls(n - 1);
-        ref.account_polls(n - 1);
-        run(m[n - 1]);
-        if (!drain && rng.below(3) != 0) {
-          q.note_polled();
-          ref.note_polled();
-          poll(m[n - 1], now + delta(), next);
-        }
-      }
-    };
+    }
+  };
 
-    std::uint32_t next_id = 0;
-    for (std::uint64_t step = 0; step < 40'000; ++step) {
-      const std::uint64_t op = q.size() > 300 ? 9 : rng.below(11);
-      const Cycle t = now + delta();
-      const std::uint32_t id = next_id;
-      if (op <= 1) {
-        add(next_id++, t);
-        if (rng.below(50) == 0) {
-          std::array<std::uint64_t, 8> big{};  // past the inline buffer
-          q.schedule(t, [&fired, id, big] { fired = id + big[0]; });
-          ref.schedule(t, true);
-        } else {
-          q.schedule(t, [&fired, id] { fired = id; });
-          ref.schedule(t, false);
-        }
-      } else if (op <= 3) {
-        add(next_id++, t);
-        q.schedule_resume(t, id);
-        ref.schedule_resume(t, id);
-      } else if (op <= 5) {
-        ++next_id;
-        poll(id, t, static_cast<std::uint8_t>(rng.below(2)));
-      } else if (op == 6) {
-        const Cycle to = now + rng.below(8);
-        const bool moved = q.fast_forward(to);
-        ASSERT_EQ(moved, ref.fast_forward(to));
-        if (moved) now = to;
-      } else if (!q.empty()) {
-        pop(false);
+  std::uint32_t next_id = 0;
+  for (std::uint64_t step = 0; step < 40'000; ++step) {
+    const std::uint64_t op = q.size() > 300 ? 9 : rng.below(11);
+    const Cycle t = now + delta();
+    const std::uint32_t id = next_id;
+    if (op <= 1) {
+      add(next_id++, t);
+      if (rng.below(50) == 0) {
+        std::array<std::uint64_t, 8> big{};  // past the inline buffer
+        q.schedule(t, [&fired, id, big] { fired = id + big[0]; });
+        ref.schedule(t, true);
+      } else {
+        q.schedule(t, [&fired, id] { fired = id; });
+        ref.schedule(t, false);
       }
-      ASSERT_EQ(q.size(), ref.size);
-      expect_same_counters(q.counters(), ref.c, step);
-      if (HasFailure()) return;
+    } else if (op <= 3) {
+      add(next_id++, t);
+      q.schedule_resume(t, id);
+      ref.schedule_resume(t, id);
+    } else if (op <= 5) {
+      ++next_id;
+      poll(id, t, static_cast<std::uint8_t>(rng.below(2)));
+    } else if (op == 6) {
+      const Cycle to = now + rng.below(8);
+      const bool moved = q.fast_forward(to);
+      ASSERT_EQ(moved, ref.fast_forward(to));
+      if (moved) now = to;
+    } else if (!q.empty()) {
+      pop(false);
     }
-    while (!q.empty()) {
-      pop(true);
-      ASSERT_EQ(q.size(), ref.size);
-    }
-    expect_same_counters(q.counters(), ref.c, 0);
-    EXPECT_TRUE(pending.empty());
-    EXPECT_GT(q.counters().group_moves, 0u);
-    EXPECT_GT(q.counters().poll_blocks, 0u);
-    EXPECT_GT(q.counters().fast_forwards, 0u);
-    EXPECT_GT(q.counters().heap_grows, 0u);
+    ASSERT_EQ(q.size(), ref.size);
+    expect_same_counters(q.counters(), ref.c, step);
+    if (HasFailure()) return;
   }
+  while (!q.empty()) {
+    pop(true);
+    ASSERT_EQ(q.size(), ref.size);
+  }
+  expect_same_counters(q.counters(), ref.c, 0);
+  EXPECT_TRUE(pending.empty());
+  EXPECT_GT(q.counters().group_moves, 0u);
+  EXPECT_GT(q.counters().poll_blocks, 0u);
+  EXPECT_GT(q.counters().fast_forwards, 0u);
+  EXPECT_GT(q.counters().heap_grows, 0u);
 }
 
 TEST(Fiber, RunsToCompletion) {
@@ -856,7 +825,9 @@ void expect_same_run(const BlockRun& got, const BlockRun& ref) {
   EXPECT_EQ(got.ec.executed, ref.ec.executed);
   EXPECT_EQ(got.ec.scheduled, ref.ec.scheduled);
   EXPECT_EQ(got.ec.peak_depth, ref.ec.peak_depth);
-  EXPECT_EQ(got.ec.heap_grows, ref.ec.heap_grows);
+  // A poll block holds one wheel link for all its members, so the pollers
+  // can only need fewer links than the plain loop's one per resume.
+  EXPECT_LE(got.ec.heap_grows, ref.ec.heap_grows);
   EXPECT_EQ(got.ec.fast_forwards, ref.ec.fast_forwards);
   EXPECT_EQ(ref.ec.polled, 0u);
   EXPECT_EQ(ref.ec.poll_blocks, 0u);

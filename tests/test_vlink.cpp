@@ -95,6 +95,24 @@ TEST(VlinkFabric, FramesStayAtomicAcrossMpmc) {
   EXPECT_LE(c.peak_occupancy, 12u);  // credits never exceed capacity
 }
 
+// No credit window admits a frame larger than the whole channel, so its
+// producer would block forever: a 3-word push into a 2-word channel must
+// abort in every build instead of hanging the run. The horizon bounds the
+// run where the push would only block.
+using VlinkFabricDeathTest = ::testing::Test;
+
+TEST(VlinkFabricDeathTest, FrameLargerThanTheChannelAborts) {
+  EXPECT_DEATH(
+      {
+        SimExecutor ex(arch::MachineParams::tilegx_small(2, 1), 1);
+        const auto ch = ex.machine().vlink().create_channel(/*home=*/0, 2);
+        ex.add_thread([&](SimCtx& ctx) { ctx.vlink_push(ch, {1, 2, 3}); });
+        ex.run_until(100'000);
+      },
+      "hmps fatal: VlinkFabric: push: a 3-word frame does not fit its "
+      "2-word channel");
+}
+
 TEST(VlinkFabric, DeterministicTimeline) {
   auto run = [] {
     SimExecutor ex(arch::MachineParams::tilegx_small(4, 2), 21);
